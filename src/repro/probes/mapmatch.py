@@ -6,33 +6,31 @@ matching with a uniform grid spatial index so matching stays fast on
 metropolitan-scale networks (thousands of segments, millions of fixes).
 GPS error in urban canyons can exceed the matching radius, in which case
 the fix is discarded (returned as ``-1``) rather than mis-attributed.
+Fixes with a non-finite position are discarded the same way, before any
+grid arithmetic, and counted in ``mapmatch.rejected_nonfinite``.
 
-Three implementations share the same semantics:
+**Own-cell exactness.**  :class:`GridIndex` registers every segment in
+every cell that its bounding box, padded by ``pad_m`` (the matcher
+passes ``max_distance_m``), overlaps.  A segment within the distance
+gate of a fix therefore lies in the fix's *own* cell, so scoring only
+that cell's candidates finds exactly the in-gate segments an exhaustive
+search would.  Among equal scores the **lowest segment id** wins.
 
-* the **scalar** path (:meth:`MapMatcher.match_point`) — one ring search
-  per report, kept as the readable reference;
-* the **vectorized** path (:meth:`MapMatcher.match_arrays`) — reports
-  are grouped by grid cell, each cell's candidate segments are gathered
-  once into precomputed endpoint arrays, and a single broadcast
-  point-to-segment distance computation scores every (report, candidate)
-  pair at once.  Candidate order, the distance gate, heading penalties,
-  and first-wins tie-breaking replicate the scalar loop exactly, so both
-  paths return identical segment ids (enforced by property tests and the
-  ``repro bench`` ingestion suite);
-* the **jit** path (``method="jit"``) — the same cell grouping, but each
-  group's ring search runs in a numba-compiled scalar loop instead of a
-  broadcast score matrix, avoiding the (reports x candidates) temporary.
-  It requires the optional ``jit`` extra and *falls back to the
-  vectorized path* when numba is absent, so ``method="jit"`` is always
-  safe to request.
+Two implementations share these semantics and return identical ids:
+
+* the **scalar** path (:meth:`MapMatcher.match_point`) — one cell
+  lookup per report, kept as the readable reference;
+* the **vectorized** path (:meth:`MapMatcher.match_arrays`) — every
+  (fix, own-cell candidate) pair is laid out flat from the index's CSR
+  arrays and scored in chunks of at most about :data:`_CHUNK_PAIRS`
+  pairs, with the same arithmetic, in the same order, as the scalar
+  loop.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
-from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -41,67 +39,19 @@ from repro.obs import trace as obs_trace
 from repro.utils.contracts import hot_path
 from repro.roadnet.geometry import Point, heading_deg, point_segment_distance
 from repro.roadnet.network import RoadNetwork
+from repro.roadnet.segment import RoadSegment
 from repro.probes.report import ReportBatch
 from repro.utils.validation import check_positive
 
-MATCH_METHODS = ("vectorized", "scalar", "jit")
+MATCH_METHODS = ("vectorized", "scalar")
 
-# Compiled numba ring-search kernel, memoized after the first build so
-# the JIT cost is paid once per process.  Kept in a list (not None) so
-# the cache write is a single append — safe under concurrent first use.
-_NUMBA_MATCH_CACHE: List[object] = []
+#: Bound on the (fix, candidate) pairs scored at once by the vectorized
+#: matcher, keeping its temporaries small however large the batch.
+_CHUNK_PAIRS = 1 << 16
 
-
-def jit_match_available() -> bool:
-    """Whether the numba-compiled matching kernel can be built."""
-    return importlib.util.find_spec("numba") is not None
-
-
-def _numba_match_factory() -> object:  # pragma: no cover - requires numba
-    """Build (once) the numba kernel scoring one cell group scalar-style."""
-    if _NUMBA_MATCH_CACHE:
-        return _NUMBA_MATCH_CACHE[0]
-    import numba  # type: ignore[import-not-found]
-
-    @numba.njit(cache=True)  # type: ignore[misc]
-    def score_group(  # type: ignore[no-untyped-def]
-        px, py, heads, ax, ay, vx, vy, len_sq, course, max_dist, penalty
-    ):
-        n = px.shape[0]
-        k = ax.shape[0]
-        best = np.full(n, -1, dtype=np.int64)
-        for i in range(n):
-            best_score = np.inf
-            for j in range(k):
-                if len_sq[j] > 0.0:
-                    t = (
-                        (px[i] - ax[j]) * vx[j] + (py[i] - ay[j]) * vy[j]
-                    ) / len_sq[j]
-                    if t < 0.0:
-                        t = 0.0
-                    elif t > 1.0:
-                        t = 1.0
-                else:
-                    t = 0.0
-                dist = np.hypot(
-                    px[i] - (ax[j] + t * vx[j]), py[i] - (ay[j] + t * vy[j])
-                )
-                if dist > max_dist:
-                    continue
-                cost = 0.0
-                if not np.isnan(heads[i]):
-                    diff = abs(course[j] - heads[i]) % 360.0
-                    if diff > 360.0 - diff:
-                        diff = 360.0 - diff
-                    cost = penalty * diff / 180.0
-                score = dist + cost
-                if score < best_score:
-                    best[i] = j
-                    best_score = score
-        return best
-
-    _NUMBA_MATCH_CACHE.append(score_group)
-    return score_group
+#: Extra registration padding (metres) so float rounding in the distance
+#: gate can never leave an in-gate segment outside a fix's own cell.
+_PAD_SLACK_M = 1e-6
 
 
 def derive_cell_m(
@@ -127,19 +77,20 @@ def derive_cell_m(
 
 
 class GridIndex:
-    """Uniform-grid spatial index over road segments.
+    """Uniform-grid spatial index over road segments, stored as CSR.
 
     Each segment is registered in every cell its bounding box overlaps
-    (padded by ``pad_m``), so a nearest-segment query only inspects the
-    cells around the query point.
+    (padded by ``pad_m``).  The cells of the grid's bounding rectangle
+    are numbered ``key = (cx - x0) * ny + (cy - y0)``; the segments of
+    cell ``key`` are ``indices[indptr[key]:indptr[key + 1]]``, as rows
+    into :attr:`segment_ids` in ascending id order.  Key ``nx * ny`` is
+    an always-empty cell that stands for "off the grid".
 
     ``cell_m=None`` (the default) derives the cell size from segment
     density via :func:`derive_cell_m`.  Construction is array-based:
-    per-segment cell ranges are computed vectorized and bulk-grouped
-    into cells with one stable sort, so indexing a metropolitan network
-    does no per-segment Python work.  Cell membership lists stay in
-    segment-id order — the first-wins tie-breaking of the matchers
-    depends on it.
+    per-segment cell ranges are computed vectorized and grouped into
+    cells with one stable sort, so indexing a metropolitan network does
+    no per-segment Python work.
     """
 
     def __init__(
@@ -156,92 +107,75 @@ class GridIndex:
         self.network = network
         self.cell_m = cell_m
         self.pad_m = pad_m
-        self._cells: Dict[Tuple[int, int], List[int]] = self._build_cells()
-        # (cx, cy, rings) -> candidate segment ids as an int64 array, in
-        # exactly the order candidates() yields them (first-wins ties in
-        # the vectorized matcher then agree with the scalar loop).
-        self._array_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
+        self.segment_ids = np.asarray(network.segment_ids, dtype=np.int64)
+        self._build_csr()
 
-    def _build_cells(self) -> Dict[Tuple[int, int], List[int]]:
+    def _build_csr(self) -> None:
         """Bulk-assign every segment to the cells its padded bbox overlaps."""
         segments = self.network.segments()
-        seg_ids = np.fromiter(
-            (s.segment_id for s in segments), np.int64, len(segments)
-        )
-        sx = np.fromiter((s.start_point.x for s in segments), np.float64, len(segments))
-        sy = np.fromiter((s.start_point.y for s in segments), np.float64, len(segments))
-        ex = np.fromiter((s.end_point.x for s in segments), np.float64, len(segments))
-        ey = np.fromiter((s.end_point.y for s in segments), np.float64, len(segments))
-        pad, cell = self.pad_m, self.cell_m
+        n = len(segments)
+        sx = np.fromiter((s.start_point.x for s in segments), np.float64, n)
+        sy = np.fromiter((s.start_point.y for s in segments), np.float64, n)
+        ex = np.fromiter((s.end_point.x for s in segments), np.float64, n)
+        ey = np.fromiter((s.end_point.y for s in segments), np.float64, n)
+        pad, cell = self.pad_m + _PAD_SLACK_M, self.cell_m
         cx0 = np.floor((np.minimum(sx, ex) - pad) / cell).astype(np.int64)
         cx1 = np.floor((np.maximum(sx, ex) + pad) / cell).astype(np.int64)
         cy0 = np.floor((np.minimum(sy, ey) - pad) / cell).astype(np.int64)
         cy1 = np.floor((np.maximum(sy, ey) + pad) / cell).astype(np.int64)
+        self._x0, self._y0 = int(cx0.min()), int(cy0.min())
+        self._nx = int(cx1.max()) - self._x0 + 1
+        self._ny = int(cy1.max()) - self._y0 + 1
 
         # Expand each segment to one row per overlapped cell.
         nx = cx1 - cx0 + 1
         ny = cy1 - cy0 + 1
         counts = nx * ny
-        total = int(counts.sum())
-        rows = np.repeat(np.arange(seg_ids.size), counts)
+        rows = np.repeat(np.arange(n), counts)
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        k = np.arange(total) - np.repeat(starts, counts)
-        cxs = cx0[rows] + k // ny[rows]
-        cys = cy0[rows] + k % ny[rows]
-
-        # Group rows by cell.  The expansion above emits segments in id
-        # order, so a stable sort keeps each cell's membership list in
-        # id order — the invariant the first-wins matchers rely on.
-        height = int(cys.max() - cys.min()) + 1 if total else 1
-        key = (cxs - (cxs.min() if total else 0)) * height + (
-            cys - (cys.min() if total else 0)
+        k = np.arange(int(counts.sum())) - np.repeat(starts, counts)
+        key = (cx0[rows] + k // ny[rows] - self._x0) * self._ny + (
+            cy0[rows] + k % ny[rows] - self._y0
         )
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        sseg = seg_ids[rows[order]]
-        scx = cxs[order]
-        scy = cys[order]
-        cells: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        bounds = np.flatnonzero(np.r_[True, skey[1:] != skey[:-1]])
-        ends = np.r_[bounds[1:], skey.size]
-        for lo, hi in zip(bounds, ends):
-            cells[(int(scx[lo]), int(scy[lo]))] = sseg[lo:hi].tolist()
-        return cells
 
-    def _coord(self, v: float) -> int:
-        return int(math.floor(v / self.cell_m))
+        # The expansion emits segments in id order, so a stable sort by
+        # cell keeps each cell's rows ascending — the lowest-id tie rule
+        # of both matchers relies on it.
+        self.indices = rows[np.argsort(key, kind="stable")]
+        self.indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(key, minlength=self._nx * self._ny + 1)))
+        )
 
-    def candidates(self, point: Point, rings: int = 1) -> List[int]:
-        """Segment ids registered near ``point`` (cell plus ``rings`` around)."""
-        cx, cy = self._coord(point.x), self._coord(point.y)
-        out: List[int] = []
-        for dx in range(-rings, rings + 1):
-            for dy in range(-rings, rings + 1):
-                out.extend(self._cells.get((cx + dx, cy + dy), ()))
-        return out
+    def cell_key(self, x: float, y: float) -> int:
+        """CSR cell key of one point (the empty key when off the grid)."""
+        empty = self._nx * self._ny
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return empty
+        fx = math.floor(x / self.cell_m) - self._x0
+        fy = math.floor(y / self.cell_m) - self._y0
+        if 0 <= fx < self._nx and 0 <= fy < self._ny:
+            return fx * self._ny + fy
+        return empty
 
-    def cell_coords(self, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Grid coordinates of many query points at once."""
-        cxs = np.floor(np.asarray(xs, dtype=np.float64) / self.cell_m).astype(np.int64)
-        cys = np.floor(np.asarray(ys, dtype=np.float64) / self.cell_m).astype(np.int64)
-        return cxs, cys
+    def cell_keys(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """CSR cell keys of many finite points at once (see :meth:`cell_key`)."""
+        fx = np.floor(xs / self.cell_m) - self._x0
+        fy = np.floor(ys / self.cell_m) - self._y0
+        inside = (fx >= 0) & (fx < self._nx) & (fy >= 0) & (fy < self._ny)
+        keys = np.full(fx.shape, self._nx * self._ny, dtype=np.int64)
+        keys[inside] = (fx[inside] * self._ny + fy[inside]).astype(np.int64)
+        return keys
 
-    def candidate_array(self, cx: int, cy: int, rings: int = 1) -> np.ndarray:
-        """Candidate ids for one cell as an array (memoized, scalar order)."""
-        key = (cx, cy, rings)
-        cached = self._array_cache.get(key)
-        if cached is None:
-            out: List[int] = []
-            for dx in range(-rings, rings + 1):
-                for dy in range(-rings, rings + 1):
-                    out.extend(self._cells.get((cx + dx, cy + dy), ()))
-            cached = np.asarray(out, dtype=np.int64)
-            self._array_cache[key] = cached
-        return cached
+    def candidates(self, point: Point) -> List[int]:
+        """Ids of the segments registered in ``point``'s cell, ascending."""
+        key = self.cell_key(point.x, point.y)
+        rows = self.indices[self.indptr[key] : self.indptr[key + 1]]
+        return self.segment_ids[rows].tolist()
 
     @property
     def num_cells(self) -> int:
-        return len(self._cells)
+        """Number of non-empty cells."""
+        return int(np.count_nonzero(np.diff(self.indptr)))
 
 
 class MapMatcher:
@@ -279,19 +213,14 @@ class MapMatcher:
         self.network = network
         self.max_distance_m = max_distance_m
         self.heading_penalty_m = heading_penalty_m
+        self._gate_sq = max_distance_m * max_distance_m * (1.0 + 1e-9)
         # cell_m=None lets the index derive the cell size from segment
-        # density; pad_m=max_distance_m guarantees ring-1 correctness
-        # regardless of the derived value.
+        # density; pad_m=max_distance_m puts every in-gate segment in a
+        # fix's own cell regardless of the derived value.
         self.index = GridIndex(network, cell_m=cell_m, pad_m=max_distance_m)
-        self._courses: Dict[int, float] = {
-            seg.segment_id: heading_deg(seg.start_point, seg.end_point)
-            for seg in network.segments()
-        }
-        # Columnar segment geometry in canonical (sorted-id) order: the
-        # vectorized matcher gathers candidate endpoints from these
-        # arrays instead of touching Segment objects per report.
+        # Columnar segment geometry in canonical (sorted-id) order, the
+        # row order of the index's CSR arrays.
         segments = network.segments()
-        self._sorted_ids = np.asarray(network.segment_ids, dtype=np.int64)
         self._ax = np.array([s.start_point.x for s in segments], dtype=np.float64)
         self._ay = np.array([s.start_point.y for s in segments], dtype=np.float64)
         self._vx = np.array(
@@ -300,17 +229,19 @@ class MapMatcher:
         self._vy = np.array(
             [s.end_point.y - s.start_point.y for s in segments], dtype=np.float64
         )
-        self._len_sq = self._vx**2 + self._vy**2
-        self._course_arr = np.array(
-            [self._courses[int(sid)] for sid in self._sorted_ids], dtype=np.float64
+        # A zero-length segment projects every fix onto its start: its
+        # zero direction makes the numerator 0, and dividing by 1 keeps t=0.
+        len_sq = self._vx**2 + self._vy**2
+        self._safe_len_sq = np.where(len_sq > 0.0, len_sq, 1.0)
+        self._course = np.array(
+            [heading_deg(s.start_point, s.end_point) for s in segments],
+            dtype=np.float64,
         )
-        # (cx, cy, rings) -> candidate *row* indices into the arrays above.
-        self._row_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
 
-    def _heading_cost(self, segment_id: int, course_deg: Optional[float]) -> float:
-        if course_deg is None or course_deg != course_deg:  # None or NaN
+    def _heading_cost(self, seg: RoadSegment, course_deg: Optional[float]) -> float:
+        if course_deg is None or not math.isfinite(course_deg):
             return 0.0
-        diff = abs(self._courses[segment_id] - course_deg) % 360.0
+        diff = abs(heading_deg(seg.start_point, seg.end_point) - course_deg) % 360.0
         diff = min(diff, 360.0 - diff)
         return self.heading_penalty_m * diff / 180.0
 
@@ -324,75 +255,68 @@ class MapMatcher:
         This is the scalar reference; :meth:`match_arrays` replicates it
         at array speed.
         """
+        if not (math.isfinite(point.x) and math.isfinite(point.y)):
+            obs_metrics.inc("mapmatch.rejected_nonfinite")
+            return -1
         best_id = -1
         best_score = float("inf")
-        found_within = False
-        for rings in (1, 2):
-            for sid in self.index.candidates(point, rings=rings):
-                seg = self.network.segment(sid)
-                d = point_segment_distance(point, seg.start_point, seg.end_point)
-                if d > self.max_distance_m:
-                    continue
-                found_within = True
-                score = d + self._heading_cost(sid, heading)
-                if score < best_score:
-                    best_id, best_score = sid, score
-            if found_within:
-                break
+        # Candidates come in ascending id order, so strict < keeps the
+        # lowest id among equal scores.
+        for sid in self.index.candidates(point):
+            seg = self.network.segment(sid)
+            d = point_segment_distance(point, seg.start_point, seg.end_point)
+            if d > self.max_distance_m:
+                continue
+            score = d + self._heading_cost(seg, heading)
+            if score < best_score:
+                best_id, best_score = sid, score
         return best_id
 
-    # ------------------------------------------------------------------
-    # Vectorized path
-    # ------------------------------------------------------------------
-    def _candidate_rows(self, cx: int, cy: int, rings: int) -> np.ndarray:
-        """Candidate row indices (into the geometry arrays) for one cell."""
-        key = (cx, cy, rings)
-        rows = self._row_cache.get(key)
-        if rows is None:
-            ids = self.index.candidate_array(cx, cy, rings)
-            # Ids are drawn from the registered segment set, so the
-            # sorted-id searchsorted lookup is exact.
-            rows = np.searchsorted(self._sorted_ids, ids)
-            self._row_cache[key] = rows
-        return rows
-
     @hot_path
-    def _score_candidates(
+    def _match_pairs(
         self,
         xs: np.ndarray,
         ys: np.ndarray,
         headings: Optional[np.ndarray],
+        fix: np.ndarray,
         rows: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scores of every (point, candidate) pair and the within-gate mask.
+        """Best candidate row per fix over flat (fix, row) pairs.
 
-        One broadcast point-to-segment projection evaluates the same
-        arithmetic as :func:`repro.roadnet.geometry.point_segment_distance`
-        (identical operation order, so distances are bit-identical), then
-        adds the heading penalty for points that carry a course.
+        ``fix`` is non-decreasing and each fix's rows ascend, as laid out
+        from the CSR index.  The point-to-segment projection repeats the
+        arithmetic of :func:`repro.roadnet.geometry.point_segment_distance`
+        in the same operation order, so distances are bit-identical to
+        the scalar path.  Heading penalties are computed only for
+        in-gate pairs whose fix has a finite heading.  Returns the
+        matched fixes and their winning rows.
         """
         ax, ay = self._ax[rows], self._ay[rows]
         vx, vy = self._vx[rows], self._vy[rows]
-        len_sq = self._len_sq[rows]
-        px = xs[:, None]
-        py = ys[:, None]
-        safe_len = np.where(len_sq > 0.0, len_sq, 1.0)
-        t = ((px - ax) * vx + (py - ay) * vy) / safe_len
-        t = np.where(len_sq > 0.0, np.clip(t, 0.0, 1.0), 0.0)
-        dist = np.hypot(px - (ax + t * vx), py - (ay + t * vy))
-        within = dist <= self.max_distance_m
-        if headings is None:
-            cost = 0.0
-        else:
-            course = self._course_arr[rows]
-            has = ~np.isnan(headings)
-            diff = np.abs(course[None, :] - headings[:, None]) % 360.0
+        px, py = xs[fix], ys[fix]
+        t = np.clip(((px - ax) * vx + (py - ay) * vy) / self._safe_len_sq[rows], 0.0, 1.0)
+        dx, dy = px - (ax + t * vx), py - (ay + t * vy)
+        # A squared-distance prefilter with a rounding margin spares the
+        # costly hypot for the pairs that are clearly out of the gate.
+        near = np.flatnonzero(dx * dx + dy * dy <= self._gate_sq)
+        dist = np.hypot(dx[near], dy[near])
+        inside = dist <= self.max_distance_m
+        gate = near[inside]
+        fix, rows, score = fix[gate], rows[gate], dist[inside]
+        if fix.size == 0:
+            return fix, rows
+        if headings is not None:
+            heads = headings[fix]
+            has = np.flatnonzero(np.isfinite(heads))
+            diff = np.abs(self._course[rows[has]] - heads[has]) % 360.0
             diff = np.minimum(diff, 360.0 - diff)
-            cost = np.where(
-                has[:, None], self.heading_penalty_m * diff / 180.0, 0.0
-            )
-        scores = np.where(within, dist + cost, np.inf)
-        return scores, within
+            score[has] = score[has] + self.heading_penalty_m * diff / 180.0
+        starts = np.flatnonzero(np.r_[True, fix[1:] != fix[:-1]])
+        best = np.minimum.reduceat(score, starts)
+        ties = np.flatnonzero(score == np.repeat(best, np.diff(np.r_[starts, fix.size])))
+        # The first minimum of each fix is its lowest-id winner.
+        first = ties[np.r_[True, fix[ties][1:] != fix[ties][:-1]]]
+        return fix[first], rows[first]
 
     @hot_path
     def match_arrays(
@@ -403,10 +327,10 @@ class MapMatcher:
     ) -> np.ndarray:
         """Vectorized :meth:`match_point` over report position arrays.
 
-        Reports are grouped by grid cell; each group shares one candidate
-        gather and one broadcast distance computation.  Returns the
-        matched segment id per report (``-1`` where rejected), identical
-        to the scalar loop.
+        Each fix is paired with its own cell's candidates straight from
+        the CSR index; the pairs are scored in chunks of about
+        :data:`_CHUNK_PAIRS`.  Returns the matched segment id per report
+        (``-1`` where rejected), identical to the scalar loop.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
@@ -420,141 +344,54 @@ class MapMatcher:
         if xs.size == 0:
             return out
 
-        instrumented = obs_trace.enabled()
-        candidates_examined = 0
+        index = self.index
         with obs_trace.span("ingest.match", reports=int(xs.size)):
-            cxs, cys = self.index.cell_coords(xs, ys)
-            order = np.lexsort((cys, cxs))
-            scx, scy = cxs[order], cys[order]
-            changed = (scx[1:] != scx[:-1]) | (scy[1:] != scy[:-1])
-            starts = np.concatenate(
-                ([0], np.flatnonzero(changed) + 1, [order.size])
+            live = np.flatnonzero(np.isfinite(xs) & np.isfinite(ys))
+            if live.size < xs.size:
+                obs_metrics.inc("mapmatch.rejected_nonfinite", int(xs.size - live.size))
+                xs, ys = xs[live], ys[live]
+                if headings_deg is not None:
+                    headings_deg = headings_deg[live]
+            keys = index.cell_keys(xs, ys)
+            first = index.indptr[keys]
+            counts = index.indptr[keys + 1] - first
+            ends = np.cumsum(counts)
+            pairs = int(ends[-1]) if ends.size else 0
+            # Pair p of fix f sits at CSR position p + offset[f].
+            offset = first - (ends - counts)
+            cuts = np.searchsorted(
+                ends, np.arange(_CHUNK_PAIRS, pairs, _CHUNK_PAIRS), side="right"
             )
-            for g in range(starts.size - 1):
-                idx = order[starts[g] : starts[g + 1]]
-                cx, cy = int(scx[starts[g]]), int(scy[starts[g]])
-                pending = idx
-                for rings in (1, 2):
-                    if pending.size == 0:
-                        break
-                    rows = self._candidate_rows(cx, cy, rings)
-                    if rows.size == 0:
-                        continue
-                    if instrumented:
-                        candidates_examined += int(pending.size) * int(rows.size)
-                    heads = None if headings_deg is None else headings_deg[pending]
-                    scores, within = self._score_candidates(
-                        xs[pending], ys[pending], heads, rows
-                    )
-                    matched = within.any(axis=1)
-                    if matched.any():
-                        best = np.argmin(scores[matched], axis=1)
-                        out[pending[matched]] = self._sorted_ids[rows[best]]
-                    pending = pending[~matched]
-        if instrumented:
-            obs_metrics.inc("mapmatch.candidates_examined", candidates_examined)
-            obs_metrics.inc("mapmatch.reports", int(xs.size))
+            bounds = np.unique(np.r_[0, cuts, xs.size]).tolist()
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                p0, p1 = (int(ends[lo - 1]) if lo else 0), int(ends[hi - 1])
+                if p1 == p0:
+                    continue
+                fix = np.repeat(np.arange(lo, hi), counts[lo:hi])
+                pos = np.arange(p0, p1) + offset[fix]
+                won, rows = self._match_pairs(xs, ys, headings_deg, fix, index.indices[pos])
+                out[live[won]] = index.segment_ids[rows]
+        if obs_trace.enabled():
+            obs_metrics.inc("mapmatch.candidates_examined", pairs)
+            obs_metrics.inc("mapmatch.reports", int(out.size))
             obs_metrics.inc("mapmatch.matched", int(np.count_nonzero(out >= 0)))
         return out
 
-    @hot_path
-    def match_arrays_jit(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        headings_deg: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Numba-compiled :meth:`match_arrays` (same grouping, scalar scoring).
-
-        Each cell group's ring search runs inside a JIT-compiled loop —
-        no (reports x candidates) score matrix is materialized.  The
-        arithmetic mirrors :meth:`_score_candidates` operation for
-        operation, so matches are identical to both other paths.
-        Raises :class:`ImportError` when numba is absent; use
-        ``match_batch(..., method="jit")`` for the graceful fallback.
-        """
-        if not jit_match_available():
-            raise ImportError(
-                "match_arrays_jit requires the 'numba' module "
-                "(pip install repro[jit])"
-            )
-        kernel = _numba_match_factory()
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        ys = np.ascontiguousarray(ys, dtype=np.float64)
-        if xs.shape != ys.shape or xs.ndim != 1:
-            raise ValueError("xs and ys must be 1-D arrays of equal length")
-        if headings_deg is not None:
-            heads_all = np.ascontiguousarray(headings_deg, dtype=np.float64)
-            if heads_all.shape != xs.shape:
-                raise ValueError("headings_deg must match xs/ys length")
-        else:
-            heads_all = np.full(xs.shape[0], np.nan, dtype=np.float64)
-        out = np.full(xs.shape[0], -1, dtype=np.int64)
-        if xs.size == 0:
-            return out
-
-        with obs_trace.span("ingest.match_jit", reports=int(xs.size)):
-            cxs, cys = self.index.cell_coords(xs, ys)
-            order = np.lexsort((cys, cxs))
-            scx, scy = cxs[order], cys[order]
-            changed = (scx[1:] != scx[:-1]) | (scy[1:] != scy[:-1])
-            starts = np.concatenate(
-                ([0], np.flatnonzero(changed) + 1, [order.size])
-            )
-            for g in range(starts.size - 1):
-                idx = order[starts[g] : starts[g + 1]]
-                cx, cy = int(scx[starts[g]]), int(scy[starts[g]])
-                pending = idx
-                for rings in (1, 2):
-                    if pending.size == 0:
-                        break
-                    rows = self._candidate_rows(cx, cy, rings)
-                    if rows.size == 0:
-                        continue
-                    best = kernel(  # type: ignore[operator]
-                        np.ascontiguousarray(xs[pending]),
-                        np.ascontiguousarray(ys[pending]),
-                        np.ascontiguousarray(heads_all[pending]),
-                        np.ascontiguousarray(self._ax[rows]),
-                        np.ascontiguousarray(self._ay[rows]),
-                        np.ascontiguousarray(self._vx[rows]),
-                        np.ascontiguousarray(self._vy[rows]),
-                        np.ascontiguousarray(self._len_sq[rows]),
-                        np.ascontiguousarray(self._course_arr[rows]),
-                        float(self.max_distance_m),
-                        float(self.heading_penalty_m),
-                    )
-                    matched = best >= 0
-                    if matched.any():
-                        out[pending[matched]] = self._sorted_ids[
-                            rows[best[matched]]
-                        ]
-                    pending = pending[~matched]
-        return out
-
     def match_batch(self, batch: ReportBatch, method: str = "vectorized") -> ReportBatch:
-        """Match every report's (x, y) [+ heading]; unmatched keep ``-1``.
-
-        ``method="jit"`` uses the numba-compiled ring search when the
-        ``jit`` extra is installed and silently degrades to the
-        vectorized path (identical matches) when it is not.
-        """
+        """Match every report's (x, y) [+ heading]; unmatched keep ``-1``."""
         if method not in MATCH_METHODS:
             raise ValueError(
                 f"method must be one of {MATCH_METHODS}, got {method!r}"
             )
         if method == "scalar":
-            # Reference path, one ring search per report.
+            # Reference path, one cell lookup per report.
             # repro-lint: disable-next-line=ingestion-loop
             matched: List[int] = [
                 self.match_point(Point(r.x, r.y), heading=r.heading_deg)
                 for r in batch
             ]
             return batch.with_matched_segments(matched)
-        if method == "jit" and jit_match_available():
-            ids = self.match_arrays_jit(batch.xs, batch.ys, batch.headings_deg)
-        else:
-            ids = self.match_arrays(batch.xs, batch.ys, batch.headings_deg)
+        ids = self.match_arrays(batch.xs, batch.ys, batch.headings_deg)
         return batch.with_matched_segments(ids)
 
     def match_rate(self, batch: ReportBatch) -> float:

@@ -7,8 +7,8 @@ Three layers:
 * numerical equivalence — every backend must reproduce the default
   numpy estimate (float64 within the bench tolerance, float32 within
   ``FLOAT32_RTOL`` relative to the reference's magnitude);
-* integration — completer/streaming dtype plumbing, the map-matching
-  jit method, and the ``repro backends`` CLI verb.
+* integration — completer/streaming dtype plumbing and the
+  ``repro backends`` CLI verb.
 
 The numba and CuPy tests are guarded with ``pytest.importorskip`` so
 the default tier-1 run stays green without the optional extras; CI's
@@ -32,8 +32,7 @@ from repro.core.backends import (
 )
 from repro.core.completion import CompressiveSensingCompleter
 from repro.core.streaming import StreamingEstimator
-from repro.probes.mapmatch import MapMatcher, jit_match_available
-from repro.probes.report import ProbeReport, ReportBatch
+from repro.probes.report import ProbeReport
 
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 HAVE_CUPY = importlib.util.find_spec("cupy") is not None
@@ -289,41 +288,6 @@ class TestStreamingDtype:
     def test_bad_backend_fails_at_construction(self):
         with pytest.raises(ValueError, match="unknown solver backend"):
             StreamingEstimator(segment_ids=[0], slot_s=60.0, backend="fortran")
-
-
-# ----------------------------------------------------------------------
-# Map-matching jit method
-# ----------------------------------------------------------------------
-class TestMapmatchJit:
-    def test_jit_method_matches_vectorized(self, small_network):
-        # Without numba the jit method falls back to the vectorized
-        # path, so this must pass either way; under the CI jit-extra
-        # leg it exercises the compiled kernel for real.
-        rng = np.random.default_rng(11)
-        xs = rng.uniform(-50.0, 650.0, size=128)
-        ys = rng.uniform(-50.0, 650.0, size=128)
-        headings = rng.uniform(0.0, 360.0, size=128)
-        batch = ReportBatch(
-            [
-                ProbeReport(
-                    vehicle_id=i % 5,
-                    time_s=float(i),
-                    x=float(xs[i]),
-                    y=float(ys[i]),
-                    speed_kmh=30.0,
-                    segment_id=-1,
-                    heading_deg=float(headings[i]),
-                )
-                for i in range(128)
-            ]
-        )
-        matcher = MapMatcher(small_network, max_distance_m=60.0)
-        ref = matcher.match_batch(batch, method="vectorized")
-        jit = matcher.match_batch(batch, method="jit")
-        np.testing.assert_array_equal(jit.segment_ids, ref.segment_ids)
-
-    def test_jit_availability_probe(self):
-        assert jit_match_available() == HAVE_NUMBA
 
 
 # ----------------------------------------------------------------------
