@@ -8,7 +8,8 @@ the speed of the slot the vehicle actually reaches it in.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import math
+from typing import Sequence
 
 import numpy as np
 
@@ -40,37 +41,59 @@ class TravelTimeService:
     ):
         check_positive(min_speed_kmh, "min_speed_kmh")
         self.network = network
-        self.min_speed_kmh = min_speed_kmh
+        self.min_speed_kmh = float(min_speed_kmh)
+        self._known = frozenset(network.segment_ids)
         self.refresh(tcm)
 
     def refresh(self, tcm: TrafficConditionMatrix) -> None:
         """Swap in a newer estimate (e.g. after a streaming update).
 
-        Revalidates the TCM exactly like construction and rebuilds the
-        cached speed matrix, so a long-lived service can follow a
-        continuously re-estimated metropolitan network.
+        Revalidates the TCM exactly like construction, so a long-lived
+        service can follow a continuously re-estimated metropolitan
+        network.  The speed floor is applied per lookup, so no copy of
+        the estimate is made.
         """
         if not tcm.is_complete:
             raise ValueError("travel times need a complete (estimated) TCM")
-        known = set(self.network.segment_ids)
-        missing = [sid for sid in tcm.segment_ids if sid not in known]
+        missing = [sid for sid in tcm.segment_ids if sid not in self._known]
         if missing:
             raise ValueError(f"TCM segments not in network: {missing[:5]}")
         self.tcm = tcm
-        self._speeds = np.maximum(tcm.values, self.min_speed_kmh)
+        self._values = tcm.values_view
 
     # ------------------------------------------------------------------
     def speed_kmh(self, segment_id: int, time_s: float) -> float:
-        """Estimated speed on a segment at a time (clamped to the grid)."""
+        """Estimated speed on a segment at a time (clamped to the grid).
+
+        Raises ``ValueError`` for a non-finite ``time_s`` and ``KeyError``
+        for a segment the TCM does not cover.
+        """
+        check_finite_time(time_s, "time_s")
         slot = self.tcm.grid.slot_of(time_s)
         if slot is None:
             slot = 0 if time_s < self.tcm.grid.start_s else self.tcm.num_slots - 1
-        return float(self._speeds[slot, self.tcm.column_of(segment_id)])
+        speed = self._values.item(slot, self.tcm.column_of(segment_id))
+        floor = self.min_speed_kmh
+        return floor if floor > speed else speed  # np.maximum, NaN included
 
     def link_time_s(self, segment_id: int, time_s: float) -> float:
         """Traversal time of one segment entered at ``time_s``."""
         seg = self.network.segment(segment_id)
         return seg.length_m / (self.speed_kmh(segment_id, time_s) / 3.6)
+
+    def link_time_matrix(self) -> np.ndarray:
+        """``(slots, columns)`` traversal times of every TCM column.
+
+        Entry ``[slot, j]`` equals :meth:`link_time_s` for column ``j``
+        entered in ``slot``, bit for bit (the same IEEE operations).
+        """
+        lengths = np.array(
+            [self.network.segment(sid).length_m for sid in self.tcm.segment_ids]
+        )
+        times = np.maximum(self._values, self.min_speed_kmh)
+        times /= 3.6
+        np.divide(lengths, times, out=times)
+        return times
 
     def route_time_s(
         self, segment_ids: Sequence[int], depart_s: float
@@ -79,8 +102,10 @@ class TravelTimeService:
 
         Each link is traversed at the estimated speed of the slot the
         vehicle reaches it in, so long routes correctly experience
-        changing conditions en route.
+        changing conditions en route.  Raises ``ValueError`` for a
+        non-finite ``depart_s``.
         """
+        check_finite_time(depart_s, "depart_s")
         t = depart_s
         for sid in segment_ids:
             t += self.link_time_s(sid, t)
@@ -114,3 +139,9 @@ class TravelTimeService:
         times = self.route_time_profile(segment_ids, candidates)
         best = int(np.argmin(times))
         return float(candidates[best]), float(times[best])
+
+
+def check_finite_time(value: float, name: str) -> None:
+    """Reject NaN/inf query times (they have no slot)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")

@@ -12,13 +12,15 @@ speeds, never allow overtaking by waiting).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.apps.travel_time import TravelTimeService
+import numpy as np
+
+from repro.apps.travel_time import TravelTimeService, check_finite_time
 from repro.core.tcm import TrafficConditionMatrix
 from repro.roadnet.network import RoadNetwork
-from repro.roadnet.segment import RoadSegment
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,14 @@ class TripPlan:
 class TripPlannerService:
     """Fastest-route planning over a completed TCM.
 
+    Queries run on two array indexes, each built at the first
+    :meth:`plan` that needs it: per-intersection out-edge lists of the
+    covered segments (kept while the TCM's column list is unchanged) and
+    a ``(slots, columns)`` float64 link-time matrix (dropped by every
+    :meth:`refresh`).  Each is built into locals and published with one
+    attribute assignment, so concurrent queries are safe; a refresh must
+    not run concurrently with queries.
+
     Parameters
     ----------
     network:
@@ -64,12 +74,41 @@ class TripPlannerService:
     def __init__(self, network: RoadNetwork, tcm: TrafficConditionMatrix):
         self.network = network
         self.travel_time = TravelTimeService(network, tcm)
-        self._covered = set(tcm.segment_ids)
+        # node -> [(end node, TCM column, segment id)] in networkx order.
+        self._out_edges: Optional[Dict[int, List[Tuple[int, int, int]]]] = None
+        self._link_times: Optional[np.ndarray] = None
 
     def refresh(self, tcm: TrafficConditionMatrix) -> None:
         """Swap in a newer estimate without rebuilding the planner."""
+        columns = self.travel_time.tcm.segment_ids
         self.travel_time.refresh(tcm)
-        self._covered = set(tcm.segment_ids)
+        self._link_times = None
+        if tcm.segment_ids != columns:
+            self._out_edges = None
+
+    def _edges(self) -> Dict[int, List[Tuple[int, int, int]]]:
+        edges = self._out_edges
+        if edges is None:
+            column_of = {
+                sid: j for j, sid in enumerate(self.travel_time.tcm.segment_ids)
+            }
+            edges = {
+                node.node_id: [
+                    (seg.end, column_of[seg.segment_id], seg.segment_id)
+                    for seg in self.network.outgoing_segments(node.node_id)
+                    if seg.segment_id in column_of
+                ]
+                for node in self.network.intersections()
+            }
+            self._out_edges = edges
+        return edges
+
+    def _times(self) -> np.ndarray:
+        times = self._link_times
+        if times is None:
+            times = self.travel_time.link_time_matrix()
+            self._link_times = times
+        return times
 
     def plan(
         self, origin: int, destination: int, depart_s: float
@@ -77,9 +116,21 @@ class TripPlannerService:
         """Time-dependent fastest route; ``None`` if unreachable.
 
         Label-setting search on earliest arrival time per intersection.
+        Raises ``KeyError`` for an unknown origin or destination and
+        ``ValueError`` for a non-finite ``depart_s``.
         """
+        check_finite_time(depart_s, "depart_s")
+        edges = self._edges()
+        for node in (origin, destination):
+            if node not in edges:
+                raise KeyError(f"intersection {node} not in the network")
         if origin == destination:
             return TripPlan(origin, destination, depart_s, depart_s, [])
+        link_time = self._times().item
+        grid = self.travel_time.tcm.grid
+        start_s, slot_s, end_s = grid.start_s, grid.slot_s, grid.end_s
+        last_slot = grid.num_slots - 1
+
         arrivals: Dict[int, float] = {origin: depart_s}
         back: Dict[int, Tuple[int, int]] = {}  # node -> (prev node, segment)
         heap: List[Tuple[float, int]] = [(depart_s, origin)]
@@ -92,14 +143,19 @@ class TripPlannerService:
             settled.add(node)
             if node == destination:
                 break
-            for seg in self.network.outgoing_segments(node):
-                if seg.segment_id not in self._covered:
-                    continue
-                arrive = t + self.travel_time.link_time_s(seg.segment_id, t)
-                if arrive < arrivals.get(seg.end, float("inf")) - 1e-9:
-                    arrivals[seg.end] = arrive
-                    back[seg.end] = (node, seg.segment_id)
-                    heapq.heappush(heap, (arrive, seg.end))
+            # Clamped to the grid, exactly as TimeGrid.slot_of + clamp.
+            if t < start_s:
+                slot = 0
+            elif t >= end_s:
+                slot = last_slot
+            else:
+                slot = int((t - start_s) // slot_s)
+            for end, column, sid in edges[node]:
+                arrive = t + link_time(slot, column)
+                if arrive < arrivals.get(end, math.inf) - 1e-9:
+                    arrivals[end] = arrive
+                    back[end] = (node, sid)
+                    heapq.heappush(heap, (arrive, end))
 
         if destination not in arrivals:
             return None

@@ -161,6 +161,13 @@ class TrafficConditionMatrix:
         return self._values.copy()
 
     @property
+    def values_view(self) -> np.ndarray:
+        """Read-only view of :attr:`values`, for readers that must not copy."""
+        view = self._values.view()
+        view.flags.writeable = False
+        return view
+
+    @property
     def mask(self) -> np.ndarray:
         """The boolean indicator matrix ``B``."""
         return self._mask.copy()

@@ -180,8 +180,9 @@ def _serving_handlers(
     """Per-app (handler, requests): services built once, shared read-only.
 
     Every service is constructed before the pool starts and only *read*
-    by the workers — the apps are thread-safe after construction — so
-    concurrent levels measure contention on the query path alone.
+    by the workers — the apps are thread-safe after construction, and
+    the query indexes they build at first use are published atomically —
+    so concurrent levels measure contention on the query path alone.
     """
     travel = TravelTimeService(network, tcm)
     planner = TripPlannerService(network, tcm)

@@ -31,6 +31,34 @@ class TestValidation:
             CongestionMonitor(small_network, masked_tcm)
 
 
+class TestRefresh:
+    def test_same_columns_reuse_free_flow(self, monitor, small_network, monkeypatch):
+        calls = []
+        lookup = small_network.segment
+        monkeypatch.setattr(
+            small_network, "segment", lambda sid: calls.append(sid) or lookup(sid)
+        )
+        tcm = monitor.tcm
+        halved = TrafficConditionMatrix(
+            tcm.values * 0.5, grid=tcm.grid, segment_ids=list(tcm.segment_ids)
+        )
+        monitor.refresh(halved)
+        assert calls == []
+        assert monitor.congestion_index[0] == pytest.approx(0.5)
+
+    def test_new_columns_rebuild(self, monitor, small_network):
+        ids = small_network.segment_ids[::-1][:5]
+        free = np.array([small_network.segment(sid).free_flow_kmh for sid in ids])
+        tcm = TrafficConditionMatrix(
+            np.tile(free * 0.25, (2, 1)), grid=TimeGrid(0.0, 1800.0, 2), segment_ids=ids
+        )
+        monitor.refresh(tcm)
+        assert monitor.congestion_index == pytest.approx(np.full((2, 5), 0.75))
+        assert set(monitor.segment_ranking().segment_ids) == set(ids)
+        clustered = [sid for h in monitor.hotspots(0, 0.5, 1) for sid in h.segment_ids]
+        assert sorted(clustered) == sorted(ids)
+
+
 class TestIndices:
     def test_free_flow_zero_congestion(self, monitor):
         index = monitor.congestion_index

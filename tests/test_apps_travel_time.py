@@ -55,6 +55,44 @@ class TestLinkTimes:
         assert np.isfinite(service.link_time_s(0, 0.0))
 
 
+class TestHostileInput:
+    @pytest.mark.parametrize("time_s", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_speed_lookup(self, service, time_s):
+        with pytest.raises(ValueError, match="time_s must be finite"):
+            service.speed_kmh(0, time_s)
+        with pytest.raises(ValueError, match="time_s must be finite"):
+            service.link_time_s(0, time_s)
+
+    @pytest.mark.parametrize("depart_s", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_route_departure(self, service, depart_s):
+        with pytest.raises(ValueError, match="depart_s must be finite"):
+            service.route_time_s([0, 1], depart_s)
+        with pytest.raises(ValueError, match="depart_s must be finite"):
+            service.route_time_s([], depart_s)
+
+    def test_unknown_segment(self, service):
+        with pytest.raises(KeyError):
+            service.route_time_s([9999], 0.0)
+
+
+class TestLinkTimeMatrix:
+    def test_bit_equal_to_link_time(self, service, small_network):
+        times = service.link_time_matrix()
+        grid = service.tcm.grid
+        assert times.shape == service.tcm.shape
+        for slot in range(grid.num_slots):
+            t = grid.slot_start(slot)
+            for j, sid in enumerate(service.tcm.segment_ids):
+                assert times[slot, j] == service.link_time_s(sid, t)
+
+    def test_speed_floor_applies(self, small_network):
+        n = small_network.num_segments
+        tcm = TrafficConditionMatrix(np.zeros((2, n)), segment_ids=small_network.segment_ids)
+        service = TravelTimeService(small_network, tcm, min_speed_kmh=3.0)
+        assert service.speed_kmh(0, 0.0) == 3.0
+        assert np.all(np.isfinite(service.link_time_matrix()))
+
+
 class TestRouteTimes:
     def test_single_link_route(self, service, small_network):
         t = service.route_time_s([0], depart_s=0.0)

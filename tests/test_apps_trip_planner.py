@@ -78,6 +78,31 @@ class TestPlan:
         assert planner.plan(seg.start, far, depart_s=0.0) is None
 
 
+class TestHostileInput:
+    def test_unknown_origin(self, small_network):
+        planner = TripPlannerService(small_network, uniform_tcm(small_network))
+        with pytest.raises(KeyError, match="intersection 999"):
+            planner.plan(999, 15, depart_s=0.0)
+
+    def test_unknown_destination(self, small_network):
+        planner = TripPlannerService(small_network, uniform_tcm(small_network))
+        with pytest.raises(KeyError, match="intersection -1"):
+            planner.plan(0, -1, depart_s=0.0)
+
+    def test_unknown_node_to_itself(self, small_network):
+        planner = TripPlannerService(small_network, uniform_tcm(small_network))
+        with pytest.raises(KeyError):
+            planner.plan(999, 999, depart_s=0.0)
+
+    @pytest.mark.parametrize("depart_s", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_departure(self, small_network, depart_s):
+        planner = TripPlannerService(small_network, uniform_tcm(small_network))
+        with pytest.raises(ValueError, match="depart_s must be finite"):
+            planner.plan(0, 15, depart_s=depart_s)
+        with pytest.raises(ValueError, match="depart_s must be finite"):
+            planner.plan(3, 3, depart_s=depart_s)
+
+
 class TestCompareDepartures:
     def test_plans_for_each_time(self, small_network):
         planner = TripPlannerService(small_network, uniform_tcm(small_network))
