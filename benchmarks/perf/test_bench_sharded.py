@@ -44,7 +44,6 @@ def sharded_report():
         cases=[],
         smoke=True,
         seed=0,
-        backends=(),
         include_tune=False,
         include_baselines=False,
         include_ingestion=False,
@@ -70,8 +69,10 @@ class TestShardedSuiteSmoke:
 
     def test_payload_carries_sharded_key(self, sharded_report):
         payload = sharded_report.to_payload()
-        assert payload["schema"] == 4
+        assert payload["schema"] == 6
         assert payload["sharded"]["case"].startswith("sharded-")
+        for record in payload["records"]:
+            assert {"p50_ms", "p95_ms", "throughput_rps"} <= set(record)
 
     def test_smoke_accuracy_delta_within_bound(self, sharded_report):
         # The acceptance bound is for the metro scale, but the small

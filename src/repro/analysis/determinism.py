@@ -127,12 +127,11 @@ def check_completion(
 ) -> DeterminismCheck:
     """Algorithm 1 restarts: serial vs thread-pool, bit for bit.
 
-    Every *available* solver backend is double-run (workspace kernels
-    reuse buffers across sweeps, so this is exactly where a thread-race
-    would surface), plus the float32 path of the workspace backend —
-    reduced precision must still be bit-identical serial vs pool.
+    The kernel is double-run in float64 and float32: it reuses buffers
+    across sweeps, so this is exactly where a thread-race would
+    surface, and reduced precision must still be bit-identical serial
+    vs pool.
     """
-    from repro.core.backends import available_backend_names
     from repro.core.completion import CompletionResult, CompressiveSensingCompleter
 
     started = time.perf_counter()
@@ -143,20 +142,14 @@ def check_completion(
     iterations = 8 if smoke else 25
     restarts = 4 if smoke else 6
     values, mask = _toy_problem(seed, shape)
+    dtypes = ("float64", "float32")
 
-    backend_runs: List[Tuple[str, Optional[str]]] = [
-        (name, None) for name in available_backend_names()
-    ]
-    if "numpy-ws" in available_backend_names():
-        backend_runs.append(("numpy-ws", "float32"))
-
-    def run(pool: Optional[int], backend: str, dtype: Optional[str]) -> CompletionResult:
+    def run(pool: Optional[int], dtype: str) -> CompletionResult:
         completer = CompressiveSensingCompleter(
             rank=3,
             lam=10.0,
             iterations=iterations,
             restarts=restarts,
-            backend=backend,
             dtype=dtype,
             max_workers=pool,
             seed=seed,
@@ -164,34 +157,30 @@ def check_completion(
         return completer.complete(values, mask)
 
     problems: List[str] = []
-    for backend, dtype in backend_runs:
-        label = backend if dtype is None else f"{backend}/{dtype}"
-        serial = run(None, backend, dtype)
-        parallel = run(workers, backend, dtype)
+    for dtype in dtypes:
+        serial = run(None, dtype)
+        parallel = run(workers, dtype)
         detail = _diff_arrays(
-            f"[{label}] estimate", serial.estimate, parallel.estimate
+            f"[{dtype}] estimate", serial.estimate, parallel.estimate
         )
         if detail:
             problems.append(detail)
         if serial.objective != parallel.objective:
             problems.append(
-                f"[{label}] objective {serial.objective!r} "
+                f"[{dtype}] objective {serial.objective!r} "
                 f"vs {parallel.objective!r}"
             )
         if serial.best_restart != parallel.best_restart:
-            problems.append(f"[{label}] winning restart index differs")
+            problems.append(f"[{dtype}] winning restart index differs")
         if serial.restart_histories != parallel.restart_histories:
-            problems.append(f"[{label}] per-restart objective histories differ")
+            problems.append(f"[{dtype}] per-restart objective histories differ")
     ok = not problems
     return DeterminismCheck(
         name="completion",
         ok=ok,
         detail=(
             f"{restarts} restarts x {iterations} sweeps on {shape[0]}x{shape[1]}, "
-            f"1 vs {workers} workers, backends "
-            + ", ".join(
-                b if d is None else f"{b}/{d}" for b, d in backend_runs
-            )
+            f"1 vs {workers} workers, " + ", ".join(dtypes)
             if ok
             else "; ".join(problems)
         ),

@@ -18,10 +18,9 @@ Python:
 * ``verify-determinism`` — double-run the parallel entry points
   (serial vs worker pool) and fail unless the results are
   bit-identical (:mod:`repro.analysis.determinism`).
-* ``bench``        — time the hot paths (solvers, backends, tuning,
-  baselines) and write a machine-readable ``BENCH_<date>.json``.
-* ``backends``     — list the registered solver backends with their
-  availability, supported dtypes, and install extras.
+* ``bench``        — time the hot paths (Algorithm 1 in float64 and
+  float32, tuning, baselines) and write a machine-readable
+  ``BENCH_<date>.json``.
 * ``trace``        — inspect run manifests: ``trace summarize`` prints
   the per-phase rollup and the top-N spans of a manifest
   (:mod:`repro.obs`).
@@ -115,7 +114,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         lam=args.lam,
         iterations=args.iterations,
         tuner=tuner,
-        backend=args.backend,
         dtype=args.dtype,
         seed=args.seed,
     )
@@ -158,7 +156,6 @@ def _estimate_sharded(args: argparse.Namespace, measured) -> int:
             rank=args.rank,
             lam=args.lam,
             iterations=args.iterations,
-            backend=args.backend,
             dtype=args.dtype,
             max_workers=args.max_workers,
             seed=args.seed,
@@ -183,7 +180,6 @@ def _estimate_sharded(args: argparse.Namespace, measured) -> int:
             clip_min=0.0,
             clip_max=150.0,
             center=True,
-            backend=args.backend,
             dtype=args.dtype,
             max_workers=args.max_workers,
             seed=args.seed,
@@ -515,9 +511,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         smoke=args.smoke,
         seed=args.seed,
         repeats=args.repeats,
-        backends=() if suite_only else (
-            None if args.backends is None else tuple(args.backends)
-        ),
         include_tune=not suite_only,
         include_baselines=not suite_only,
         include_ingestion=not suite_only,
@@ -605,25 +598,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
     removed = store.clear()
     print(f"removed {removed} file(s) from {store.version_dir}")
-    return 0
-
-
-def _cmd_backends(args: argparse.Namespace) -> int:
-    from repro.core.backends import backend_names, get_backend
-
-    for name in backend_names():
-        backend = get_backend(name)
-        available = backend.is_available()
-        status = "available" if available else "unavailable"
-        dtypes = ", ".join(str(d) for d in backend.supported_dtypes)
-        line = f"{name:10s} {status:12s} dtypes: {dtypes}"
-        if backend.extra is not None:
-            line += f"  [extra: {backend.extra}]"
-        print(line)
-        if args.verbose:
-            print(f"  {backend.description}")
-            if not available:
-                print(f"  {backend.availability_hint()}")
     return 0
 
 
@@ -724,11 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=10.0)
     p.add_argument("--iterations", type=int, default=100)
     p.add_argument("--auto-tune", action="store_true", dest="auto_tune")
-    p.add_argument(
-        "--backend",
-        default="numpy",
-        help="solver backend (see `repro backends` for the registry)",
-    )
     p.add_argument(
         "--dtype",
         default=None,
@@ -974,16 +943,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON output path (default: BENCH_<date>.json)",
     )
     p.add_argument(
-        "--backends",
-        nargs="*",
-        default=None,
-        help="solver backends to bench (default: every available backend)",
-    )
-    p.add_argument(
         "--no-strict",
         action="store_true",
         dest="no_strict",
-        help="do not fail when solvers disagree beyond the tolerance",
+        help="do not fail when the float32 estimate departs from float64 "
+        "(or a vectorized path from its reference) beyond the tolerance",
     )
     p.add_argument(
         "--compare",
@@ -1066,16 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="store directory (default: $REPRO_STORE_DIR or .repro-store)",
     )
     pc.set_defaults(func=_cmd_store)
-
-    p = sub.add_parser(
-        "backends", help="list the registered solver backends"
-    )
-    p.add_argument(
-        "--verbose",
-        action="store_true",
-        help="include descriptions and install hints",
-    )
-    p.set_defaults(func=_cmd_backends)
 
     p = sub.add_parser("trace", help="inspect run manifests (observability)")
     trace_sub = p.add_subparsers(dest="trace_command", required=True)

@@ -6,10 +6,8 @@
 * :mod:`repro.core.eigenflows` — eigenflow extraction and the three-type
   classification of Eq. 10.
 * :mod:`repro.core.completion` — Algorithm 1, the compressive-sensing
-  matrix completion solver (Eq. 13-17).
-* :mod:`repro.core.backends` — pluggable solver-backend registry for
-  the Algorithm 1 hot path (preallocated float32/float64 workspace
-  kernels, optional numba-JIT and CuPy backends).
+  matrix completion solver (Eq. 13-17), with its float32/float64
+  workspace kernel.
 * :mod:`repro.core.tuning` — Algorithm 2, the genetic hyper-parameter
   search for (rank bound r, tradeoff coefficient lambda).
 * :mod:`repro.core.estimator` — high-level facade tying it together.
@@ -34,16 +32,11 @@ from repro.core.eigenflows import (
     has_spike,
     reconstruct_from_types,
 )
-from repro.core.backends import (
+from repro.core.completion import (
     FLOAT32_RTOL,
-    BackendUnavailable,
-    SolverBackend,
-    available_backend_names,
-    backend_names,
-    get_backend,
-    register_backend,
+    CompletionResult,
+    CompressiveSensingCompleter,
 )
-from repro.core.completion import CompletionResult, CompressiveSensingCompleter
 from repro.core.tuning import FitnessCacheStats, GeneticTuner, TuningResult
 from repro.core.estimator import TrafficEstimator
 from repro.core.streaming import StreamingEstimator
@@ -78,12 +71,6 @@ __all__ = [
     "has_spike",
     "reconstruct_from_types",
     "FLOAT32_RTOL",
-    "BackendUnavailable",
-    "SolverBackend",
-    "available_backend_names",
-    "backend_names",
-    "get_backend",
-    "register_backend",
     "CompletionResult",
     "CompressiveSensingCompleter",
     "FitnessCacheStats",

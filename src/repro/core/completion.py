@@ -16,30 +16,19 @@ Two inner formulations are provided:
   observed, i.e. the constraint really is ``B .x (L R^T) = M`` (Eq. 15).
   This is the solver of the SRMF work [37] the paper says its algorithm
   follows, and is the variant that actually recovers missing data well.
-* ``mask_aware=False`` — the literal pseudocode: one unmasked stacked
-  least-squares solve ``inverse([L; sqrt(lambda) I], [M; 0])`` treating
-  missing entries as zeros.  Kept for fidelity comparisons; it biases
-  estimates toward zero wherever data is missing.
+* ``mask_aware=False`` — the literal pseudocode: the stacked normal
+  equations ``(L^T L + lambda I) R^T = L^T M`` of
+  ``inverse([L; sqrt(lambda) I], [M; 0])``, treating missing entries as
+  zeros.  That is exactly the masked system with every cell observed,
+  so it runs on the same kernel bound to an all-observed indicator.
+  Kept for fidelity comparisons; it biases estimates toward zero
+  wherever data is missing.
 
-The mask-aware regression admits three interchangeable ``solver``
-implementations (all minimize the same per-column objective; estimates
-agree to solver round-off, well below 1e-8 on conditioned problems):
-
-* ``"batched"`` (default) — one einsum builds all ``n`` Gram matrices
-  ``G_j = F^T diag(B_{:,j}) F + lambda I`` at once and a single stacked
-  ``np.linalg.solve`` on the ``(n, r, r)`` array solves them.  This is
-  the vectorized hot path: no Python-level loop over columns.
-* ``"grouped"`` — columns sharing an identical mask pattern are solved
-  together with one factorization and a multi-RHS solve.  Algorithm 1
-  derives the pattern groups once per ``complete()`` (packed-bit
-  hashing) and reuses them across every sweep and restart; when the
-  mask turns out unstructured (patterns nearly as numerous as columns)
-  the sweeps delegate to the batched kernel, so the grouped solver is
-  never slower than ``"batched"`` by more than the one-off grouping
-  cost.  Wins when the mask is structured (whole slots/segments
-  missing, sensor-style columns).
-* ``"loop"`` — the original per-column Python loop, kept as the
-  numerical reference the others are tested against.
+Both run through one kernel, :class:`_WorkspaceKernel`, in the working
+dtype :func:`resolve_dtype` picks.  float64 runs match the per-column
+reference solve (``tests/solver_oracles.py``) within 1e-8 on the final
+estimate; float32 runs stay within :data:`FLOAT32_RTOL` of float64,
+relative to the estimate's magnitude.
 
 ``restarts > 1`` runs independent random initializations; with
 ``max_workers`` set they run concurrently (thread pool — the inner work
@@ -51,16 +40,10 @@ bit-identical whether restarts run serially or in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.backends import (
-    BackendUnavailable,
-    BoundKernel,
-    SolverBackend,
-    get_backend,
-)
 from repro.core.tcm import TrafficConditionMatrix
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -75,7 +58,16 @@ PAPER_RANK = 2
 PAPER_LAMBDA = 100.0
 PAPER_ITERATIONS = 100
 
-SOLVERS = ("batched", "grouped", "loop")
+#: Working dtypes Algorithm 1 runs in.
+SUPPORTED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+
+#: Relative tolerance for float32-vs-float64 estimate comparisons:
+#: ``max |est32 - est64| <= FLOAT32_RTOL * max(1, max |est64|)``.  The
+#: ALS solves are ridge-regularized (condition bounded by the data Gram
+#: over ``lam``), so single precision loses a few of its ~7 digits over
+#: a 60-sweep run; 1e-3 relative holds with two orders of margin on the
+#: bench workloads while still catching any wrong-kernel bug outright.
+FLOAT32_RTOL = 1e-3
 
 # (best objective, L, R, per-sweep objective history) of one ALS run.
 _RunOutcome = Tuple[float, np.ndarray, np.ndarray, List[float]]
@@ -136,6 +128,29 @@ class CompletionResult:
         return np.where(mask, measurements, self.estimate)
 
 
+def resolve_dtype(requested: DTypeLike, input_dtype: np.dtype) -> np.dtype:
+    """The working dtype for a completion run.
+
+    An explicit ``requested`` dtype wins.  Otherwise a float32 input is
+    honored (a float32 matrix stays float32 end to end); anything else
+    — float64, integers, lower-precision floats — resolves to float64.
+    Raises ``ValueError`` for a requested dtype outside
+    :data:`SUPPORTED_DTYPES`.
+    """
+    if requested is not None:
+        dtype = np.dtype(requested)
+    elif np.dtype(input_dtype) == np.dtype(np.float32):
+        dtype = np.dtype(np.float32)
+    else:
+        dtype = np.dtype(np.float64)
+    if dtype not in SUPPORTED_DTYPES:
+        supported = ", ".join(str(d) for d in SUPPORTED_DTYPES)
+        raise ValueError(
+            f"Algorithm 1 does not support dtype {dtype} (supported: {supported})"
+        )
+    return dtype
+
+
 class CompressiveSensingCompleter:
     """Algorithm 1 with the paper's default parameters (r=2, lambda=100).
 
@@ -145,31 +160,23 @@ class CompressiveSensingCompleter:
         Rank bound ``r``: the number of columns of ``L`` and ``R``
         (Eq. 18 makes it an upper bound on ``rank(X_hat)``).
     lam:
-        Tradeoff coefficient ``lambda`` of Eq. 16.
+        Tradeoff coefficient ``lambda`` of Eq. 16.  With ``lam=0`` a
+        row or column observed in fewer than ``r`` cells has a singular
+        ridge system, so :meth:`complete` rejects it up front; entirely
+        unobserved rows and columns stay allowed (their factor rows are
+        zero).
     iterations:
         ALS sweep count ``t``; the paper finds 100 sufficient for
         convergence on hundreds-by-hundreds matrices.
     mask_aware:
         Inner formulation choice (see module docstring).
-    solver:
-        Mask-aware implementation: ``"batched"`` (vectorized, default),
-        ``"grouped"`` (per mask pattern), or ``"loop"`` (per-column
-        reference).  Ignored when ``mask_aware=False``; only
-        ``"batched"`` combines with a non-default ``backend`` (the
-        backend's kernels replace the inner solver).
-    backend:
-        Solver backend from :mod:`repro.core.backends`: ``"numpy"``
-        (default, the legacy dispatch above), ``"numpy-ws"``
-        (preallocated-workspace kernels, float32-capable), or the
-        optional ``"numba"``/``"cupy"`` backends when their extras are
-        installed.  All backends minimize the same objective; see the
-        backends module for the numerical-equivalence contract.
     dtype:
-        Working dtype policy.  ``None`` (default) honors the input:
-        a float32 measurement matrix is completed in float32, anything
-        else in float64.  Pass ``np.float32``/``np.float64`` to force a
-        dtype (the input is cast once on entry).  The returned factors
-        and estimate are in the working dtype.
+        Working dtype policy (:func:`resolve_dtype`).  ``None``
+        (default) honors the input: a float32 measurement matrix is
+        completed in float32, anything else in float64.  Pass
+        ``np.float32``/``np.float64`` to force a dtype (the input is
+        cast once on entry).  The returned factors and estimate are in
+        the working dtype.
     tol:
         Optional early-stop: halt when the objective improves by less
         than ``tol`` (relative) between sweeps.
@@ -203,8 +210,6 @@ class CompressiveSensingCompleter:
         lam: float = PAPER_LAMBDA,
         iterations: int = PAPER_ITERATIONS,
         mask_aware: bool = True,
-        solver: str = "batched",
-        backend: str = "numpy",
         dtype: DTypeLike = None,
         tol: Optional[float] = None,
         clip_min: Optional[float] = None,
@@ -220,35 +225,6 @@ class CompressiveSensingCompleter:
             raise ValueError(f"lam must be >= 0, got {lam}")
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
-        if solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
-        backend_obj = get_backend(backend)
-        if backend_obj.name != "numpy":
-            if not backend_obj.is_available():
-                raise BackendUnavailable(
-                    f"backend {backend!r} {backend_obj.availability_hint()}"
-                )
-            if not mask_aware:
-                raise ValueError(
-                    f"backend {backend!r} implements the mask-aware solve; "
-                    "mask_aware=False requires backend='numpy'"
-                )
-            if solver != "batched":
-                raise ValueError(
-                    f"backend {backend!r} replaces the inner solver; "
-                    f"combine it with solver='batched', not {solver!r}"
-                )
-        requested_dtype: Optional[np.dtype] = (
-            None if dtype is None else np.dtype(dtype)
-        )
-        if requested_dtype is not None and requested_dtype not in (
-            backend_obj.supported_dtypes
-        ):
-            supported = ", ".join(str(d) for d in backend_obj.supported_dtypes)
-            raise ValueError(
-                f"backend {backend!r} does not support dtype "
-                f"{requested_dtype} (supported: {supported})"
-            )
         if tol is not None and tol <= 0:
             raise ValueError(f"tol must be positive, got {tol}")
         if clip_min is not None and clip_max is not None and clip_min > clip_max:
@@ -261,10 +237,9 @@ class CompressiveSensingCompleter:
         self.lam = lam
         self.iterations = iterations
         self.mask_aware = mask_aware
-        self.solver = solver
-        self.backend = backend
-        self.dtype = requested_dtype
-        self._backend: SolverBackend = backend_obj
+        self.dtype: Optional[np.dtype] = (
+            None if dtype is None else resolve_dtype(dtype, np.dtype(np.float64))
+        )
         self.tol = tol
         self.clip_min = clip_min
         self.clip_max = clip_max
@@ -305,10 +280,10 @@ class CompressiveSensingCompleter:
         m, n = m_arr.shape
         r = min(self.rank, m, n)
 
-        # Zero the unobserved cells once.  The mask-aware solvers never
-        # read them, the literal solver's documented behavior is
-        # "missing entries are zeros", and hoisting the masking out of
-        # the sweep loop removes a full m x n `np.where` per solve.
+        # Zero the unobserved cells once.  The kernel's right-hand side
+        # F^T M relies on it, the literal solver's documented behavior
+        # is "missing entries are zeros", and hoisting the masking out
+        # of the sweep loop removes a full m x n `np.where` per solve.
         # The masking stays in the working dtype, and when the caller
         # already zeroed the unobserved cells (synthetic pipelines
         # build M as `np.where(mask, truth, 0)`) the full-matrix copy
@@ -337,25 +312,19 @@ class CompressiveSensingCompleter:
             for _ in range(self.restarts)
         ]
 
-        # Indicator in the working dtype for the objective's masked
-        # residual, cast once for all restarts (read-only across runs).
+        # Indicator in the working dtype, cast once for all restarts and
+        # shared (read-only) by the objective and every run's kernel.
         ind = b_arr.astype(work_dtype)
-        # The mask never changes across sweeps or restarts, so the
-        # grouped solver's pattern discovery is hoisted here — one
-        # grouping per side for the whole call, not two per sweep.
-        groupings: Optional[Tuple["_MaskGroups", "_MaskGroups"]] = None
-        if self.mask_aware and self.solver == "grouped":
-            groupings = (_MaskGroups(b_arr), _MaskGroups(b_arr.T))
         with obs_trace.span(
             "als.complete",
             rows=m,
             cols=n,
             rank=r,
-            solver=self.solver if self.mask_aware else "stacked",
+            dtype=work_dtype.name,
             restarts=self.restarts,
         ):
             runs: List[_RunOutcome] = parallel_map(
-                lambda init: self._run_als(m_arr, b_arr, init, ind, groupings),
+                lambda init: self._run_als(m_arr, ind, init),
                 inits,
                 max_workers=self.max_workers,
                 backend="thread",
@@ -373,11 +342,8 @@ class CompressiveSensingCompleter:
                 obs_metrics.observe("als.iterations_to_convergence", len(history))
             obs_metrics.observe("als.objective", best_obj)
 
-        estimate = best_left @ best_right.T + offset
-        if self.clip_min is not None or self.clip_max is not None:
-            estimate = np.clip(estimate, self.clip_min, self.clip_max)
         return CompletionResult(
-            estimate=estimate,
+            estimate=self._estimate(best_left, best_right, offset),
             left=best_left,
             right=best_right,
             objective=best_obj,
@@ -387,38 +353,45 @@ class CompressiveSensingCompleter:
             best_restart=best_idx,
         )
 
+    def work_dtype(self, input_dtype: np.dtype) -> np.dtype:
+        """Resolve the dtype the ALS sweep will run in.
+
+        Explicit ``dtype=`` wins; otherwise a float32 input is honored
+        and everything else runs in float64.  Exposed so streaming
+        callers can cast warm-start factors consistently.
+        """
+        return resolve_dtype(self.dtype, input_dtype)
+
     # ------------------------------------------------------------------
+    @shapes("m n", "m n", "m r")
     def _run_als(
-        self,
-        m_arr: np.ndarray,
-        b_arr: np.ndarray,
-        init: np.ndarray,
-        ind: Optional[np.ndarray] = None,
-        groupings: Optional[Tuple["_MaskGroups", "_MaskGroups"]] = None,
+        self, m_arr: np.ndarray, ind: np.ndarray, init: np.ndarray
     ) -> _RunOutcome:
         """One ALS run from the given init (pseudocode lines 2-9).
 
+        ``m_arr`` is in the working dtype with unobserved cells zeroed
+        and ``ind`` is the observation indicator in the same dtype.
         Returns ``(best objective, L, R, per-iteration objectives)``.
         Reads only; safe to run concurrently across restarts.  Each run
-        binds its own backend kernel and owns its own objective residual
-        buffer: workspace kernels reuse scratch buffers across sweeps,
-        so neither must ever be shared between concurrently-running
-        restarts.
+        binds its own kernel and owns its own objective residual buffer:
+        the kernel reuses its buffers across sweeps, so neither may
+        be shared between concurrently-running restarts.
         """
-        n = m_arr.shape[1]
         left = init
         best_obj = np.inf
-        best_left, best_right = left, np.zeros((n, left.shape[1]), dtype=left.dtype)
+        best_left = left
+        best_right = np.zeros((m_arr.shape[1], left.shape[1]), dtype=left.dtype)
         history: List[float] = []
-        right_groups = groupings[0] if groupings is not None else None
-        left_groups = groupings[1] if groupings is not None else None
-        kernel = self._bind_kernel(m_arr, b_arr, init.shape[1])
-        if ind is None:
-            ind = b_arr.astype(m_arr.dtype)
+        kernel = _WorkspaceKernel(
+            m_arr,
+            ind if self.mask_aware else np.ones_like(ind),
+            self.lam,
+            left.shape[1],
+        )
         residual = np.empty_like(m_arr)
         for _ in range(self.iterations):
-            right = self._solve_right(left, m_arr, b_arr, right_groups, kernel)
-            left = self._solve_left(right, m_arr, b_arr, left_groups, kernel)
+            right = kernel.solve_right(left)
+            left = kernel.solve_left(right)
             obj = self._objective(left, right, m_arr, ind, residual)
             history.append(obj)
             if obj < best_obj:
@@ -434,73 +407,14 @@ class CompressiveSensingCompleter:
                 break
         return best_obj, best_left, best_right, history
 
-    # ------------------------------------------------------------------
-    # Inner solvers
-    # ------------------------------------------------------------------
-    def _masked_solver(self) -> Callable[[np.ndarray, np.ndarray, np.ndarray, float], np.ndarray]:
-        if self.solver == "batched":
-            return _ridge_by_column_batched
-        if self.solver == "grouped":
-            return _ridge_by_column_grouped
-        return _ridge_by_column
-
-    def work_dtype(self, input_dtype: np.dtype) -> np.dtype:
-        """Resolve the dtype the ALS sweep will run in.
-
-        Explicit ``dtype=`` wins; otherwise a float32 input is honored
-        and everything else runs in float64.  Exposed so streaming
-        callers can cast warm-start factors consistently.
-        """
-        return self._backend.resolve_dtype(self.dtype, input_dtype)
-
-    def _bind_kernel(
-        self, m_arr: np.ndarray, b_arr: np.ndarray, rank: int
-    ) -> Optional[BoundKernel]:
-        """Bind the configured backend's solve kernel to one ALS run.
-
-        Returns ``None`` for the default ``"numpy"`` backend, which
-        keeps the legacy ``solver=`` dispatch (batched/grouped/loop and
-        the non-mask-aware stacked solve) untouched.
-        """
-        if self._backend.name == "numpy":
-            return None
-        return self._backend.bind(m_arr, b_arr, self.lam, rank)
-
-    @shapes("m r", "m n", "m n:bool")
-    def _solve_right(
-        self,
-        left: np.ndarray,
-        m_arr: np.ndarray,
-        b_arr: np.ndarray,
-        groups: Optional["_MaskGroups"] = None,
-        kernel: Optional[BoundKernel] = None,
+    def _estimate(
+        self, left: np.ndarray, right: np.ndarray, offset: float = 0.0
     ) -> np.ndarray:
-        """R <- argmin of Eq. 16 with L fixed."""
-        if kernel is not None:
-            return kernel.solve_right(left)
-        if self.mask_aware:
-            if groups is not None:
-                return groups.apply(left, m_arr, b_arr, self.lam)
-            return self._masked_solver()(left, m_arr, b_arr, self.lam)
-        return _stacked_solve(left, m_arr, self.lam).T
-
-    @shapes("n r", "m n", "m n:bool")
-    def _solve_left(
-        self,
-        right: np.ndarray,
-        m_arr: np.ndarray,
-        b_arr: np.ndarray,
-        groups: Optional["_MaskGroups"] = None,
-        kernel: Optional[BoundKernel] = None,
-    ) -> np.ndarray:
-        """L <- argmin of Eq. 16 with R fixed (by transposition symmetry)."""
-        if kernel is not None:
-            return kernel.solve_left(right)
-        if self.mask_aware:
-            if groups is not None:
-                return groups.apply(right, m_arr.T, b_arr.T, self.lam)
-            return self._masked_solver()(right, m_arr.T, b_arr.T, self.lam)
-        return _stacked_solve(right, m_arr.T, self.lam).T
+        """``L R^T`` plus the centering offset, clipped to the bounds."""
+        estimate = left @ right.T + offset
+        if self.clip_min is not None or self.clip_max is not None:
+            estimate = np.clip(estimate, self.clip_min, self.clip_max)
+        return estimate
 
     @effects("pure")
     @hot_path
@@ -520,8 +434,8 @@ class CompressiveSensingCompleter:
         gather of the observed coordinates even at the paper's 20%
         integrity — fancy indexing pays per-element overhead that the
         contiguous kernels do not — and in float32 the whole pass moves
-        half the bytes, which is where the float32 backends earn their
-        wall-clock win (the solves alone are too small to dominate).
+        half the bytes, which is where float32 earns its wall-clock win
+        (the solves alone are too small to dominate).
         """
         # The residual buffer is caller-owned per ALS run; writing into
         # it is the point (no fresh m x n temporaries per sweep).
@@ -534,161 +448,168 @@ class CompressiveSensingCompleter:
         return fit + self.lam * reg
 
 
-@effects("pure")
-@hot_path
-def _stacked_solve(p_top: np.ndarray, q_top: np.ndarray, lam: float) -> np.ndarray:
-    """The pseudocode's ``inverse([P; sqrt(lam) I], [Q; 0])``.
+def _observed_or_raise(counts: np.ndarray, label: str, rank: int) -> np.ndarray:
+    """Indices with observations; reject any with fewer than ``rank``.
 
-    Solves ``(P^T P + lam I) C = P^T Q`` — the normal equations of the
-    stacked (contradictory) system of Eq. 17.
+    Used at ``lam == 0`` only, where the ridge term no longer keeps
+    ``G_j`` invertible: ``j`` observed in ``1..rank-1`` cells has a Gram
+    of rank below ``rank``.  Entirely unobserved entries are excluded
+    from the solve instead (their factor rows stay zero).
     """
-    r = p_top.shape[1]
-    gram = p_top.T @ p_top + lam * np.eye(r, dtype=p_top.dtype)
-    return np.linalg.solve(gram, p_top.T @ q_top)
+    observed = np.flatnonzero(counts)
+    short = observed[counts[observed] < rank]
+    if short.size:
+        j = int(short[0])
+        raise ValueError(
+            f"lam=0 with rank {rank}: {label} {j} is observed in only "
+            f"{int(counts[j])} cell(s), so its ridge system is singular "
+            f"({short.size} {label}(s) affected); use lam > 0 or a rank "
+            f"of at most {int(counts[short].min())}"
+        )
+    return observed
 
 
-@effects("pure")
-@hot_path
-def _ridge_by_column(
-    factor: np.ndarray, m_arr: np.ndarray, b_arr: np.ndarray, lam: float
-) -> np.ndarray:
-    """Mask-aware ridge solve for the other factor, column by column.
+class _WorkspaceKernel:
+    """Algorithm 1's masked ridge solve, bound to one ALS run.
 
-    For each column ``j`` of ``M``, with ``I`` the observed rows:
+    ``solve_right`` solves the ``n`` column systems of ``M`` given the
+    left factor (m x r) and returns the right factor (n x r);
+    ``solve_left`` solves the ``m`` row systems given the right factor.
+    For each column ``j`` of ``M`` (symmetrically for rows):
 
-        (F_I^T F_I + lam I_r) x_j = F_I^T M_{I,j}
+        G_j = F^T diag(B_{:, j}) F + lam I_r,    G_j x_j = F^T M_{:, j}.
 
-    An entirely unobserved column yields the zero vector (the ridge term
-    keeps the system non-singular).  This is the reference
-    implementation (``solver="loop"``); the vectorized solvers below are
-    tested for numerical equivalence against it.
-    """
-    m, r = factor.shape
-    n = m_arr.shape[1]
-    out = np.zeros((n, r), dtype=factor.dtype)
-    eye = lam * np.eye(r, dtype=factor.dtype)
-    for j in range(n):
-        rows = b_arr[:, j]
-        if not rows.any():
-            continue
-        f = factor[rows]
-        gram = f.T @ f + eye
-        out[j] = np.linalg.solve(gram, f.T @ m_arr[rows, j])
-    return out
+    Binding hoists everything the sweep would otherwise re-derive: the
+    ridge ``lam I``, the observed index sets (``lam == 0`` only), and
+    the Gram / right-hand-side / output buffers, which are reused by
+    every sweep.  ``M``, ``M^T``, the indicator and its transpose are
+    *views* of the caller's arrays, so binding allocates only
+    ``O((m + n) r^2)`` of workspace.  A sweep then performs one
+    outer-product write, one GEMM into the Gram stack, one GEMM into the
+    right-hand sides, and the solve.
 
-
-@effects("pure")
-@hot_path
-def _ridge_by_column_batched(
-    factor: np.ndarray, m_arr: np.ndarray, b_arr: np.ndarray, lam: float
-) -> np.ndarray:
-    """Vectorized mask-aware ridge solve: all columns in one shot.
-
-    Builds every Gram matrix at once,
-
-        G_j = F^T diag(B_{:, j}) F + lam I_r
-            = einsum('ij,ik,il->jkl', B, F, F) + lam I_r,
-
-    the right-hand sides via one masked matmul ``F^T (B .x M)``, and
-    solves the whole ``(n, r, r)`` stack with a single batched
-    ``np.linalg.solve``.  No Python-level loop remains; the work happens
-    in one optimized einsum (internally a GEMM over the r*r outer
-    products) plus one batched LAPACK ``gesv``.
-
-    With ``lam > 0`` an entirely unobserved column has ``G_j = lam I``
-    and a zero right-hand side, so it solves to the zero vector exactly
-    as the loop reference skips it.  With ``lam == 0`` those singular
-    systems are excluded from the stack explicitly.
+    With ``lam > 0`` and ``r <= 2`` the stacked systems are solved in
+    closed form (Cramer's rule) directly into the output buffer: the
+    ridge makes every ``G_j`` symmetric positive definite with
+    ``det(G_j) >= lam**r > 0``.  Larger ranks use one batched LAPACK
+    ``gesv``.  With ``lam == 0`` entirely unobserved columns (rows) are
+    excluded from the ``gesv`` stack and solve to zero; a column (row)
+    observed in ``1..r-1`` cells is rejected at binding.
 
     ``m_arr`` must be zero on unobserved cells (Algorithm 1 zeroes its
-    input once on entry); the loop and grouped solvers never read those
-    cells, so the precondition keeps all three interchangeable.
-    """
-    m, r = factor.shape
-    n = m_arr.shape[1]
-    indicator = b_arr.astype(factor.dtype)
-    # The einsum above contracted through one GEMM: stack the r*r outer
-    # products of F's rows as an (m, r*r) matrix and left-multiply by
-    # B^T.  (Equivalent to np.einsum(..., optimize=True), minus the
-    # per-call contraction-path dispatch that dominates at small r.)
-    pairs = (factor[:, :, None] * factor[:, None, :]).reshape(m, r * r)
-    grams = (indicator.T @ pairs).reshape(n, r, r)
-    grams += lam * np.eye(r, dtype=factor.dtype)
-    rhs = factor.T @ m_arr  # (r, n); unobserved cells are zero
-    if lam > 0:
-        solved: np.ndarray = np.linalg.solve(grams, rhs.T[:, :, None])[:, :, 0]
-        return solved
-    out = np.zeros((n, r), dtype=factor.dtype)
-    observed_cols = np.flatnonzero(b_arr.any(axis=0))
-    if observed_cols.size:
-        out[observed_cols] = np.linalg.solve(
-            grams[observed_cols], rhs.T[observed_cols, :, None]
-        )[:, :, 0]
-    return out
-
-
-class _MaskGroups:
-    """Columns of a mask grouped by identical observation pattern.
-
-    Columns of ``M`` observed on the same set of rows share one Gram
-    matrix, so each unique mask pattern needs a single factorization and
-    a multi-RHS solve.  Discovering the patterns is the expensive part —
-    the mask never changes inside Algorithm 1, so this class does it
-    exactly once (on bit-packed columns, 8 rows per compared byte) and
-    :meth:`apply` reuses the grouping every sweep.
-
-    Structured missingness (whole slots or segments dropped, the common
-    TCM case) collapses to a handful of groups; on an unstructured mask
-    the group count approaches the column count and per-group solves
-    lose to one batched stacked solve, so :meth:`apply` delegates to the
-    batched kernel whenever grouping is not clearly profitable.
+    input on entry) and ``ind`` the indicator in ``m_arr``'s dtype.
+    Buffers are reused across calls, so a kernel must stay on one
+    thread (Algorithm 1 binds one per ALS run).
     """
 
-    def __init__(self, b_arr: np.ndarray) -> None:
-        self.num_columns = b_arr.shape[1]
-        packed = np.packbits(b_arr, axis=0)
-        _, inverse = np.unique(packed, axis=1, return_inverse=True)
-        inverse = np.asarray(inverse).reshape(-1)
-        order = np.argsort(inverse, kind="stable")
-        boundaries = np.flatnonzero(np.diff(inverse[order])) + 1
-        col_groups = np.split(order, boundaries) if order.size else []
-        self.groups: List[Tuple[np.ndarray, np.ndarray]] = [
-            (b_arr[:, cols[0]].copy(), cols) for cols in col_groups
-        ]
-        # One factorization per pattern only beats the batched kernel
-        # when patterns are much scarcer than columns.
-        self.profitable = len(self.groups) <= max(8, self.num_columns // 8)
+    def __init__(
+        self, m_arr: np.ndarray, ind: np.ndarray, lam: float, rank: int
+    ) -> None:
+        m, n = m_arr.shape
+        dtype = m_arr.dtype
+        self._lam = lam
+        self._m = m_arr
+        self._m_t = m_arr.T
+        self._ind = ind
+        self._ind_t = ind.T
+        self._lam_eye = lam * np.eye(rank, dtype=dtype)
+        self._observed_cols: Optional[np.ndarray] = None
+        self._observed_rows: Optional[np.ndarray] = None
+        if not lam > 0:
+            self._observed_cols = _observed_or_raise(ind.sum(axis=0), "column", rank)
+            self._observed_rows = _observed_or_raise(ind.sum(axis=1), "row", rank)
+        # pairs_* hold the r*r outer products of the fixed factor's rows;
+        # grams_* and rhs_* receive the GEMMs; out_* receive the solves.
+        self._pairs_m = np.empty((m, rank * rank), dtype=dtype)
+        self._pairs_n = np.empty((n, rank * rank), dtype=dtype)
+        self._grams_n = np.empty((n, rank, rank), dtype=dtype)
+        self._grams_m = np.empty((m, rank, rank), dtype=dtype)
+        self._rhs_n = np.empty((rank, n), dtype=dtype)
+        self._rhs_m = np.empty((rank, m), dtype=dtype)
+        self._out_n = np.empty((n, rank), dtype=dtype)
+        self._out_m = np.empty((m, rank), dtype=dtype)
+
+    def solve_right(self, left: np.ndarray) -> np.ndarray:
+        """R <- argmin of Eq. 16 with L fixed."""
+        return self._solve_side(
+            left,
+            self._m,
+            self._ind_t,
+            self._observed_cols,
+            self._pairs_m,
+            self._grams_n,
+            self._rhs_n,
+            self._out_n,
+        )
+
+    def solve_left(self, right: np.ndarray) -> np.ndarray:
+        """L <- argmin of Eq. 16 with R fixed (by transposition symmetry)."""
+        return self._solve_side(
+            right,
+            self._m_t,
+            self._ind,
+            self._observed_rows,
+            self._pairs_n,
+            self._grams_m,
+            self._rhs_m,
+            self._out_m,
+        )
 
     @effects("pure")
     @hot_path
-    def apply(
-        self, factor: np.ndarray, m_arr: np.ndarray, b_arr: np.ndarray, lam: float
+    def _solve_side(
+        self,
+        factor: np.ndarray,
+        m_side: np.ndarray,
+        ind_gram: np.ndarray,
+        observed: Optional[np.ndarray],
+        pairs: np.ndarray,
+        grams: np.ndarray,
+        rhs: np.ndarray,
+        out: np.ndarray,
     ) -> np.ndarray:
-        """Grouped mask-aware ridge solve (batched when unprofitable)."""
-        if not self.profitable:
-            return _ridge_by_column_batched(factor, m_arr, b_arr, lam)
-        r = factor.shape[1]
-        out = np.zeros((self.num_columns, r), dtype=factor.dtype)
-        eye = lam * np.eye(r, dtype=factor.dtype)
-        for rows, cols in self.groups:
-            if not rows.any():
-                continue
-            f = factor[rows]
-            gram = f.T @ f + eye
-            rhs = f.T @ m_arr[np.ix_(rows, cols)]
-            out[cols] = np.linalg.solve(gram, rhs).T
-        return out
+        """One factor update using the preallocated workspace.
 
-
-@effects("pure")
-@hot_path
-def _ridge_by_column_grouped(
-    factor: np.ndarray, m_arr: np.ndarray, b_arr: np.ndarray, lam: float
-) -> np.ndarray:
-    """Mask-aware ridge solve grouped by identical mask pattern.
-
-    Standalone entry point that derives the grouping on the fly; inside
-    Algorithm 1 the grouping is hoisted out of the sweep loop via
-    :class:`_MaskGroups` instead.
-    """
-    return _MaskGroups(b_arr).apply(factor, m_arr, b_arr, lam)
+        ``ind_gram`` is the indicator oriented so that
+        ``ind_gram @ pairs`` stacks the Gram matrices of ``m_side``'s
+        columns; ``observed`` lists those columns' observed indices
+        (``None`` when ``lam > 0``); ``pairs``/``grams``/``rhs``/``out``
+        are this side's buffers.
+        """
+        k, r = factor.shape
+        cols = m_side.shape[1]
+        np.multiply(
+            factor[:, :, None],
+            factor[:, None, :],
+            out=pairs.reshape(k, r, r),
+        )
+        np.matmul(ind_gram, pairs, out=grams.reshape(cols, r * r))
+        # Writing the ridge into the preallocated Gram buffer is the
+        # point of the workspace (no fresh allocation per sweep).
+        # repro-lint: disable-next-line=param-mutation
+        grams += self._lam_eye
+        np.matmul(factor.T, m_side, out=rhs)
+        if observed is not None:
+            # lam == 0: all-unobserved systems are singular; they are
+            # left out of the stack and solve to zero.
+            zeroed = np.zeros_like(out)
+            if observed.size:
+                zeroed[observed] = np.linalg.solve(
+                    grams[observed], rhs.T[observed, :, None]
+                )[:, :, 0]
+            return zeroed
+        if r == 1:
+            np.divide(rhs[0], grams[:, 0, 0], out=out[:, 0])
+            return out
+        if r == 2:
+            # Closed-form SPD solve; det >= lam**2 keeps it non-singular.
+            a = grams[:, 0, 0]
+            b = grams[:, 0, 1]
+            c = grams[:, 1, 0]
+            d = grams[:, 1, 1]
+            det = a * d - b * c
+            np.divide(d * rhs[0] - b * rhs[1], det, out=out[:, 0])
+            np.divide(a * rhs[1] - c * rhs[0], det, out=out[:, 1])
+            return out
+        solved: np.ndarray = np.linalg.solve(grams, rhs.T[:, :, None])[:, :, 0]
+        return solved

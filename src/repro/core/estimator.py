@@ -77,13 +77,9 @@ class TrafficEstimator:
         rather than toward zero, which is the robust production choice;
         the raw :class:`CompressiveSensingCompleter` default stays
         paper-literal).
-    solver:
-        Algorithm 1 inner solver (``"batched"``/``"grouped"``/``"loop"``,
-        see :class:`CompressiveSensingCompleter`).
-    backend, dtype:
-        Solver backend (``repro.core.backends``) and working dtype,
-        forwarded to the completer and, when the tuner is created here,
-        to Algorithm 2 fitness evaluation.
+    dtype:
+        Working dtype, forwarded to the completer and, when the tuner
+        is created here, to Algorithm 2 fitness evaluation.
     max_workers:
         Worker-pool size forwarded to Algorithm 1 restarts and (when the
         tuner is created here) Algorithm 2 fitness evaluation.
@@ -101,10 +97,7 @@ class TrafficEstimator:
         aggregation: Optional[AggregationConfig] = None,
         clip_speeds: bool = True,
         max_speed_kmh: float = 150.0,
-        mask_aware: bool = True,
         center: bool = True,
-        solver: str = "batched",
-        backend: str = "numpy",
         dtype: DTypeLike = None,
         max_workers: Optional[int] = None,
         seed: SeedLike = None,
@@ -117,10 +110,7 @@ class TrafficEstimator:
         self.aggregation = aggregation or AggregationConfig()
         self.clip_speeds = clip_speeds
         self.max_speed_kmh = max_speed_kmh
-        self.mask_aware = mask_aware
         self.center = center
-        self.solver = solver
-        self.backend = backend
         self.dtype = dtype
         self.max_workers = max_workers
         self._seed = seed
@@ -157,8 +147,6 @@ class TrafficEstimator:
         tuning: Optional[TuningResult] = None
         if self.auto_tune:
             tuner = self._tuner or GeneticTuner(
-                solver=self.solver,
-                backend=self.backend,
                 dtype=self.dtype,
                 max_workers=self.max_workers,
                 seed=self._seed,
@@ -172,9 +160,6 @@ class TrafficEstimator:
             rank=rank,
             lam=lam,
             iterations=self.iterations,
-            mask_aware=self.mask_aware,
-            solver=self.solver,
-            backend=self.backend,
             dtype=self.dtype,
             clip_min=0.0 if self.clip_speeds else None,
             clip_max=self.max_speed_kmh if self.clip_speeds else None,

@@ -92,11 +92,11 @@ class WindowCompleter:
         Algorithm 1 parameters.
     warm_iterations, cold_iterations:
         ALS sweeps for warm-started updates vs the first (cold) solve.
-    backend, dtype:
-        Solver backend and working dtype, forwarded to
+    dtype:
+        Working dtype, forwarded to
         :class:`CompressiveSensingCompleter`.  Warm-start factors are
-        kept in the backend's working dtype across windows, so a
-        float32 stream never silently re-promotes to float64.
+        kept in the working dtype across windows, so a float32 stream
+        never silently re-promotes to float64.
     rng:
         Seed source for the per-recompletion completer seeds.  Each
         tile owns an independent generator, so per-shard draw order is
@@ -111,7 +111,6 @@ class WindowCompleter:
         lam: float = PAPER_LAMBDA,
         warm_iterations: int = 8,
         cold_iterations: int = 60,
-        backend: str = "numpy",
         dtype: DTypeLike = None,
         rng: SeedLike = None,
     ) -> None:
@@ -127,14 +126,11 @@ class WindowCompleter:
         self.lam = lam
         self.warm_iterations = warm_iterations
         self.cold_iterations = cold_iterations
-        self.backend = backend
         self.dtype = dtype
-        # Validate backend/dtype eagerly (same checks the completer
-        # applies) so a bad configuration fails at construction, not at
-        # the first slot close.
-        CompressiveSensingCompleter(
-            rank=rank, lam=lam, iterations=1, backend=backend, dtype=dtype
-        )
+        # Validate the configuration eagerly (same checks the completer
+        # applies) so a bad setting fails at construction, not at the
+        # first slot close.
+        CompressiveSensingCompleter(rank=rank, lam=lam, iterations=1, dtype=dtype)
         self._rng = ensure_rng(rng)
         #: Set False to force every re-completion onto the cold path
         #: (used by the streaming study's warm-vs-cold comparison).
@@ -244,7 +240,6 @@ class WindowCompleter:
             rank=self.rank,
             lam=self.lam,
             iterations=iterations,
-            backend=self.backend,
             dtype=self.dtype,
             seed=int(self._rng.integers(0, 2**63 - 1)),
         )
@@ -276,9 +271,8 @@ class StreamingEstimator:
         ALS sweeps for warm-started updates vs the first (cold) solve.
     min_speed_kmh:
         Idle-report filter threshold, as in batch aggregation.
-    backend, dtype:
-        Solver backend and working dtype, forwarded to
-        :class:`CompressiveSensingCompleter`.
+    dtype:
+        Working dtype, forwarded to :class:`CompressiveSensingCompleter`.
     """
 
     def __init__(
@@ -292,7 +286,6 @@ class StreamingEstimator:
         warm_iterations: int = 8,
         cold_iterations: int = 60,
         min_speed_kmh: float = 2.0,
-        backend: str = "numpy",
         dtype: DTypeLike = None,
         seed: SeedLike = None,
     ) -> None:
@@ -309,7 +302,6 @@ class StreamingEstimator:
         self.warm_iterations = warm_iterations
         self.cold_iterations = cold_iterations
         self.min_speed_kmh = min_speed_kmh
-        self.backend = backend
         self.dtype = dtype
         self._window = WindowCompleter(
             num_columns=len(self.segment_ids),
@@ -318,7 +310,6 @@ class StreamingEstimator:
             lam=lam,
             warm_iterations=warm_iterations,
             cold_iterations=cold_iterations,
-            backend=backend,
             dtype=dtype,
             rng=ensure_rng(seed),
         )
@@ -414,40 +405,25 @@ def _warm_complete(
     b_arr: np.ndarray,
     warm_left: np.ndarray,
 ) -> CompletionResult:
-    """Run ALS sweeps starting from a provided left factor.
+    """Run the completer's ALS sweeps starting from a provided left factor.
 
-    Mirrors :meth:`CompressiveSensingCompleter.complete` but replaces the
-    random initialization (pseudocode line 1) with ``warm_left``.  The
-    sweep runs in the completer's working dtype: measurements and the
-    warm factor are cast on entry, and the returned factors stay in
-    that dtype so the next window warm-starts without re-promotion.
+    :meth:`CompressiveSensingCompleter.complete` with the random
+    initialization (pseudocode line 1) replaced by ``warm_left``.
+    ``m_arr`` must already be zero on unobserved cells.  The sweep runs
+    in the completer's working dtype: measurements and the warm factor
+    are cast on entry, and the returned factors stay in that dtype so
+    the next window warm-starts without re-promotion.
     """
     work_dtype = completer.work_dtype(m_arr.dtype)
     m_arr = np.ascontiguousarray(m_arr, dtype=work_dtype)
-    left = warm_left.astype(work_dtype, copy=True)
-    kernel = completer._bind_kernel(m_arr, b_arr, left.shape[1])
-    ind = b_arr.astype(work_dtype)
-    residual = np.empty_like(m_arr)
-    best_obj = np.inf
-    best_left, best_right = left, np.zeros(
-        (m_arr.shape[1], left.shape[1]), dtype=work_dtype
+    objective, left, right, history = completer._run_als(
+        m_arr, b_arr.astype(work_dtype), warm_left.astype(work_dtype, copy=False)
     )
-    history = []
-    for _ in range(completer.iterations):
-        right = completer._solve_right(left, m_arr, b_arr, kernel=kernel)
-        left = completer._solve_left(right, m_arr, b_arr, kernel=kernel)
-        obj = completer._objective(left, right, m_arr, ind, residual)
-        history.append(obj)
-        if obj < best_obj:
-            best_obj, best_left, best_right = obj, left.copy(), right.copy()
-    estimate = best_left @ best_right.T
-    if completer.clip_min is not None or completer.clip_max is not None:
-        estimate = np.clip(estimate, completer.clip_min, completer.clip_max)
     return CompletionResult(
-        estimate=estimate,
-        left=best_left,
-        right=best_right,
-        objective=best_obj,
+        estimate=completer._estimate(left, right),
+        left=left,
+        right=right,
+        objective=objective,
         objective_history=history,
         iterations_run=len(history),
     )

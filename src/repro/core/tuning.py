@@ -134,9 +134,6 @@ class _FitnessTask:
     values: np.ndarray
     val_mask: np.ndarray
     iterations: int
-    mask_aware: bool
-    solver: str
-    backend: str = "numpy"
     dtype: DTypeLike = None
 
 
@@ -146,9 +143,6 @@ def _evaluate_fitness(task: _FitnessTask) -> float:
         rank=task.rank,
         lam=task.lam,
         iterations=task.iterations,
-        mask_aware=task.mask_aware,
-        solver=task.solver,
-        backend=task.backend,
         dtype=task.dtype,
         seed=task.seed,
     )
@@ -203,13 +197,10 @@ class GeneticTuner:
     completer_iterations:
         ALS sweeps per fitness evaluation (kept below the paper's 100
         because tuning runs Algorithm 1 population x generations times).
-    solver:
-        Inner solver handed to Algorithm 1 for fitness runs (see
-        :class:`CompressiveSensingCompleter`).
-    backend, dtype:
-        Solver backend and working dtype for the fitness completions
-        (a float32 workspace backend makes tuning — population x
-        generations ALS runs — proportionally cheaper).
+    dtype:
+        Working dtype for the fitness completions (float32 makes
+        tuning — population x generations ALS runs — proportionally
+        cheaper).
     max_workers:
         Evaluate each generation's genomes on a thread pool of this
         size (``None``/``1`` = serial; results identical either way).
@@ -228,9 +219,6 @@ class GeneticTuner:
         validation_fraction: float = 0.25,
         stall_generations: Optional[int] = 4,
         completer_iterations: int = 30,
-        mask_aware: bool = True,
-        solver: str = "batched",
-        backend: str = "numpy",
         dtype: DTypeLike = None,
         max_workers: Optional[int] = None,
         seed: SeedLike = None,
@@ -265,19 +253,9 @@ class GeneticTuner:
         self.validation_fraction = validation_fraction
         self.stall_generations = stall_generations
         self.completer_iterations = completer_iterations
-        self.mask_aware = mask_aware
-        self.solver = solver
-        self.backend = backend
         self.dtype = dtype
-        # Fail fast on unknown/unavailable backend or unsupported dtype.
-        CompressiveSensingCompleter(
-            rank=1,
-            lam=1.0,
-            iterations=1,
-            mask_aware=mask_aware,
-            backend=backend,
-            dtype=dtype,
-        )
+        # Fail fast on an unsupported dtype.
+        CompressiveSensingCompleter(rank=1, lam=1.0, iterations=1, dtype=dtype)
         self.max_workers = max_workers
         self._seed = seed
 
@@ -402,9 +380,6 @@ class GeneticTuner:
                     values=session.values,
                     val_mask=session.val_mask,
                     iterations=self.completer_iterations,
-                    mask_aware=self.mask_aware,
-                    solver=self.solver,
-                    backend=self.backend,
                     dtype=self.dtype,
                 )
         tasks = list(fresh.values())

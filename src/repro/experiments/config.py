@@ -54,26 +54,21 @@ class AlgorithmSpec:
 
 def make_completer(
     seed: int = 0,
-    solver: str = "batched",
-    backend: str = "numpy",
     dtype: object = None,
     max_workers: Optional[int] = None,
     **overrides,
 ) -> CompressiveSensingCompleter:
     """The experiments' CS configuration with optional overrides.
 
-    ``solver`` selects the Algorithm 1 inner solver, ``backend``/
-    ``dtype`` the solve kernels and working precision, and
-    ``max_workers`` sizes the restart worker pool (all forwarded
-    verbatim; see :class:`CompressiveSensingCompleter`).
+    ``dtype`` selects the working precision and ``max_workers`` sizes
+    the restart worker pool (both forwarded verbatim; see
+    :class:`CompressiveSensingCompleter`).
     """
     params = dict(
         rank=TUNED_RANK,
         lam=TUNED_LAMBDA,
         iterations=CS_ITERATIONS,
         clip_min=0.0,
-        solver=solver,
-        backend=backend,
         dtype=dtype,
         max_workers=max_workers,
         seed=seed,

@@ -2,21 +2,24 @@
 
 The ROADMAP's north star is a system that runs "as fast as the hardware
 allows"; this module is the measuring stick.  It times the hot paths —
-Algorithm 1 under each inner solver and each registered solver backend
-(float64 and float32), Algorithm 2 tuning, the probe ingestion pipeline
-(map-matching + aggregation), and the baselines — across matrix sizes
-and integrities, verifies that every vectorized path agrees with its
-scalar reference to :data:`EQUIVALENCE_TOL` (float32 backends to
-:data:`repro.core.backends.FLOAT32_RTOL` relative), and emits a
-machine-readable ``BENCH_*.json`` so speedups are *recorded*, not
-anecdotal.
+Algorithm 1 in float64 (``cs-f64``) and float32 (``cs-f32``), Algorithm
+2 tuning, the probe ingestion pipeline (map-matching + aggregation),
+and the baselines — across matrix sizes and integrities, verifies that
+the float32 estimate stays within
+:data:`repro.core.completion.FLOAT32_RTOL` of float64 (relative to its
+magnitude) and that every other vectorized path agrees with its scalar
+reference to :data:`EQUIVALENCE_TOL`, and emits a machine-readable
+``BENCH_*.json`` so speedups are *recorded*, not anecdotal.  The
+float64 kernel's agreement with the per-column reference solve is
+pinned by the tier-1 tests (``tests/solver_oracles.py``), not timed
+here.
 
 Two profiles:
 
 * ``smoke=False`` (default) — the paper-scale workload: the Shanghai
   one-week 15-minute matrix shape (672 x 221) at 20% and 40% integrity
   plus a half-scale case, and a 120k-report ingestion case.  The
-  headline numbers are the batched-vs-loop solver speedup at
+  headline numbers are the float32-vs-float64 Algorithm 1 speedup at
   672 x 221 / 20% and the vectorized-vs-scalar ingestion speedup.
 * ``smoke=True`` — a seconds-fast configuration for CI: small matrices,
   few sweeps, a small ingestion case, same record schema and the same
@@ -67,13 +70,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.baselines import MSSA, CorrelationKNN, NaiveKNN
-from repro.core.backends import (
-    FLOAT32_RTOL,
-    BackendUnavailable,
-    available_backend_names,
-    get_backend,
-)
-from repro.core.completion import SOLVERS, CompressiveSensingCompleter
+from repro.core.completion import FLOAT32_RTOL, CompressiveSensingCompleter
 from repro.core.tcm import TimeGrid
 from repro.core.tuning import GeneticTuner
 from repro.datasets.masks import random_integrity_mask
@@ -137,7 +134,6 @@ class BenchRecord:
     sweeps: Optional[int] = None
     objective: Optional[float] = None
     nmae_missing: Optional[float] = None
-    backend: str = "numpy"
     # Serving-suite fields (schema 5); None on compute records.
     p50_ms: Optional[float] = None
     p95_ms: Optional[float] = None
@@ -168,10 +164,13 @@ class BenchReport:
         baselines simply lack the key.  Schema 5 adds the serving-load
         suite: per-record ``p50_ms``/``p95_ms``/``throughput_rps``
         (``None`` on compute records) and the top-level ``serving``
-        summary; the p95 columns join the ``--compare`` gate.
+        summary; the p95 columns join the ``--compare`` gate.  Schema 6
+        drops the per-record ``backend`` field: Algorithm 1 has one
+        kernel, timed as ``cs-f64``/``cs-f32``, and records are matched
+        on (case, algorithm) alone.
         """
         return {
-            "schema": 5,
+            "schema": 6,
             "meta": self.meta,
             "records": [asdict(r) for r in self.records],
             "speedups": self.speedups,
@@ -224,7 +223,6 @@ class BenchReport:
         headers = [
             "Case",
             "Algorithm",
-            "Backend",
             "Wall (s)",
             "Sweeps",
             "NMAE (missing)",
@@ -235,7 +233,6 @@ class BenchReport:
                 [
                     r.case,
                     r.algorithm,
-                    r.backend,
                     f"{r.wall_s:.4f}",
                     "-" if r.sweeps is None else str(r.sweeps),
                     "-" if r.nmae_missing is None else f"{r.nmae_missing:.4f}",
@@ -249,7 +246,7 @@ class BenchReport:
             diff = self.equivalence_max_abs_diff.get(key)
             suffix = "" if diff is None else f" (max abs output diff {diff:.2e})"
             lines.append(
-                f"{key}: vectorized vs reference speedup {speedup:.1f}x{suffix}"
+                f"{key}: fast path vs reference speedup {speedup:.1f}x{suffix}"
             )
         lines.extend(self.render_sharded())
         lines.extend(self.render_serving())
@@ -634,105 +631,64 @@ def _run_serving_suite(
     }
 
 
-def _run_backend_suite(
+def _run_completion_suite(
     report: BenchReport,
     case: BenchCase,
     truth: np.ndarray,
     measured: np.ndarray,
     mask: np.ndarray,
-    backend_list: Sequence[str],
-    reference: np.ndarray,
-    reference_wall: Optional[float],
     sweeps: int,
     n_repeats: int,
     max_workers: Optional[int],
     seed: int,
     strict: bool,
 ) -> None:
-    """Time each solver backend at float64 and float32 on one case.
+    """Time Algorithm 1 in float64 and float32 on one case.
 
-    Every (backend, dtype) run is checked against the default batched
-    float64 estimate: float64 must agree to :data:`EQUIVALENCE_TOL`
-    absolute, float32 to :data:`FLOAT32_RTOL` relative to the reference
-    magnitude.  Speedups are recorded against the batched float64 wall
-    time under keys ``<case>/<backend>-f32`` etc.  JIT/GPU backends get
-    one untimed warmup call so compilation and upload costs never
-    pollute the timings.
+    Records ``cs-f64`` and ``cs-f32``; the float32 estimate must stay
+    within :data:`FLOAT32_RTOL` of the float64 one, relative to the
+    float64 estimate's magnitude.  The float32-over-float64 speedup and
+    the max abs difference between the two estimates are keyed
+    ``<case>/f32``.
     """
     missing = ~mask
-    ref_scale = float(np.abs(reference).max())
-    for backend_name in backend_list:
-        backend = get_backend(backend_name)
-        for dtype in (np.float64, np.float32):
-            if np.dtype(dtype) not in backend.supported_dtypes:
-                continue
-            tag = "f32" if dtype is np.float32 else "f64"
-            completer = CompressiveSensingCompleter(
-                rank=2,
-                lam=10.0,
-                iterations=sweeps,
-                backend=backend_name,
-                dtype=dtype,
-                max_workers=max_workers,
-                seed=seed,
-            )
-            if backend.requires_module is not None:
-                completer.complete(measured, mask)  # warmup: JIT / upload
-            wall, result = _time_best(
-                lambda: completer.complete(measured, mask), n_repeats
-            )
-            estimate = np.asarray(result.estimate, dtype=np.float64)  # type: ignore[union-attr]
-            diff = float(np.abs(estimate - reference).max())
-            key = f"{case.name}/{backend_name}-{tag}"
-            report.equivalence_max_abs_diff[key] = diff
-            if reference_wall is not None:
-                report.speedups[key] = reference_wall / wall
-            report.records.append(
-                BenchRecord(
-                    case=case.name,
-                    algorithm=f"cs-{tag}",
-                    wall_s=wall,
-                    repeats=n_repeats,
-                    sweeps=result.iterations_run,  # type: ignore[union-attr]
-                    objective=float(result.objective),  # type: ignore[union-attr]
-                    nmae_missing=nmae(truth, estimate, missing),
-                    backend=backend_name,
-                )
-            )
-            tol = EQUIVALENCE_TOL if tag == "f64" else FLOAT32_RTOL * ref_scale
-            if strict and diff > tol:
-                raise RuntimeError(
-                    f"backend {backend_name!r} ({tag}) deviates from the "
-                    f"batched float64 reference by {diff:.3e} (> {tol:.3e}) "
-                    f"on {case.name}"
-                )
-
-
-def resolve_bench_backends(
-    backends: Optional[Sequence[str]],
-) -> Tuple[str, ...]:
-    """Backends the bench should time beyond the default solver suite.
-
-    ``None`` selects every *available* registered backend except
-    ``"numpy"`` (already covered by the per-solver records), so a fresh
-    install without extras benches cleanly.  Explicitly requested
-    backends are validated: unknown names raise ``ValueError``,
-    known-but-missing ones raise :class:`BackendUnavailable`.
-    """
-    if backends is None:
-        return tuple(
-            name for name in available_backend_names() if name != "numpy"
+    estimates: Dict[str, np.ndarray] = {}
+    walls: Dict[str, float] = {}
+    for tag, dtype in (("f64", np.float64), ("f32", np.float32)):
+        completer = CompressiveSensingCompleter(
+            rank=2,
+            lam=10.0,
+            iterations=sweeps,
+            dtype=dtype,
+            max_workers=max_workers,
+            seed=seed,
         )
-    resolved = []
-    for name in backends:
-        backend = get_backend(name)
-        if not backend.is_available():
-            raise BackendUnavailable(
-                f"backend {name!r} {backend.availability_hint()}"
+        wall, result = _time_best(
+            lambda: completer.complete(measured, mask), n_repeats
+        )
+        estimate = np.asarray(result.estimate, dtype=np.float64)  # type: ignore[union-attr]
+        estimates[tag], walls[tag] = estimate, wall
+        report.records.append(
+            BenchRecord(
+                case=case.name,
+                algorithm=f"cs-{tag}",
+                wall_s=wall,
+                repeats=n_repeats,
+                sweeps=result.iterations_run,  # type: ignore[union-attr]
+                objective=float(result.objective),  # type: ignore[union-attr]
+                nmae_missing=nmae(truth, estimate, missing),
             )
-        if name != "numpy":
-            resolved.append(name)
-    return tuple(resolved)
+        )
+    key = f"{case.name}/f32"
+    diff = float(np.abs(estimates["f32"] - estimates["f64"]).max())
+    report.equivalence_max_abs_diff[key] = diff
+    report.speedups[key] = walls["f64"] / walls["f32"]
+    tol = FLOAT32_RTOL * max(1.0, float(np.abs(estimates["f64"]).max()))
+    if strict and diff > tol:
+        raise RuntimeError(
+            f"float32 estimate deviates from the float64 estimate by "
+            f"{diff:.3e} (> {tol:.3e}) on {case.name}"
+        )
 
 
 def run_perf_bench(
@@ -741,8 +697,6 @@ def run_perf_bench(
     seed: int = 0,
     repeats: Optional[int] = None,
     iterations: Optional[int] = None,
-    solvers: Sequence[str] = SOLVERS,
-    backends: Optional[Sequence[str]] = None,
     include_tune: bool = True,
     include_baselines: bool = True,
     include_ingestion: bool = True,
@@ -754,7 +708,7 @@ def run_perf_bench(
     max_workers: Optional[int] = None,
     strict: bool = True,
 ) -> BenchReport:
-    """Time the hot paths and check solver equivalence.
+    """Time the hot paths and check their equivalence contracts.
 
     Parameters
     ----------
@@ -769,13 +723,6 @@ def run_perf_bench(
         smoke and 3 otherwise.
     iterations:
         ALS sweeps per completion (defaults 20 smoke / 60 full).
-    solvers:
-        Inner solvers to time; must include ``"loop"`` and ``"batched"``
-        for the speedup/equivalence summaries to be computed.
-    backends:
-        Solver backends to time at float64 and float32 against the
-        batched float64 reference (see :func:`resolve_bench_backends`;
-        default: every available non-default backend).
     include_tune, include_baselines:
         Also time a small Algorithm 2 run and the baselines (the KNNs
         plus MSSA and the scalar references of the vectorized ones).
@@ -798,20 +745,17 @@ def run_perf_bench(
     max_workers:
         Forwarded to the completer/tuner (restart + fitness pools).
     strict:
-        Raise ``RuntimeError`` when a vectorized solver's estimate
-        departs from the loop reference by more than
-        :data:`EQUIVALENCE_TOL` (the harness's core guarantee).
+        Raise ``RuntimeError`` when the float32 estimate departs from
+        float64 beyond :data:`FLOAT32_RTOL` (relative), or a vectorized
+        ingestion/baseline path from its scalar reference beyond
+        :data:`EQUIVALENCE_TOL`.
 
     Returns
     -------
     BenchReport
-        Records, per-case batched-vs-loop speedups, and per-case
-        max-abs-difference between batched and loop estimates.
+        Records, per-case float32-vs-float64 speedups, and per-case
+        max-abs-difference between the float32 and float64 estimates.
     """
-    for solver in solvers:
-        if solver not in SOLVERS:
-            raise ValueError(f"unknown solver {solver!r} (choose from {SOLVERS})")
-    backend_list = resolve_bench_backends(backends)
     case_list = list(cases) if cases is not None else default_cases(smoke)
     n_repeats = repeats if repeats is not None else (1 if smoke else 3)
     if n_repeats < 1:
@@ -828,7 +772,6 @@ def run_perf_bench(
             "seed": seed,
             "repeats": n_repeats,
             "iterations": sweeps,
-            "backends": ",".join(("numpy",) + backend_list),
         }
     )
 
@@ -838,67 +781,18 @@ def run_perf_bench(
         mask = random_integrity_mask((case.m, case.n), case.integrity, seed=rng)
         measured = np.where(mask, truth, 0.0)
         missing = ~mask
-
-        estimates: Dict[str, np.ndarray] = {}
-        walls: Dict[str, float] = {}
-        for solver in solvers:
-            completer = CompressiveSensingCompleter(
-                rank=2,
-                lam=10.0,
-                iterations=sweeps,
-                solver=solver,
-                max_workers=max_workers,
-                seed=seed,
-            )
-            wall, result = _time_best(
-                lambda: completer.complete(measured, mask), n_repeats
-            )
-            estimates[solver] = result.estimate  # type: ignore[union-attr]
-            walls[solver] = wall
-            report.records.append(
-                BenchRecord(
-                    case=case.name,
-                    algorithm=f"cs-{solver}",
-                    wall_s=wall,
-                    repeats=n_repeats,
-                    sweeps=result.iterations_run,  # type: ignore[union-attr]
-                    objective=result.objective,  # type: ignore[union-attr]
-                    nmae_missing=nmae(truth, result.estimate, missing),  # type: ignore[union-attr]
-                )
-            )
-
-        if "loop" in estimates:
-            for solver, estimate in estimates.items():
-                if solver == "loop":
-                    continue
-                diff = float(np.abs(estimate - estimates["loop"]).max())
-                if solver == "batched":
-                    report.equivalence_max_abs_diff[case.name] = diff
-                if strict and diff > EQUIVALENCE_TOL:
-                    raise RuntimeError(
-                        f"solver {solver!r} deviates from the loop reference "
-                        f"by {diff:.3e} (> {EQUIVALENCE_TOL:.0e}) on {case.name}"
-                    )
-            if "batched" in walls:
-                report.speedups[case.name] = walls["loop"] / walls["batched"]
-
-        if backend_list and estimates:
-            ref_solver = "batched" if "batched" in estimates else next(iter(estimates))
-            _run_backend_suite(
-                report,
-                case,
-                truth,
-                measured,
-                mask,
-                backend_list,
-                reference=estimates[ref_solver],
-                reference_wall=walls.get("batched"),
-                sweeps=sweeps,
-                n_repeats=n_repeats,
-                max_workers=max_workers,
-                seed=seed,
-                strict=strict,
-            )
+        _run_completion_suite(
+            report,
+            case,
+            truth,
+            measured,
+            mask,
+            sweeps=sweeps,
+            n_repeats=n_repeats,
+            max_workers=max_workers,
+            seed=seed,
+            strict=strict,
+        )
 
         if include_baselines:
             baseline_estimates: Dict[str, np.ndarray] = {}
@@ -1038,25 +932,22 @@ class BenchComparison:
 
 def _records_by_key(
     payload: Dict[str, object],
-) -> Dict[Tuple[str, str, str], Dict[str, Optional[float]]]:
-    """Index records by (case, algorithm, backend).
+) -> Dict[Tuple[str, str], Dict[str, Optional[float]]]:
+    """Index records by (case, algorithm).
 
-    Schema-2 payloads predate the ``backend`` field; their records all
-    ran the default backend, so the missing key reads as ``"numpy"``
-    and old committed baselines keep comparing cleanly.  Each value
-    carries ``wall_s`` plus the schema-5 serving columns (``p95_ms``,
-    ``None`` on compute records and pre-5 baselines).
+    Schema 3-5 payloads also carry a ``backend`` field; it is ignored.
+    Their ``cs-f64``/``cs-f32`` rows (backend ``"numpy-ws"``) timed the
+    kernel that is now the only one, and no committed payload repeats a
+    (case, algorithm) pair across backends.  Each value carries
+    ``wall_s`` plus the schema-5 serving columns (``p95_ms``, ``None``
+    on compute records and pre-5 baselines).
     """
     records = payload.get("records")
     if not isinstance(records, list):
         raise ValueError("bench payload has no 'records' list")
-    out: Dict[Tuple[str, str, str], Dict[str, Optional[float]]] = {}
+    out: Dict[Tuple[str, str], Dict[str, Optional[float]]] = {}
     for rec in records:
-        key = (
-            str(rec["case"]),
-            str(rec["algorithm"]),
-            str(rec.get("backend", "numpy")),
-        )
+        key = (str(rec["case"]), str(rec["algorithm"]))
         p95 = rec.get("p95_ms")
         out[key] = {
             "wall_s": float(rec["wall_s"]),
@@ -1072,9 +963,8 @@ def compare_payloads(
 ) -> BenchComparison:
     """Diff two bench payloads; flag wall-clock regressions.
 
-    Records are matched on (case, algorithm, backend) — schema-2
-    baselines without the backend field match as ``"numpy"``; records
-    present in only one payload are ignored (suites grow over time).  A
+    Records are matched on (case, algorithm); records present in only
+    one payload are ignored (suites grow over time).  A
     match where both wall times sit below :data:`MIN_COMPARE_WALL_S` is
     skipped — at that scale the timer measures the scheduler, not the
     code.  Serving records (those carrying ``p95_ms`` on both sides)
@@ -1098,8 +988,6 @@ def compare_payloads(
         base_wall = base[key]["wall_s"]
         assert cur_wall is not None and base_wall is not None
         label = f"{key[0]}/{key[1]}"
-        if key[2] != "numpy":
-            label += f"[{key[2]}]"
         cur_p95, base_p95 = cur[key]["p95_ms"], base[key]["p95_ms"]
         ratio = cur_wall / max(base_wall, 1e-12)
         line = f"{label}: {cur_wall:.4f}s vs baseline {base_wall:.4f}s ({ratio:.2f}x)"

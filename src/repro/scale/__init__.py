@@ -3,8 +3,8 @@
 The paper validates Algorithm 1 on downtown-sized TCMs (221/198
 segments) but targets the full 5,812-segment inner-Shanghai network.
 This package makes that scale practical by decomposing the network into
-spatial tiles, completing each tile independently (any registered solver
-backend/dtype, optionally in parallel), and stitching the per-shard
+spatial tiles, completing each tile independently (float64 or float32,
+optionally in parallel), and stitching the per-shard
 estimates back into one full-network TCM:
 
 * :mod:`repro.scale.partition` — spatial partitioners (``grid``,

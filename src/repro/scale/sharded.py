@@ -15,8 +15,8 @@ local.  So:
    (default 8) ALS sweeps over its own columns only, warm-started from
    ``L0`` via :func:`repro.core.streaming._warm_complete`.  No random
    init, so the per-shard work is deterministic and embarrassingly
-   parallel over :func:`repro.utils.parallel.parallel_map` with any
-   registered solver backend/dtype.
+   parallel over :func:`repro.utils.parallel.parallel_map` in either
+   working dtype.
 3. **Stitch** — shard estimates are merged into the full-network
    matrix; columns estimated by several shards (halo overlap) are
    reconciled by observation-count-weighted averaging, accumulated in
@@ -132,8 +132,8 @@ class ShardedCompleter:
         regime; the default 5 is the benchmarked multilevel setting.
     warm_iterations:
         Per-shard refinement sweeps in the multilevel regime.
-    mask_aware, solver, backend, dtype:
-        Inner-solver configuration, forwarded to every
+    dtype:
+        Working dtype, forwarded to every
         :class:`CompressiveSensingCompleter` built here.
     clip_min, clip_max:
         Final estimate clamp (applied once, after stitching, in the
@@ -160,9 +160,6 @@ class ShardedCompleter:
         iterations: int = PAPER_ITERATIONS,
         seed_iterations: int = 5,
         warm_iterations: int = 8,
-        mask_aware: bool = True,
-        solver: str = "batched",
-        backend: str = "numpy",
         dtype: DTypeLike = None,
         clip_min: Optional[float] = None,
         clip_max: Optional[float] = None,
@@ -183,16 +180,13 @@ class ShardedCompleter:
         self.iterations = iterations
         self.seed_iterations = seed_iterations
         self.warm_iterations = warm_iterations
-        self.mask_aware = mask_aware
-        self.solver = solver
-        self.backend = backend
         self.dtype = dtype
         self.clip_min = clip_min
         self.clip_max = clip_max
         self.center = center
         self.max_workers = max_workers
         self._seed = seed
-        # Validate the solver configuration eagerly (same checks the
+        # Validate the completer configuration eagerly (same checks the
         # completer applies) so bad settings fail before any solve.
         self._make_completer(iterations=1, clip=False)
         self._inflight = 0
@@ -206,9 +200,6 @@ class ShardedCompleter:
             rank=self.rank,
             lam=self.lam,
             iterations=iterations,
-            mask_aware=self.mask_aware,
-            solver=self.solver,
-            backend=self.backend,
             dtype=self.dtype,
             clip_min=self.clip_min if clip else None,
             clip_max=self.clip_max if clip else None,
@@ -510,7 +501,7 @@ class ShardedEstimator:
     center:
         Solve around the observed mean (production default, as in
         :class:`TrafficEstimator`).
-    solver, backend, dtype, max_workers, seed:
+    dtype, max_workers, seed:
         Forwarded to the underlying :class:`ShardedCompleter`.
     """
 
@@ -529,8 +520,6 @@ class ShardedEstimator:
         clip_speeds: bool = True,
         max_speed_kmh: float = 150.0,
         center: bool = True,
-        solver: str = "batched",
-        backend: str = "numpy",
         dtype: DTypeLike = None,
         max_workers: Optional[int] = None,
         seed: SeedLike = None,
@@ -549,8 +538,6 @@ class ShardedEstimator:
             iterations=iterations,
             seed_iterations=seed_iterations,
             warm_iterations=warm_iterations,
-            solver=solver,
-            backend=backend,
             dtype=dtype,
             clip_min=0.0 if clip_speeds else None,
             clip_max=max_speed_kmh if clip_speeds else None,

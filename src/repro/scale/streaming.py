@@ -56,8 +56,8 @@ class ShardedStreamingEstimator:
         Per-shard completion budgets, as in :class:`WindowCompleter`.
     min_speed_kmh:
         Idle-report filter threshold.
-    backend, dtype:
-        Solver backend and working dtype for every shard's completer.
+    dtype:
+        Working dtype for every shard's completer.
     seed:
         Root seed; per-shard RNG streams are spawned from it, so each
         shard's draw sequence is independent of every other shard's
@@ -78,7 +78,6 @@ class ShardedStreamingEstimator:
         warm_iterations: int = 8,
         cold_iterations: int = 60,
         min_speed_kmh: float = 2.0,
-        backend: str = "numpy",
         dtype: DTypeLike = None,
         seed: SeedLike = None,
     ) -> None:
@@ -114,7 +113,6 @@ class ShardedStreamingEstimator:
                 lam=lam,
                 warm_iterations=warm_iterations,
                 cold_iterations=cold_iterations,
-                backend=backend,
                 dtype=dtype,
                 rng=rng,
             )

@@ -262,8 +262,7 @@ def effects(*declared: str, allow: Iterable[str] = ()) -> Callable[[F], F]:
     from the function through the call graph and reports an
     ``effect-contract`` finding for any effect outside the declared set.
     At runtime the decorator only tags the function (zero overhead) so
-    registries — e.g. the planned solver-backend registry — can
-    introspect purity via ``__repro_effects__``.
+    tooling can introspect purity via ``__repro_effects__``.
 
     Usage::
 
@@ -303,7 +302,7 @@ def hot_path(func: F) -> F:
     Functions carrying this marker get the dtype-drift rule pack
     (``dtype-upcast-in-hot-path``, ``implicit-float64-literal``,
     ``dtype-dropping-op``) applied by ``repro lint``, keeping them safe
-    to run under a float32 backend.  Runtime cost is zero — the
+    to run in float32.  Runtime cost is zero — the
     decorator only sets ``__repro_hot_path__``.
     """
     func.__repro_hot_path__ = True  # type: ignore[attr-defined]

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.completion import CompletionResult, CompressiveSensingCompleter
+from repro.core.completion import (
+    FLOAT32_RTOL,
+    CompletionResult,
+    CompressiveSensingCompleter,
+    _WorkspaceKernel,
+)
 from repro.core.tcm import TrafficConditionMatrix
 from repro.datasets.masks import random_integrity_mask
+from repro.experiments.perf_bench import EQUIVALENCE_TOL, _make_truth, default_cases
 from repro.metrics.errors import nmae
 from tests.conftest import make_low_rank
+from tests.solver_oracles import als_reference, ridge_by_column
 
 
 class TestValidation:
@@ -238,26 +245,17 @@ class TestEdgeCases:
 
 
 class TestSolverEquivalence:
-    """The vectorized solvers must reproduce the loop reference."""
+    """The completer must reproduce the per-column reference ALS."""
 
     @staticmethod
-    def _complete_all(measured, mask, **params):
-        return {
-            solver: CompressiveSensingCompleter(
-                solver=solver, seed=0, **params
-            ).complete(measured, mask)
-            for solver in ("loop", "batched", "grouped")
-        }
-
-    @staticmethod
-    def _assert_match(results, tol=1e-8):
-        reference = results["loop"].estimate
-        for solver in ("batched", "grouped"):
-            diff = np.max(np.abs(results[solver].estimate - reference))
-            assert diff <= tol, f"{solver} deviates by {diff}"
-            assert results[solver].objective == pytest.approx(
-                results["loop"].objective, rel=1e-9, abs=1e-9
-            )
+    def _assert_match(measured, mask, **params):
+        result = CompressiveSensingCompleter(seed=0, **params).complete(
+            measured, mask
+        )
+        reference, objective = als_reference(measured, mask, seed=0, **params)
+        diff = np.max(np.abs(result.estimate - reference))
+        assert diff <= EQUIVALENCE_TOL, f"completer deviates from the oracle by {diff}"
+        assert result.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -269,7 +267,7 @@ class TestSolverEquivalence:
     def test_random_masks(self, mask_seed, integrity, rank, mask_aware):
         x = make_low_rank(14, 10, 2, seed=3)
         mask = random_integrity_mask(x.shape, integrity, seed=mask_seed)
-        results = self._complete_all(
+        self._assert_match(
             np.where(mask, x, 0.0),
             mask,
             rank=rank,
@@ -277,41 +275,37 @@ class TestSolverEquivalence:
             iterations=6,
             mask_aware=mask_aware,
         )
-        self._assert_match(results)
 
     def test_all_unobserved_columns(self):
         x = make_low_rank(12, 8, 2, seed=4)
         mask = random_integrity_mask(x.shape, 0.6, seed=5)
         mask[:, [1, 6]] = False
-        results = self._complete_all(
+        self._assert_match(
             np.where(mask, x, 0.0), mask, rank=2, lam=0.3, iterations=8
         )
-        self._assert_match(results)
 
     def test_all_unobserved_rows(self):
         x = make_low_rank(12, 8, 2, seed=6)
         mask = random_integrity_mask(x.shape, 0.6, seed=7)
         mask[[0, 5, 11], :] = False
-        results = self._complete_all(
+        self._assert_match(
             np.where(mask, x, 0.0), mask, rank=2, lam=0.3, iterations=8
         )
-        self._assert_match(results)
 
     def test_rank_above_observed_rows(self):
         # Fewer observations per column than factor columns: the Gram
         # matrix is rank-deficient and only the ridge term makes the
-        # solve well-posed — all solvers must agree on that solution.
+        # solve well-posed — the kernel must agree on that solution.
         x = make_low_rank(9, 7, 2, seed=8)
         mask = random_integrity_mask(x.shape, 0.25, seed=9)
-        results = self._complete_all(
+        self._assert_match(
             np.where(mask, x, 0.0), mask, rank=6, lam=0.5, iterations=6
         )
-        self._assert_match(results)
 
     def test_mask_oblivious_literal_mode(self):
         x = make_low_rank(10, 6, 2, seed=10)
         mask = random_integrity_mask(x.shape, 0.5, seed=11)
-        results = self._complete_all(
+        self._assert_match(
             np.where(mask, x, 0.0),
             mask,
             rank=2,
@@ -319,12 +313,11 @@ class TestSolverEquivalence:
             iterations=10,
             mask_aware=False,
         )
-        self._assert_match(results)
 
     def test_centered_mode(self):
         x = make_low_rank(10, 6, 2, seed=12)
         mask = random_integrity_mask(x.shape, 0.5, seed=13)
-        results = self._complete_all(
+        self._assert_match(
             np.where(mask, x, 0.0),
             mask,
             rank=2,
@@ -332,7 +325,100 @@ class TestSolverEquivalence:
             iterations=10,
             center=True,
         )
-        self._assert_match(results)
+
+    def test_bench_smoke_case(self):
+        # The shape, truth model and solver settings of `repro bench
+        # --smoke`'s Algorithm 1 case.
+        case = default_cases(smoke=True)[0]
+        rng = np.random.default_rng(0)
+        truth = _make_truth(case.m, case.n, rng)
+        mask = random_integrity_mask((case.m, case.n), case.integrity, seed=rng)
+        self._assert_match(
+            np.where(mask, truth, 0.0), mask, rank=2, lam=10.0, iterations=20
+        )
+
+
+class TestKernel:
+    """The bound workspace kernel against the per-column loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rank=st.integers(1, 4),
+        lam=st.sampled_from([0.0, 0.1, 100.0]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+    )
+    def test_matches_loop(self, seed, rank, lam, dtype):
+        rng = np.random.default_rng(seed)
+        m, n = 16, 11
+        mask = rng.random((m, n)) < 0.6
+        if lam == 0:
+            # Every row and column keeps >= rank observations, except
+            # two entirely unobserved columns the kernel must exclude.
+            mask[: 2 * rank] = True
+            mask[:, : 2 * rank] = True
+            mask[:, [n - 3, n - 1]] = False
+        values = np.where(mask, rng.normal(30.0, 8.0, (m, n)), 0.0)
+        left = rng.standard_normal((m, rank))
+        right = rng.standard_normal((n, rank))
+        kernel = _WorkspaceKernel(
+            values.astype(dtype), mask.astype(dtype), lam, rank
+        )
+        got = (
+            kernel.solve_right(left.astype(dtype)),
+            kernel.solve_left(right.astype(dtype)),
+        )
+        want = (
+            ridge_by_column(left, values, mask, lam),
+            ridge_by_column(right, values.T, mask.T, lam),
+        )
+        for g, w in zip(got, want):
+            assert g.dtype == dtype
+            tol = EQUIVALENCE_TOL if dtype is np.float64 else FLOAT32_RTOL
+            scale = max(1.0, float(np.abs(w).max()))
+            assert float(np.abs(g - w).max()) <= tol * scale
+
+    def test_binding_copies_no_full_matrix(self):
+        m, n = 30, 20
+        values = np.zeros((m, n))
+        ind = np.ones((m, n))
+        kernel = _WorkspaceKernel(values, ind, 1.0, 2)
+        assert np.shares_memory(kernel._m_t, values)
+        assert np.shares_memory(kernel._ind_t, ind)
+        for name, arr in vars(kernel).items():
+            if isinstance(arr, np.ndarray) and arr.size >= m * n:
+                assert np.shares_memory(arr, values) or np.shares_memory(
+                    arr, ind
+                ), f"kernel attribute {name} copies an (m, n) array"
+
+
+class TestLamZero:
+    """lam=0 removes the ridge; rank-deficient rows/columns are rejected."""
+
+    @pytest.mark.parametrize("axis, label", [(0, "column"), (1, "row")])
+    def test_single_observation_named(self, axis, label):
+        x = make_low_rank(12, 8, 2, seed=14)
+        mask = np.ones(x.shape, dtype=bool)
+        if axis == 0:
+            mask[:, 3] = False
+            mask[4, 3] = True
+        else:
+            mask[3, 1:] = False
+        completer = CompressiveSensingCompleter(rank=2, lam=0.0, iterations=5, seed=0)
+        with pytest.raises(ValueError, match=f"{label} 3 is observed in only 1 cell"):
+            completer.complete(np.where(mask, x, 0.0), mask)
+
+    def test_half_integrity_rank_two(self):
+        # A sparse random mask leaves a row or column with a single
+        # observation: a typed error up front, not a LinAlgError from
+        # inside the first sweep.
+        x = make_low_rank(12, 8, 2, seed=15)
+        mask = random_integrity_mask(x.shape, 0.5, seed=4)
+        counts = np.concatenate([mask.sum(axis=0), mask.sum(axis=1)])
+        assert (counts == 1).any()
+        completer = CompressiveSensingCompleter(rank=2, lam=0.0, iterations=5, seed=0)
+        with pytest.raises(ValueError, match="lam=0"):
+            completer.complete(np.where(mask, x, 0.0), mask)
 
 
 class TestParallelRestarts:

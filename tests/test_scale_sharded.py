@@ -148,8 +148,12 @@ class TestValidation:
             ShardedCompleter(warm_iterations=0)
 
     def test_bad_solver_fails_eagerly(self):
-        with pytest.raises((KeyError, ValueError)):
-            ShardedCompleter(solver="no-such-solver")
+        # The per-shard completer configuration is validated at
+        # construction, before any shard is solved.
+        with pytest.raises(ValueError, match="does not support dtype"):
+            ShardedCompleter(dtype="float16")
+        with pytest.raises(ValueError, match="rank"):
+            ShardedCompleter(rank=0)
 
     def test_mismatched_shards_rejected(self, network, measured):
         shards = contiguous_shards([1, 2, 3], 2)

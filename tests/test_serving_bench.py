@@ -100,7 +100,7 @@ def test_bench_report_serving_records(tmp_path):
     assert set(peaks) == set(SERVING_APPS)
     assert all(rps > 0.0 for rps in peaks.values())
     payload = json.loads(report.write_json(tmp_path / "bench.json").read_text())
-    assert payload["schema"] == 5
+    assert payload["schema"] == 6
     assert payload["serving"]["apps"] == sorted(SERVING_APPS)
     rec = next(
         r for r in payload["records"] if r["case"].startswith("serving-")
