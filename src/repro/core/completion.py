@@ -373,9 +373,14 @@ class CompressiveSensingCompleter:
         and ``ind`` is the observation indicator in the same dtype.
         Returns ``(best objective, L, R, per-iteration objectives)``.
         Reads only; safe to run concurrently across restarts.  Each run
-        binds its own kernel and owns its own objective residual buffer:
-        the kernel reuses its buffers across sweeps, so neither may
-        be shared between concurrently-running restarts.
+        binds its own kernel, which reuses its buffers across sweeps, so
+        a kernel is never shared between concurrently-running restarts.
+
+        Each sweep's objective is read off the kernel's normal equations
+        (:meth:`_WorkspaceKernel.objective`) at O((m + n) r) cost.
+        Literal mode solves the unmasked system while Eq. 16 stays
+        masked, so only it evaluates :meth:`_objective` directly, in a
+        residual buffer this run owns.
         """
         left = init
         best_obj = np.inf
@@ -388,11 +393,14 @@ class CompressiveSensingCompleter:
             self.lam,
             left.shape[1],
         )
-        residual = np.empty_like(m_arr)
+        residual = None if self.mask_aware else np.empty_like(m_arr)
         for _ in range(self.iterations):
             right = kernel.solve_right(left)
             left = kernel.solve_left(right)
-            obj = self._objective(left, right, m_arr, ind, residual)
+            if residual is None:
+                obj = kernel.objective(left, right)
+            else:
+                obj = self._objective(left, right, m_arr, ind, residual)
             history.append(obj)
             if obj < best_obj:
                 improvement = (best_obj - obj) / max(best_obj, 1e-12)
@@ -429,13 +437,10 @@ class CompressiveSensingCompleter:
     ) -> float:
         """Eq. 16: masked fit residual plus Frobenius regularization.
 
+        The direct evaluation, used by literal mode only (mask-aware
+        runs read the objective off the kernel's normal equations).
         Runs entirely in the caller-owned ``residual`` buffer: one GEMM,
-        two element-wise passes, one BLAS dot.  The dense GEMM beats a
-        gather of the observed coordinates even at the paper's 20%
-        integrity — fancy indexing pays per-element overhead that the
-        contiguous kernels do not — and in float32 the whole pass moves
-        half the bytes, which is where float32 earns its wall-clock win
-        (the solves alone are too small to dominate).
+        two element-wise passes, one BLAS dot.
         """
         # The residual buffer is caller-owned per ALS run; writing into
         # it is the point (no fresh m x n temporaries per sweep).
@@ -480,13 +485,19 @@ class _WorkspaceKernel:
         G_j = F^T diag(B_{:, j}) F + lam I_r,    G_j x_j = F^T M_{:, j}.
 
     Binding hoists everything the sweep would otherwise re-derive: the
-    ridge ``lam I``, the observed index sets (``lam == 0`` only), and
-    the Gram / right-hand-side / output buffers, which are reused by
-    every sweep.  ``M``, ``M^T``, the indicator and its transpose are
-    *views* of the caller's arrays, so binding allocates only
-    ``O((m + n) r^2)`` of workspace.  A sweep then performs one
-    outer-product write, one GEMM into the Gram stack, one GEMM into the
-    right-hand sides, and the solve.
+    ridge ``lam I``, the observed index sets (``lam == 0`` only),
+    ``||M||_F^2``, and the Gram / right-hand-side / output buffers,
+    which are reused by every sweep.  ``M``, ``M^T``, the indicator and
+    its transpose are *views* of the caller's arrays, so binding
+    allocates only ``O((m + n) r^2)`` of workspace.  A sweep then
+    performs one outer-product write, one GEMM into the Gram stack, one
+    GEMM into the right-hand sides — ``M^T L`` (n x r) and ``M R``
+    (m x r), oriented so BLAS reads ``M`` in its stored order — and the
+    solve.
+
+    Right after :meth:`solve_left`, every row of ``L`` solves its own
+    ridge system exactly, so :meth:`objective` reads Eq. 16 off the
+    normal equations instead of forming ``L R^T``.
 
     With ``lam > 0`` and ``r <= 2`` the stacked systems are solved in
     closed form (Cramer's rule) directly into the output buffer: the
@@ -513,6 +524,8 @@ class _WorkspaceKernel:
         self._ind = ind
         self._ind_t = ind.T
         self._lam_eye = lam * np.eye(rank, dtype=dtype)
+        flat = m_arr.reshape(-1).astype(np.float64, copy=False)
+        self._m_sq = float(np.dot(flat, flat))
         self._observed_cols: Optional[np.ndarray] = None
         self._observed_rows: Optional[np.ndarray] = None
         if not lam > 0:
@@ -524,8 +537,8 @@ class _WorkspaceKernel:
         self._pairs_n = np.empty((n, rank * rank), dtype=dtype)
         self._grams_n = np.empty((n, rank, rank), dtype=dtype)
         self._grams_m = np.empty((m, rank, rank), dtype=dtype)
-        self._rhs_n = np.empty((rank, n), dtype=dtype)
-        self._rhs_m = np.empty((rank, m), dtype=dtype)
+        self._rhs_n = np.empty((n, rank), dtype=dtype)
+        self._rhs_m = np.empty((m, rank), dtype=dtype)
         self._out_n = np.empty((n, rank), dtype=dtype)
         self._out_m = np.empty((m, rank), dtype=dtype)
 
@@ -533,7 +546,7 @@ class _WorkspaceKernel:
         """R <- argmin of Eq. 16 with L fixed."""
         return self._solve_side(
             left,
-            self._m,
+            self._m_t,
             self._ind_t,
             self._observed_cols,
             self._pairs_m,
@@ -546,13 +559,38 @@ class _WorkspaceKernel:
         """L <- argmin of Eq. 16 with R fixed (by transposition symmetry)."""
         return self._solve_side(
             right,
-            self._m_t,
+            self._m,
             self._ind,
             self._observed_rows,
             self._pairs_n,
             self._grams_m,
             self._rhs_m,
             self._out_m,
+        )
+
+    def objective(self, left: np.ndarray, right: np.ndarray) -> float:
+        """Eq. 16 at ``(left, right)``, where ``left = solve_left(right)``.
+
+        Each row ``L_i`` minimizes its own ridge system
+        ``G_i L_i = b_i`` with ``b = M R`` (the right-hand side the
+        left solve just built), so its masked fit plus ridge is
+        ``||M_i||^2 - b_i . L_i``.  Summed over rows:
+
+            Eq. 16 = ||M||_F^2 - <M R, L>_F + lam ||R||_F^2.
+
+        O((m + n) r), accumulated in float64; valid for the mask-aware
+        system only (literal mode solves a different one).  Rounding
+        error scales with ``||M||_F^2``, not with the objective: on exact
+        low-rank data at ``lam=1e-6``, where the objective is ~3e-8 of
+        ``||M||_F^2``, it still agrees with a direct evaluation to 1e-8.
+        """
+        rhs = self._rhs_m.reshape(-1).astype(np.float64, copy=False)
+        fitted = left.reshape(-1).astype(np.float64, copy=False)
+        flat = right.reshape(-1).astype(np.float64, copy=False)
+        return (
+            self._m_sq
+            - float(np.dot(rhs, fitted))
+            + self._lam * float(np.dot(flat, flat))
         )
 
     @effects("pure")
@@ -570,14 +608,15 @@ class _WorkspaceKernel:
     ) -> np.ndarray:
         """One factor update using the preallocated workspace.
 
-        ``ind_gram`` is the indicator oriented so that
-        ``ind_gram @ pairs`` stacks the Gram matrices of ``m_side``'s
-        columns; ``observed`` lists those columns' observed indices
-        (``None`` when ``lam > 0``); ``pairs``/``grams``/``rhs``/``out``
-        are this side's buffers.
+        ``m_side @ factor`` is this side's right-hand side, one row per
+        system; ``ind_gram`` is the indicator oriented so that
+        ``ind_gram @ pairs`` stacks the matching Gram matrices;
+        ``observed`` lists the observed systems (``None`` when
+        ``lam > 0``); ``pairs``/``grams``/``rhs``/``out`` are this
+        side's buffers.
         """
         k, r = factor.shape
-        cols = m_side.shape[1]
+        cols = m_side.shape[0]
         np.multiply(
             factor[:, :, None],
             factor[:, None, :],
@@ -588,18 +627,18 @@ class _WorkspaceKernel:
         # point of the workspace (no fresh allocation per sweep).
         # repro-lint: disable-next-line=param-mutation
         grams += self._lam_eye
-        np.matmul(factor.T, m_side, out=rhs)
+        np.matmul(m_side, factor, out=rhs)
         if observed is not None:
             # lam == 0: all-unobserved systems are singular; they are
             # left out of the stack and solve to zero.
             zeroed = np.zeros_like(out)
             if observed.size:
                 zeroed[observed] = np.linalg.solve(
-                    grams[observed], rhs.T[observed, :, None]
+                    grams[observed], rhs[observed, :, None]
                 )[:, :, 0]
             return zeroed
         if r == 1:
-            np.divide(rhs[0], grams[:, 0, 0], out=out[:, 0])
+            np.divide(rhs[:, 0], grams[:, 0, 0], out=out[:, 0])
             return out
         if r == 2:
             # Closed-form SPD solve; det >= lam**2 keeps it non-singular.
@@ -608,8 +647,8 @@ class _WorkspaceKernel:
             c = grams[:, 1, 0]
             d = grams[:, 1, 1]
             det = a * d - b * c
-            np.divide(d * rhs[0] - b * rhs[1], det, out=out[:, 0])
-            np.divide(a * rhs[1] - c * rhs[0], det, out=out[:, 1])
+            np.divide(d * rhs[:, 0] - b * rhs[:, 1], det, out=out[:, 0])
+            np.divide(a * rhs[:, 1] - c * rhs[:, 0], det, out=out[:, 1])
             return out
-        solved: np.ndarray = np.linalg.solve(grams, rhs.T[:, :, None])[:, :, 0]
+        solved: np.ndarray = np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]
         return solved

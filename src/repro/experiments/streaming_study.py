@@ -6,7 +6,10 @@ to the offline algorithm, and what the warm start buys:
 * **accuracy** — per-slot NMAE of the live estimates (published the
   moment each slot closes, using only past data) vs the offline
   completion of the full matrix (which sees the future too);
-* **cost** — ALS sweeps per update with and without warm starting.
+* **cost** — stream time with and without warm starting.  Every
+  re-completion, warm or cold, stops once it converges
+  (:data:`repro.core.streaming.STREAM_TOL`), so the warm-start speedup
+  measures time to converge, not a fixed sweep budget.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ class StreamingStudyResult:
         NMAE of the offline completion over the same cells.
     warm_seconds, cold_seconds:
         Wall-clock totals for the streaming pass with warm starts vs
-        cold restarts each slot.
+        cold restarts each slot (both stop at convergence), each the
+        fastest of :data:`TIMING_REPEATS` alternating passes.
     num_slots:
         Slots processed.
     """
@@ -91,6 +95,12 @@ class StreamingStudyResult:
         )
 
 
+#: Passes per arm; the fastest is reported.  Converged warm and cold
+#: passes differ by ~2x on small cities, close enough that one noisy
+#: pass could invert them.
+TIMING_REPEATS = 3
+
+
 def _run_stream(
     reports, segment_ids, config: StreamingStudyConfig, warm: bool
 ) -> List:
@@ -104,8 +114,8 @@ def _run_stream(
         seed=config.seed,
     )
     if not warm:
-        # Disable warm starting; every solve then pays the cold
-        # iteration budget.
+        # Disable warm starting; every solve then converges from a
+        # random init, capped at the cold iteration budget.
         streamer._window.warm_start = False
     streamer.ingest_many(list(reports))
     streamer.flush()
@@ -125,13 +135,16 @@ def run_streaming_study(
         truth, FleetConfig(num_vehicles=config.num_vehicles), seed=fleet_rng
     ).run()
 
-    started = time.perf_counter()
-    warm_estimates = _run_stream(reports, network.segment_ids, config, warm=True)
-    warm_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    _run_stream(reports, network.segment_ids, config, warm=False)
-    cold_seconds = time.perf_counter() - started
+    seconds = {True: np.inf, False: np.inf}
+    warm_estimates: List = []
+    for _ in range(TIMING_REPEATS):
+        for warm in (True, False):
+            started = time.perf_counter()
+            estimates = _run_stream(reports, network.segment_ids, config, warm)
+            seconds[warm] = min(seconds[warm], time.perf_counter() - started)
+            if warm:
+                warm_estimates = estimates
+    warm_seconds, cold_seconds = seconds[True], seconds[False]
 
     x = truth.tcm.values
     slot_errors = [

@@ -15,11 +15,19 @@ it).
 Ingestion is columnar: :meth:`ShardedStreamingEstimator.ingest_batch`
 takes a :class:`repro.probes.report.ReportBatch` and buckets the whole
 batch with vectorized searchsorted/bincount passes — the path the
-million-report benchmark drives.
+million-report benchmark drives.  Reports whose speed is not finite are
+dropped before bucketing (one ``inf`` would otherwise poison its shard's
+window for ``window_slots`` slots) and counted as
+``stream.rejected_nonfinite``.
+
+Each shard's re-completion stops at convergence, capped by the sweep
+budgets, and runs at the full rank once its window is long enough (see
+:mod:`repro.core.streaming`).
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -53,7 +61,8 @@ class ShardedStreamingEstimator:
     slot_s, window_slots, start_s:
         Stream timing, as in :class:`StreamingEstimator`.
     rank, lam, warm_iterations, cold_iterations:
-        Per-shard completion budgets, as in :class:`WindowCompleter`.
+        Per-shard completion settings and sweep caps, as in
+        :class:`WindowCompleter`.
     min_speed_kmh:
         Idle-report filter threshold.
     dtype:
@@ -141,6 +150,9 @@ class ShardedStreamingEstimator:
         closed: List[SlotEstimate] = []
         while slot > self._current_slot:
             closed.append(self._close_slot())
+        if not math.isfinite(report.speed_kmh):
+            obs_metrics.inc("stream.rejected_nonfinite")
+            return closed
         if report.segment_id >= 0 and report.speed_kmh >= self.min_speed_kmh:
             cols, known = _columns_of(
                 np.array([report.segment_id], dtype=np.int64),
@@ -161,7 +173,8 @@ class ShardedStreamingEstimator:
         searchsorted column lookup, one slot assignment, then a bincount
         accumulation per distinct slot in the batch.  Slots close in
         order as the stream advances past them, exactly as with
-        report-at-a-time :meth:`ingest`.
+        report-at-a-time :meth:`ingest`.  Non-finite speeds are dropped
+        and counted (``stream.rejected_nonfinite``).
         """
         if not len(batch):
             return []
@@ -170,7 +183,11 @@ class ShardedStreamingEstimator:
         segs = batch.segment_ids
         # ReportBatch guarantees time order, so slots are non-decreasing.
         slots = ((times - self.start_s) // self.slot_s).astype(np.int64)
-        keep = (segs >= 0) & (speeds >= self.min_speed_kmh)
+        finite = np.isfinite(speeds)
+        rejected = finite.size - int(np.count_nonzero(finite))
+        if rejected:
+            obs_metrics.inc("stream.rejected_nonfinite", rejected)
+        keep = finite & (segs >= 0) & (speeds >= self.min_speed_kmh)
         keep &= slots >= self._current_slot
         cols, known = _columns_of(segs, self._sorted_ids, self._sorter)
         keep &= known

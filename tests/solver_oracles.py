@@ -1,9 +1,10 @@
 """Reference implementations Algorithm 1 is tested against.
 
-``ridge_by_column`` is the textbook per-column masked ridge solve and
-``als_reference`` a plain ALS loop around it that draws its random
+``ridge_by_column`` is the textbook per-column masked ridge solve,
+``eq16`` the objective evaluated straight from its definition, and
+``als_reference`` a plain ALS loop around them that draws its random
 init exactly as :class:`repro.core.completion.CompressiveSensingCompleter`
-does.  Both favour obviousness over speed: they exist only as oracles.
+does.  All favour obviousness over speed: they exist only as oracles.
 """
 
 import numpy as np
@@ -30,13 +31,24 @@ def ridge_by_column(factor, m_arr, b_arr, lam):
     return out
 
 
+def eq16(left, right, m_arr, mask, lam):
+    """Eq. 16 evaluated directly, in float64: masked fit plus ridge."""
+    left = np.asarray(left, dtype=np.float64)
+    right = np.asarray(right, dtype=np.float64)
+    fit = np.sum(((left @ right.T - m_arr) * mask) ** 2)
+    return float(fit + lam * (np.sum(left**2) + np.sum(right**2)))
+
+
 def als_reference(
     values, mask, rank, lam, iterations, seed, mask_aware=True, center=False
 ):
-    """Float64 Algorithm 1 with one restart; returns (estimate, objective).
+    """Float64 Algorithm 1 with one restart.
 
-    ``mask_aware=False`` is the literal pseudocode: the ridge systems
-    are solved as if every cell were observed (missing cells are zero).
+    Returns ``(estimate, objective, history)``: the best iterate's
+    estimate and Eq. 16 value, and the :func:`eq16` value after every
+    sweep.  ``mask_aware=False`` is the literal pseudocode: the ridge
+    systems are solved as if every cell were observed (missing cells
+    are zero), while the objective stays masked.
     """
     rng = np.random.default_rng(seed)
     m, n = values.shape
@@ -47,11 +59,12 @@ def als_reference(
     left = rng.standard_normal((m, r)) * np.sqrt(max(scale, 1e-6) / r)
     solve_mask = mask if mask_aware else np.ones_like(mask)
     best = (np.inf, None)
+    history = []
     for _ in range(iterations):
         right = ridge_by_column(left, m_arr, solve_mask, lam)
         left = ridge_by_column(right, m_arr.T, solve_mask.T, lam)
-        fit = np.sum(((left @ right.T - m_arr) * mask) ** 2)
-        obj = float(fit + lam * (np.sum(left**2) + np.sum(right**2)))
+        obj = eq16(left, right, m_arr, mask, lam)
+        history.append(obj)
         if obj < best[0]:
             best = (obj, left @ right.T + offset)
-    return best[1], best[0]
+    return best[1], best[0], history

@@ -131,7 +131,7 @@ class TestWorkspaceEquivalence:
         assert np.isfinite(result.estimate).all()
         # The excluded systems' factor rows are zero, as in the oracle.
         assert not result.right[5].any() and not result.left[7].any()
-        reference, _ = als_reference(values, mask, 2, 0.0, 10, seed=3)
+        reference, _, _ = als_reference(values, mask, 2, 0.0, 10, seed=3)
         assert float(np.abs(result.estimate - reference).max()) <= 1e-8
 
     def test_repeat_runs_bit_identical(self):

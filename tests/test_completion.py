@@ -15,7 +15,7 @@ from repro.datasets.masks import random_integrity_mask
 from repro.experiments.perf_bench import EQUIVALENCE_TOL, _make_truth, default_cases
 from repro.metrics.errors import nmae
 from tests.conftest import make_low_rank
-from tests.solver_oracles import als_reference, ridge_by_column
+from tests.solver_oracles import als_reference, eq16, ridge_by_column
 
 
 class TestValidation:
@@ -252,7 +252,7 @@ class TestSolverEquivalence:
         result = CompressiveSensingCompleter(seed=0, **params).complete(
             measured, mask
         )
-        reference, objective = als_reference(measured, mask, seed=0, **params)
+        reference, objective, _ = als_reference(measured, mask, seed=0, **params)
         diff = np.max(np.abs(result.estimate - reference))
         assert diff <= EQUIVALENCE_TOL, f"completer deviates from the oracle by {diff}"
         assert result.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
@@ -390,6 +390,57 @@ class TestKernel:
                 assert np.shares_memory(arr, values) or np.shares_memory(
                     arr, ind
                 ), f"kernel attribute {name} copies an (m, n) array"
+
+
+class TestObjectiveOracle:
+    """Each sweep's objective against Eq. 16 evaluated directly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rank=st.integers(1, 4),
+        lam=st.sampled_from([0.0, 0.1, 100.0]),
+        center=st.booleans(),
+        mask_aware=st.booleans(),
+    )
+    def test_history_matches_eq16(self, seed, rank, lam, center, mask_aware):
+        rng = np.random.default_rng(seed)
+        m, n = 16, 11
+        mask = rng.random((m, n)) < 0.6
+        if lam == 0:
+            # Valid at lam=0: every row and column keeps >= rank
+            # observations, except two entirely unobserved columns.
+            mask[: 2 * rank] = True
+            mask[:, : 2 * rank] = True
+            mask[:, [n - 3, n - 1]] = False
+        values = np.where(mask, rng.normal(30.0, 8.0, (m, n)), 0.0)
+        params = dict(
+            rank=rank,
+            lam=lam,
+            iterations=6,
+            mask_aware=mask_aware,
+            center=center,
+        )
+        result = CompressiveSensingCompleter(seed=seed, **params).complete(
+            values, mask
+        )
+        _, objective, history = als_reference(values, mask, seed=seed, **params)
+        assert len(result.objective_history) == len(history)
+        np.testing.assert_allclose(result.objective_history, history, rtol=1e-9)
+        assert result.objective == pytest.approx(objective, rel=1e-9)
+
+    def test_float32_objective_within_tolerance(self):
+        case = default_cases(smoke=True)[0]
+        rng = np.random.default_rng(0)
+        truth = _make_truth(case.m, case.n, rng)
+        mask = random_integrity_mask((case.m, case.n), case.integrity, seed=rng)
+        measured = np.where(mask, truth, 0.0)
+        result = CompressiveSensingCompleter(
+            rank=2, lam=10.0, iterations=20, dtype=np.float32, seed=0
+        ).complete(measured, mask)
+        assert result.left.dtype == np.float32
+        direct = eq16(result.left, result.right, measured, mask, 10.0)
+        assert abs(result.objective - direct) <= FLOAT32_RTOL * direct
 
 
 class TestLamZero:

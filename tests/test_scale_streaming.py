@@ -3,14 +3,51 @@
 import numpy as np
 import pytest
 
+from repro.core import streaming
+from repro.core.tcm import TimeGrid
+from repro.metrics.errors import nmae
+from repro.mobility.fleet import FleetConfig, FleetSimulator
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
+from repro.probes.aggregation import aggregate_reports
 from repro.probes.report import ProbeReport, ReportBatch
 from repro.roadnet.generators import grid_city
 from repro.scale import ShardedStreamingEstimator
+from repro.traffic.groundtruth import GroundTruthTraffic
+from repro.utils.rng import spawn_rngs
 
 
 @pytest.fixture(scope="module")
 def network():
     return grid_city(4, 4, seed=0)
+
+
+@pytest.fixture()
+def obs_on():
+    """Observability switched on for one test; yields the registry."""
+    obs_trace.reset()
+    obs_metrics.reset()
+    obs_trace.enable()
+    try:
+        yield obs_metrics.registry()
+    finally:
+        obs_trace.disable()
+        obs_trace.reset()
+        obs_metrics.reset()
+
+
+@pytest.fixture(scope="module")
+def simulated_day():
+    """A quarter day of simulated fleet reports over a 4x4 grid city."""
+    net_rng, traffic_rng, fleet_rng = spawn_rngs(0, 3)
+    network = grid_city(4, 4, seed=net_rng)
+    grid = TimeGrid.over_days(0.25, 900.0)
+    truth = GroundTruthTraffic.synthesize(network, grid, seed=traffic_rng)
+    reports = FleetSimulator(
+        truth, FleetConfig(num_vehicles=60), seed=fleet_rng
+    ).run()
+    measured = aggregate_reports(reports, grid, network.segment_ids)
+    return network, grid, truth.tcm.values, ReportBatch(reports), measured.mask
 
 
 def _make_estimator(network, **kw):
@@ -149,3 +186,75 @@ class TestDeterminism:
         assert closed
         for slot_est in closed:
             assert np.isfinite(slot_est.speeds_kmh).all()
+
+
+class TestNonFiniteSpeeds:
+    """One non-finite speed used to poison its shard's window."""
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("path", ["batch", "scalar"])
+    def test_rejected_and_counted(self, network, obs_on, bad, path):
+        reports = _reports(network, slots=12, per_slot=30)
+        i = next(k for k, r in enumerate(reports) if r.time_s >= 3 * 600.0)
+        reports[i] = reports[i]._replace(speed_kmh=bad)
+        est = _make_estimator(network, window_slots=8)
+        if path == "batch":
+            est.ingest_batch(ReportBatch(reports))
+        else:
+            for r in reports:
+                est.ingest(r)
+        est.flush()
+        published = np.vstack([e.speeds_kmh for e in est.estimates])
+        assert published.shape == (12, len(network.segment_ids))
+        assert np.isfinite(published).all()
+        counters = obs_on.snapshot()["counters"]
+        assert counters["stream.rejected_nonfinite"] == 1.0
+
+
+class TestAdaptiveSweeps:
+    """Re-completions stop at convergence instead of a fixed count."""
+
+    WARM = 8
+
+    def _nmae(self, simulated_day):
+        network, grid, truth, batch, mask = simulated_day
+        est = ShardedStreamingEstimator(
+            network,
+            shards=2,
+            slot_s=grid.slot_s,
+            window_slots=8,
+            warm_iterations=self.WARM,
+            seed=0,
+        )
+        est.ingest_batch(batch)
+        while len(est.estimates) < grid.num_slots:
+            est.flush()
+        published = np.vstack([e.speeds_kmh for e in est.estimates])
+        return nmae(truth, published, ~mask)
+
+    def test_warm_sweeps_bounded(self, simulated_day, obs_on, monkeypatch):
+        warm_sweeps = []
+        run = streaming._warm_run
+
+        def spy(*args):
+            outcome = run(*args)
+            warm_sweeps.append(len(outcome[3]))
+            return outcome
+
+        monkeypatch.setattr(streaming, "_warm_run", spy)
+        self._nmae(simulated_day)
+        assert warm_sweeps
+        assert all(2 <= s <= self.WARM for s in warm_sweeps)
+        assert min(warm_sweeps) < self.WARM  # the tolerance fires
+        snapshot = obs_on.snapshot()
+        counters = snapshot["counters"]
+        sweeps = snapshot["histograms"]["stream.sweeps"]
+        assert counters["stream.warm_starts"] == len(warm_sweeps)
+        assert sweeps["count"] == counters["stream.recompletions"]
+        assert sweeps["min"] >= 2
+
+    def test_accuracy_matches_fixed_sweeps(self, simulated_day, monkeypatch):
+        adaptive = self._nmae(simulated_day)
+        monkeypatch.setattr(streaming, "STREAM_TOL", None)
+        fixed = self._nmae(simulated_day)
+        assert abs(adaptive - fixed) <= 0.005 * fixed

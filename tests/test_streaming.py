@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.streaming import SlotEstimate, StreamingEstimator
+from repro.core.streaming import SlotEstimate, StreamingEstimator, WindowCompleter
 from repro.probes.report import ProbeReport
 
 
@@ -154,6 +154,46 @@ class TestEstimation:
         est.flush()
         assert est._window._warm_left is not None
         assert est._window._warm_left.shape[0] == 3
+
+
+class TestFullRank:
+    def test_window_reaches_full_rank(self):
+        # The first push cold-solves a one-row window at rank 1; that
+        # factor must not pin the later warm solves below the rank.
+        rng = np.random.default_rng(0)
+        window = WindowCompleter(
+            num_columns=6, window_slots=5, rank=2, lam=1.0, rng=0
+        )
+        for _ in range(8):
+            mask = rng.random(6) < 0.7
+            mask[0] = True
+            window.push(rng.uniform(20.0, 60.0, 6), mask)
+            assert window._warm_left.shape[1] == min(2, window.filled)
+
+
+class TestNonFiniteSpeeds:
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_rejected_and_counted(self, bad):
+        from repro.obs import metrics as obs_metrics
+        from repro.obs import trace as obs_trace
+
+        obs_trace.reset()
+        obs_metrics.reset()
+        obs_trace.enable()
+        try:
+            est = make_estimator()
+            est.ingest(report(5.0, 0, 30.0))
+            est.ingest(report(10.0, 1, bad))
+            est.ingest(report(65.0, 0, 32.0))
+            est.flush()
+            counters = obs_metrics.registry().snapshot()["counters"]
+        finally:
+            obs_trace.disable()
+            obs_trace.reset()
+            obs_metrics.reset()
+        assert counters["stream.rejected_nonfinite"] == 1.0
+        assert est.estimates[0].observed_fraction == pytest.approx(1 / 3)
+        assert all(np.isfinite(e.speeds_kmh).all() for e in est.estimates)
 
 
 class TestEdgeCases:
