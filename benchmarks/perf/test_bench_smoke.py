@@ -1,9 +1,8 @@
-"""Smoke tests for the performance benchmark harness.
+"""Smoke tests for the micro-kernel benchmark harness.
 
 These keep ``repro bench --smoke`` honest in CI: the harness must run
 in seconds, emit the documented JSON schema, and enforce the
-float32-vs-float64 Algorithm 1 bound and the vectorized-vs-scalar
-equivalence bound.
+float32-vs-float64 Algorithm 1 bound.
 """
 
 import json
@@ -12,10 +11,8 @@ import pytest
 
 from repro.core.completion import FLOAT32_RTOL
 from repro.experiments.perf_bench import (
-    EQUIVALENCE_TOL,
     BenchCase,
     default_cases,
-    default_ingestion_reports,
     default_output_name,
     run_perf_bench,
 )
@@ -28,10 +25,14 @@ def smoke_report():
 
 def test_smoke_profile_times_all_algorithms(smoke_report):
     algorithms = {r.algorithm for r in smoke_report.records}
-    assert {"cs-f64", "cs-f32"} <= algorithms
-    assert {"naive-knn", "correlation-knn", "ga-tune"} <= algorithms
-    assert {"mapmatch-vectorized", "aggregate-bincount"} <= algorithms
-    assert {"cs-monolithic", "cs-sharded", "sharded-stream-ingest"} <= algorithms
+    assert algorithms == {
+        "cs-f64",
+        "cs-f32",
+        "naive-knn",
+        "correlation-knn",
+        "mssa",
+        "ga-tune",
+    }
     assert all(r.wall_s >= 0.0 for r in smoke_report.records)
 
 
@@ -43,35 +44,18 @@ def test_smoke_profile_checks_equivalence(smoke_report):
     assert smoke_report.speedups[key] > 0.0
 
 
-def test_smoke_profile_checks_ingestion_equivalence(smoke_report):
-    case = f"ingest-{default_ingestion_reports(smoke=True) // 1000}k"
-    assert smoke_report.equivalence_max_abs_diff[f"{case}-mapmatch"] == 0.0
-    assert (
-        smoke_report.equivalence_max_abs_diff[f"{case}-aggregate"]
-        <= EQUIVALENCE_TOL
-    )
-    assert smoke_report.speedups[f"{case}-pipeline"] > 0.0
-
-
-def test_smoke_profile_checks_baseline_equivalence(smoke_report):
-    case = default_cases(smoke=True)[0]
-    for name in ("correlation-knn", "mssa"):
-        key = f"{case.name}-{name}"
-        assert smoke_report.equivalence_max_abs_diff[key] <= EQUIVALENCE_TOL
-
-
 def test_payload_schema_roundtrips(smoke_report, tmp_path):
     out = smoke_report.write_json(tmp_path / "bench.json")
     payload = json.loads(out.read_text())
-    assert payload["schema"] == 6
-    assert payload["equivalence_tol"] == EQUIVALENCE_TOL
+    assert payload["schema"] == 7
+    assert payload["float32_rtol"] == FLOAT32_RTOL
     assert payload["meta"]["smoke"] is True
+    assert not {"sharded", "serving"} & set(payload)
     fields = {"case", "algorithm", "wall_s", "repeats"}
     serving = {"p50_ms", "p95_ms", "throughput_rps"}
     for record in payload["records"]:
-        assert fields | serving <= set(record)
-        assert "backend" not in record
-    assert any(record["p95_ms"] is not None for record in payload["records"])
+        assert fields <= set(record)
+        assert not (serving | {"backend"}) & set(record)
 
 
 def test_render_mentions_speedup(smoke_report):

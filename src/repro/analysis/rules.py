@@ -607,12 +607,11 @@ class IngestionLoopRule(Rule):
     loop re-enters the interpreter once per probe report.  The probes
     package is the ingestion hot path — at realistic fleet sizes these
     loops dominate end-to-end runtime, which is why every production
-    path has a vectorized counterpart (``MapMatcher.match_batch``,
-    ``aggregate_reports(method="bincount")``, ``split_trajectories``).
-    Scalar *reference* implementations kept for equivalence testing are
-    legitimate — suppress those sites with
+    path is columnar (``MapMatcher.match_batch``, ``aggregate_reports``,
+    ``split_trajectories``) and the per-report reference loops live in
+    the test oracles.  A loop that must stay is suppressed with
     ``# repro-lint: disable-next-line=ingestion-loop`` and a comment
-    saying so.
+    saying why.
     """
 
     name = "ingestion-loop"

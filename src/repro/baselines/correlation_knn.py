@@ -13,26 +13,20 @@ row neighbourhood cannot explain (no observed neighbour in the column)
 fall back to nearest-neighbour filling so the estimate is total.  The
 same machinery runs over columns when ``axis="columns"``.
 
-Two implementations share these semantics.  ``method="vectorized"``
-(default) computes every needed row-pair correlation in one masked
-two-pass sweep per lag — the pair ``(i, i+h)`` for all ``i`` at once —
-and fills all rows with one broadcast weighted average.
-``method="scalar"`` is the original per-row loop, kept as the tested
-reference; the two agree to floating-point accumulation order (well
-inside 1e-8 on non-degenerate data).
+Every needed row-pair correlation comes from one masked two-pass sweep
+per lag — the pair ``(i, i+h)`` for all ``i`` at once — and all rows
+are filled with one broadcast weighted average.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.baselines.knn import NaiveKNN
 from repro.utils.contracts import shapes
 from repro.utils.validation import check_matrix_pair
-
-COMPLETION_METHODS = ("vectorized", "scalar")
 
 
 class CorrelationKNN:
@@ -49,8 +43,6 @@ class CorrelationKNN:
     min_overlap:
         Minimum co-observed cells for a meaningful correlation; row
         pairs below it get a neutral small weight.
-    method:
-        ``"vectorized"`` (default) or ``"scalar"`` reference loop.
     """
 
     name = "correlation-knn"
@@ -60,7 +52,6 @@ class CorrelationKNN:
         k: int = 4,
         axis: str = "rows",
         min_overlap: int = 3,
-        method: str = "vectorized",
     ):
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
@@ -68,14 +59,9 @@ class CorrelationKNN:
             raise ValueError(f"axis must be 'rows' or 'columns', got {axis!r}")
         if min_overlap < 2:
             raise ValueError(f"min_overlap must be >= 2, got {min_overlap}")
-        if method not in COMPLETION_METHODS:
-            raise ValueError(
-                f"method must be one of {COMPLETION_METHODS}, got {method!r}"
-            )
         self.k = k
         self.axis = axis
         self.min_overlap = min_overlap
-        self.method = method
         self._fallback = NaiveKNN(k=k)
 
     @shapes("m n", "m n:bool", finite=("values",))
@@ -93,8 +79,6 @@ class CorrelationKNN:
         return [d for d in range(-half, half + 1) if d != 0]
 
     def _complete_rows(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        if self.method == "scalar":
-            return self._complete_rows_scalar(values, mask)
         m, n = values.shape
         estimate = values.copy()
         filled_mask = mask.copy()
@@ -148,69 +132,6 @@ class CorrelationKNN:
             estimate = np.where(filled_mask, estimate, fallback)
         return estimate
 
-    # ------------------------------------------------------------------
-    def _complete_rows_scalar(
-        self, values: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
-        """Reference implementation: one Python iteration per row."""
-        m, n = values.shape
-        estimate = values.copy()
-        corr_cache: Dict[Tuple[int, int], float] = {}
-
-        filled_mask = mask.copy()
-        for i in range(m):
-            missing = ~mask[i]
-            if not missing.any():
-                continue
-            neighbours = [i + d for d in self._offsets() if 0 <= i + d < m]
-            if not neighbours:
-                continue
-            weights = np.array(
-                [
-                    self._row_correlation(values, mask, i, k, corr_cache)
-                    for k in neighbours
-                ]
-            )
-            # Vectorized Eq. 21 over all missing columns of row i: weigh
-            # each neighbour row's value where that neighbour observed it.
-            neigh_vals = values[neighbours]            # (k, n)
-            neigh_mask = mask[neighbours]              # (k, n)
-            w_col = weights[:, None] * neigh_mask
-            denom = w_col.sum(axis=0)
-            numer = (w_col * neigh_vals).sum(axis=0)
-            fillable = missing & (denom > 0)
-            estimate[i, fillable] = numer[fillable] / denom[fillable]
-            filled_mask[i, fillable] = True
-
-        return self._fallback_fill(estimate, filled_mask)
-
-    def _row_correlation(
-        self,
-        values: np.ndarray,
-        mask: np.ndarray,
-        i: int,
-        k: int,
-        cache: Dict[Tuple[int, int], float],
-    ) -> float:
-        """|Pearson correlation| of rows ``i`` and ``k`` on co-observed cells."""
-        key = (min(i, k), max(i, k))
-        if key in cache:
-            return cache[key]
-        both = mask[i] & mask[k]
-        corr = 0.1  # neutral weight when correlation is unavailable
-        if int(both.sum()) >= self.min_overlap:
-            a, b = values[i, both], values[k, both]
-            sa, sb = a.std(), b.std()
-            if sa > 0 and sb > 0:
-                corr = abs(float(np.corrcoef(a, b)[0, 1]))
-                if not np.isfinite(corr):
-                    corr = 0.1
-        # The caller passes this dict precisely to collect memoized
-        # correlations across calls; mutating it is the contract.
-        # repro-lint: disable-next-line=param-mutation
-        cache[key] = corr
-        return corr
-
 
 def _lagged_correlations(
     values: np.ndarray, mask: np.ndarray, lag: int, min_overlap: int
@@ -219,7 +140,7 @@ def _lagged_correlations(
 
     Returns an array of length ``m - lag`` (empty when the matrix is
     shorter than the lag).  Pairs with too little overlap or a constant
-    side get the neutral weight 0.1, matching the scalar reference.
+    side get the neutral weight 0.1.
     """
     m = values.shape[0]
     if m <= lag:

@@ -56,12 +56,9 @@ class MSSA:
         reconstruction (both project onto the same top right singular
         subspace) at a fraction of the cost, and is what the accuracy
         experiments use.
-    method:
-        ``"vectorized"`` (default) embeds all channels with one fancy
-        index and inverts the embedding with one stacked anti-diagonal
-        sweep; ``"scalar"`` keeps the original per-channel loops as the
-        tested reference.  Reconstructions agree to accumulation order
-        (well inside 1e-8).
+
+    All channels are embedded with one fancy index and the embedding is
+    inverted with one stacked anti-diagonal sweep.
     """
 
     name = "mssa"
@@ -73,7 +70,6 @@ class MSSA:
         max_iterations: int = 15,
         tol: float = 1e-3,
         solver: str = "covariance",
-        method: str = "vectorized",
     ):
         if window < 2:
             raise ValueError(f"window must be >= 2, got {window}")
@@ -84,14 +80,11 @@ class MSSA:
         check_positive(tol, "tol")
         if solver not in ("covariance", "truncated"):
             raise ValueError(f"solver must be 'covariance' or 'truncated', got {solver!r}")
-        if method not in ("vectorized", "scalar"):
-            raise ValueError(f"method must be 'vectorized' or 'scalar', got {method!r}")
         self.window = window
         self.components = components
         self.max_iterations = max_iterations
         self.tol = tol
         self.solver = solver
-        self.method = method
 
     # ------------------------------------------------------------------
     @shapes("m n", "m n:bool", finite=("values",))
@@ -134,9 +127,8 @@ class MSSA:
 
     def _mssa_reconstruct(self, filled: np.ndarray, window: int) -> np.ndarray:
         """One MSSA smoothing pass over a complete matrix."""
-        m, n = filled.shape
-        rows = m - window + 1
-        trajectory = _block_hankel(filled, window, method=self.method)
+        m = filled.shape[0]
+        trajectory = _block_hankel(filled, window)
         k = min(self.components, min(trajectory.shape) - 1)
         if k < 1:
             return filled
@@ -152,41 +144,27 @@ class MSSA:
             # svds returns ascending singular values; order is
             # irrelevant for the product, so reconstruct directly.
             smoothed = (u * s) @ vt
-        if self.method == "vectorized":
-            return _diagonal_average_stacked(smoothed, window, m)
-        out = np.empty_like(filled)
-        for j in range(n):
-            block = smoothed[:, j * window : (j + 1) * window]
-            out[:, j] = _diagonal_average(block, m)
-        return out
+        return _diagonal_average_stacked(smoothed, window, m)
 
 
-def _block_hankel(
-    matrix: np.ndarray, window: int, method: str = "vectorized"
-) -> np.ndarray:
+def _block_hankel(matrix: np.ndarray, window: int) -> np.ndarray:
     """MSSA trajectory matrix: per-channel Hankel blocks, concatenated.
 
     For channel series ``x`` of length m, the block has entry
-    ``H[i, k] = x[i + k]`` with shape ``(m - window + 1, window)``.
-    Both methods place identical entries; ``"vectorized"`` builds the
-    whole matrix with one fancy index instead of a per-channel loop.
+    ``H[i, k] = x[i + k]`` with shape ``(m - window + 1, window)``; the
+    whole matrix is built with one fancy index.
     """
     m, n = matrix.shape
     rows = m - window + 1
     if rows < 1:
         raise ValueError(f"window {window} exceeds series length {m}")
     idx = np.arange(rows)[:, None] + np.arange(window)[None, :]
-    if method == "vectorized":
-        # matrix[idx] has entry [i, k, j] = matrix[i + k, j]; moving the
-        # channel axis ahead of the lag axis and flattening yields the
-        # [.., j*window + k, ..] block layout in one shot.
-        return np.ascontiguousarray(
-            matrix[idx].transpose(0, 2, 1).reshape(rows, n * window)
-        )
-    blocks = np.empty((rows, n * window))
-    for j in range(n):
-        blocks[:, j * window : (j + 1) * window] = matrix[idx, j]
-    return blocks
+    # matrix[idx] has entry [i, k, j] = matrix[i + k, j]; moving the
+    # channel axis ahead of the lag axis and flattening yields the
+    # [.., j*window + k, ..] block layout in one shot.
+    return np.ascontiguousarray(
+        matrix[idx].transpose(0, 2, 1).reshape(rows, n * window)
+    )
 
 
 def _diagonal_average_stacked(
@@ -210,18 +188,3 @@ def _diagonal_average_stacked(
     counts[counts == 0] = 1.0
     return sums / counts[:, None]
 
-
-def _diagonal_average(block: np.ndarray, length: int) -> np.ndarray:
-    """Invert the Hankel embedding by averaging anti-diagonals.
-
-    ``block[i, k]`` contributes to series position ``i + k``; every
-    position averages all its contributions.
-    """
-    rows, window = block.shape
-    sums = np.zeros(length)
-    counts = np.zeros(length)
-    positions = (np.arange(rows)[:, None] + np.arange(window)[None, :]).ravel()
-    np.add.at(sums, positions, block.ravel())
-    np.add.at(counts, positions, 1.0)
-    counts[counts == 0] = 1.0
-    return sums / counts

@@ -18,7 +18,7 @@ Python:
 * ``verify-determinism`` — double-run the parallel entry points
   (serial vs worker pool) and fail unless the results are
   bit-identical (:mod:`repro.analysis.determinism`).
-* ``bench``        — time the hot paths (Algorithm 1 in float64 and
+* ``bench``        — time the micro-kernels (Algorithm 1 in float64 and
   float32, tuning, baselines) and write a machine-readable
   ``BENCH_<date>.json``.
 * ``trace``        — inspect run manifests: ``trace summarize`` prints
@@ -498,25 +498,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         from repro.obs import trace as obs_trace
 
         obs_trace.enable()
-    sharded_only = args.suite == "sharded"
-    serving_only = args.suite == "serving"
-    suite_only = sharded_only or serving_only
-    store = None
-    if args.store:
-        from repro.experiments.store import ArtifactStore, default_store_root
-
-        store = ArtifactStore(root=args.store_dir or default_store_root())
     report = run_perf_bench(
-        cases=[] if suite_only else None,
         smoke=args.smoke,
         seed=args.seed,
         repeats=args.repeats,
-        include_tune=not suite_only,
-        include_baselines=not suite_only,
-        include_ingestion=not suite_only,
-        include_sharded=not serving_only,
-        include_serving=not sharded_only,
-        serving_store=store,
         max_workers=args.max_workers,
         strict=not args.no_strict,
     )
@@ -550,6 +535,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         comparison = compare_with_baseline(
             report, args.compare, threshold=args.compare_threshold
         )
+        if comparison.refusal:
+            print(f"refusing to compare: {comparison.refusal}", file=sys.stderr)
+            return 2
         print(comparison.render())
         if not comparison.ok:
             return 1
@@ -909,21 +897,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_verify_determinism)
 
-    p = sub.add_parser("bench", help="run the performance benchmark harness")
+    p = sub.add_parser("bench", help="run the micro-kernel benchmark harness")
     p.add_argument(
         "--smoke",
         action="store_true",
         help="seconds-fast CI profile (small matrices, few sweeps)",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=("all", "sharded", "serving"),
-        help="'sharded' runs only the metropolitan sharded suite (the "
-        "nightly million-report leg); 'serving' runs only the apps/ "
-        "query-layer load suite (p50/p95 latency + throughput)",
-    )
     p.add_argument(
         "--repeats",
         type=int,
@@ -947,13 +927,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="no_strict",
         help="do not fail when the float32 estimate departs from float64 "
-        "(or a vectorized path from its reference) beyond the tolerance",
+        "beyond the tolerance",
     )
     p.add_argument(
         "--compare",
         default=None,
-        help="committed BENCH_<date>.json to diff against; exits non-zero "
-        "when any tracked case regressed beyond the threshold",
+        help="BENCH_<date>.json from the same runner to diff against; exits 1 "
+        "when any tracked case regressed beyond the threshold, 2 when the "
+        "CPU counts differ or no record was compared",
     )
     p.add_argument(
         "--compare-threshold",
@@ -967,21 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write a run manifest here (enables observability for the run)",
-    )
-    p.add_argument(
-        "--store",
-        action="store_true",
-        default=False,
-        help="load/persist the serving-suite world through the artifact "
-        "store so warm runs measure queries, not estimation",
-    )
-    p.add_argument(
-        "--store-dir",
-        default=None,
-        dest="store_dir",
-        metavar="DIR",
-        help="artifact store directory (default: $REPRO_STORE_DIR or "
-        ".repro-store)",
     )
     p.set_defaults(func=_cmd_bench)
 

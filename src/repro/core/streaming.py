@@ -38,7 +38,9 @@ checking convergence is nearly free.  A warm factor narrower than
 solve on a one-row window — is discarded for a cold solve, so every
 window reaches the full rank once it has enough rows.  Speeds that are
 not finite are dropped at ingest and counted as
-``stream.rejected_nonfinite``.
+``stream.rejected_nonfinite``; reports for an already-closed slot are
+dropped and counted as ``stream.rejected_late`` (a late report counts
+only as late, whatever its speed).
 """
 
 from __future__ import annotations
@@ -358,11 +360,13 @@ class StreamingEstimator:
         """Feed one report; returns estimates for any slots that closed.
 
         Reports must arrive in (approximately) non-decreasing time order;
-        a report for an already-closed slot is dropped (late data).
+        a report for an already-closed slot is dropped (late data) and
+        counted as ``stream.rejected_late``.
         """
         slot = int((report.time_s - self.start_s) // self.slot_s)
         if slot < self._current_slot:
-            return []  # late report for a closed slot
+            obs_metrics.inc("stream.rejected_late")
+            return []
         closed: List[SlotEstimate] = []
         while slot > self._current_slot:
             closed.append(self._close_slot())

@@ -12,8 +12,9 @@ Design constraints, in order:
 
 1. **Zero cost when off.**  Observability is disabled by default; every
    public entry point checks one module-level boolean and returns a
-   shared no-op object before doing anything else.  The overhead bound
-   is enforced by the ``repro bench --compare`` CI gate, not asserted.
+   shared no-op object before doing anything else.  The overhead of
+   this fast path is not measured: no gate compares observability-off
+   against observability-on runs (ROADMAP item 6).
 2. **Thread-safe when on.**  Spans are collected into a process-global
    :class:`SpanCollector` behind a lock; the active-span context is a
    ``threading.local`` stack, so concurrent threads nest independently.

@@ -11,14 +11,10 @@ zero even on free-flowing roads, so reports below a speed floor are
 dropped before averaging — the standard cleaning step for taxi probe
 data.
 
-Two accumulation strategies share the same semantics:
-
-* ``method="bincount"`` (default) — surviving reports are flattened to
-  ``slot * n + column`` keys and accumulated with two ``np.bincount``
-  passes (weighted sums, counts).  ``np.bincount`` adds weights in input
-  order, exactly like the reference loop, so the sums are bit-identical.
-* ``method="scalar"`` — the original per-report Python loop, kept as the
-  tested reference.
+Surviving reports are flattened to ``slot * n + column`` keys and
+accumulated with two ``np.bincount`` passes (weighted sums, counts).
+``np.bincount`` adds weights in input order, exactly like a per-report
+loop, so the sums are bit-identical to one.
 """
 
 from __future__ import annotations
@@ -33,8 +29,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.utils.contracts import hot_path
 from repro.probes.report import ReportBatch
-
-AGGREGATION_METHODS = ("bincount", "scalar")
 
 
 @dataclass(frozen=True)
@@ -112,7 +106,6 @@ def aggregate_reports(
     grid: TimeGrid,
     segment_ids: Sequence[int],
     config: Optional[AggregationConfig] = None,
-    method: str = "bincount",
 ) -> TrafficConditionMatrix:
     """Build the measurement TCM ``(M, B)`` from probe reports.
 
@@ -126,14 +119,7 @@ def aggregate_reports(
     segment_ids:
         TCM column labels (typically ``network.segment_ids``); reports on
         other segments are skipped.
-    method:
-        ``"bincount"`` (vectorized, default) or ``"scalar"`` (per-report
-        reference loop).  Both produce bit-identical matrices.
     """
-    if method not in AGGREGATION_METHODS:
-        raise ValueError(
-            f"method must be one of {AGGREGATION_METHODS}, got {method!r}"
-        )
     config = config or AggregationConfig()
     m = grid.num_slots
     sorted_ids, sorter = _column_lookup(segment_ids)
@@ -153,22 +139,11 @@ def aggregate_reports(
         keep = in_window & valid_speed & (segs >= 0)
         times, segs, speeds = times[keep], segs[keep], speeds[keep]
         slots = ((times - grid.start_s) // grid.slot_s).astype(np.int64)
-        if method == "bincount":
-            cols, known = _columns_of(segs, sorted_ids, sorter)
-            if known.any():
-                sums, counts = _accumulate_bincount(
-                    slots[known], cols[known], speeds[known], (m, n)
-                )
-        else:
-            col_of = {int(sid): j for j, sid in enumerate(segment_ids)}
-            # Reference accumulation, one report at a time.
-            # repro-lint: disable-next-line=ingestion-loop
-            for slot, sid, speed in zip(slots, segs, speeds):
-                j = col_of.get(int(sid))
-                if j is None:
-                    continue
-                sums[slot, j] += speed
-                counts[slot, j] += 1
+        cols, known = _columns_of(segs, sorted_ids, sorter)
+        if known.any():
+            sums, counts = _accumulate_bincount(
+                slots[known], cols[known], speeds[known], (m, n)
+            )
 
     mask = counts >= config.min_reports_per_cell
     values = np.zeros_like(sums)
@@ -186,30 +161,12 @@ def reports_per_cell(
     batch: ReportBatch,
     grid: TimeGrid,
     segment_ids: Sequence[int],
-    method: str = "bincount",
 ) -> np.ndarray:
     """Count of usable reports per (slot, segment) cell (no speed filter)."""
-    if method not in AGGREGATION_METHODS:
-        raise ValueError(
-            f"method must be one of {AGGREGATION_METHODS}, got {method!r}"
-        )
     sorted_ids, sorter = _column_lookup(segment_ids)
     m, n = grid.num_slots, sorted_ids.size
     counts = np.zeros((m, n), dtype=np.int64)
     if not len(batch):
-        return counts
-    if method == "scalar":
-        col_of = {int(sid): j for j, sid in enumerate(segment_ids)}
-        # Reference counting loop, one report at a time.
-        # repro-lint: disable-next-line=ingestion-loop
-        for r in batch:
-            if r.segment_id < 0:
-                continue
-            slot = grid.slot_of(r.time_s)
-            j = col_of.get(int(r.segment_id))
-            if slot is None or j is None:
-                continue
-            counts[slot, j] += 1
         return counts
     times = batch.times_s
     segs = batch.segment_ids

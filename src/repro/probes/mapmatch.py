@@ -43,8 +43,6 @@ from repro.roadnet.segment import RoadSegment
 from repro.probes.report import ReportBatch
 from repro.utils.validation import check_positive
 
-MATCH_METHODS = ("vectorized", "scalar")
-
 #: Bound on the (fix, candidate) pairs scored at once by the vectorized
 #: matcher, keeping its temporaries small however large the batch.
 _CHUNK_PAIRS = 1 << 16
@@ -377,20 +375,8 @@ class MapMatcher:
             obs_metrics.inc("mapmatch.matched", int(np.count_nonzero(out >= 0)))
         return out
 
-    def match_batch(self, batch: ReportBatch, method: str = "vectorized") -> ReportBatch:
+    def match_batch(self, batch: ReportBatch) -> ReportBatch:
         """Match every report's (x, y) [+ heading]; unmatched keep ``-1``."""
-        if method not in MATCH_METHODS:
-            raise ValueError(
-                f"method must be one of {MATCH_METHODS}, got {method!r}"
-            )
-        if method == "scalar":
-            # Reference path, one cell lookup per report.
-            # repro-lint: disable-next-line=ingestion-loop
-            matched: List[int] = [
-                self.match_point(Point(r.x, r.y), heading=r.heading_deg)
-                for r in batch
-            ]
-            return batch.with_matched_segments(matched)
         ids = self.match_arrays(batch.xs, batch.ys, batch.headings_deg)
         return batch.with_matched_segments(ids)
 

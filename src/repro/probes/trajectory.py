@@ -11,8 +11,7 @@ GPS artifacts.
 Trajectory *boundary detection* runs columnar: one ``np.lexsort`` orders
 the whole batch by (vehicle, time) and one vectorized comparison finds
 every run break, so splitting a million-report stream costs two array
-passes instead of a Python loop per report.  The original per-report
-walk survives as ``method="scalar"``, the tested reference.
+passes instead of a Python loop per report.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ import numpy as np
 
 from repro.probes.report import ProbeReport, ReportBatch
 from repro.utils.validation import check_positive
-
-SPLIT_METHODS = ("vectorized", "scalar")
 
 
 @dataclass(frozen=True)
@@ -128,47 +125,22 @@ def _run_boundaries(
     return order, starts, ends
 
 
-def split_trajectories(
-    batch: ReportBatch, max_gap_s: float = 600.0, method: str = "vectorized"
-) -> List[Trajectory]:
+def split_trajectories(batch: ReportBatch, max_gap_s: float = 600.0) -> List[Trajectory]:
     """Segment a report batch into per-vehicle trajectories.
 
     A gap longer than ``max_gap_s`` between consecutive reports of the
     same vehicle starts a new trajectory (the vehicle was off duty or
     out of coverage).  Trajectories are ordered by (vehicle id, start
-    time) under both methods.
+    time).
     """
     check_positive(max_gap_s, "max_gap_s")
-    if method not in SPLIT_METHODS:
-        raise ValueError(f"method must be one of {SPLIT_METHODS}, got {method!r}")
-    if method == "vectorized":
-        order, starts, ends = _run_boundaries(batch, max_gap_s)
-        reports = list(batch)
-        vehicles = batch.vehicle_ids
-        return [
-            Trajectory(
-                int(vehicles[order[s]]), [reports[i] for i in order[s:e]]
-            )
-            for s, e in zip(starts, ends)
-        ]
-
-    by_vehicle: Dict[int, List[ProbeReport]] = {}
-    # Reference per-report walk (batch iterates in time order).
-    # repro-lint: disable-next-line=ingestion-loop
-    for report in batch:
-        by_vehicle.setdefault(report.vehicle_id, []).append(report)
-
-    trajectories: List[Trajectory] = []
-    for vid in sorted(by_vehicle):
-        run: List[ProbeReport] = []
-        for report in by_vehicle[vid]:
-            if run and report.time_s - run[-1].time_s > max_gap_s:
-                trajectories.append(Trajectory(vid, run))
-                run = []
-            run.append(report)
-        if run:
-            trajectories.append(Trajectory(vid, run))
-    return trajectories
+    order, starts, ends = _run_boundaries(batch, max_gap_s)
+    reports = list(batch)
+    vehicles = batch.vehicle_ids
+    return [
+        Trajectory(int(vehicles[order[s]]), [reports[i] for i in order[s:e]])
+        for s, e in zip(starts, ends)
+    ]
 
 
 @dataclass(frozen=True)
@@ -197,18 +169,12 @@ def fleet_quality(
     batch: ReportBatch,
     max_gap_s: float = 600.0,
     max_speed_kmh: float = 150.0,
-    method: str = "vectorized",
 ) -> FleetQuality:
     """Screen a report stream for volume and GPS-quality statistics.
 
-    The vectorized path never materializes per-report tuples: runs,
-    inter-report intervals, and implied hop speeds all come from the
-    batch's column arrays.
+    No per-report tuple is materialized: runs, inter-report intervals,
+    and implied hop speeds all come from the batch's column arrays.
     """
-    if method not in SPLIT_METHODS:
-        raise ValueError(f"method must be one of {SPLIT_METHODS}, got {method!r}")
-    if method == "scalar":
-        return _fleet_quality_scalar(batch, max_gap_s, max_speed_kmh)
     order, starts, _ = _run_boundaries(batch, max_gap_s)
     if order.size == 0:
         return FleetQuality(0, 0, 0, 0.0, 0.0)
@@ -234,25 +200,3 @@ def fleet_quality(
         glitch_fraction=glitches / hops if hops else 0.0,
     )
 
-
-def _fleet_quality_scalar(
-    batch: ReportBatch, max_gap_s: float, max_speed_kmh: float
-) -> FleetQuality:
-    """Reference implementation over materialized trajectories."""
-    trajectories = split_trajectories(batch, max_gap_s=max_gap_s, method="scalar")
-    intervals: List[float] = []
-    hops = 0
-    glitches = 0
-    for traj in trajectories:
-        times = np.array([r.time_s for r in traj.reports])
-        intervals.extend(np.diff(times))
-        implied = traj.implied_speeds_kmh()
-        hops += implied.size
-        glitches += int(np.sum(implied > max_speed_kmh))
-    return FleetQuality(
-        num_vehicles=batch.num_vehicles,
-        num_reports=len(batch),
-        num_trajectories=len(trajectories),
-        median_interval_s=float(np.median(intervals)) if intervals else 0.0,
-        glitch_fraction=glitches / hops if hops else 0.0,
-    )

@@ -18,7 +18,9 @@ batch with vectorized searchsorted/bincount passes — the path the
 million-report benchmark drives.  Reports whose speed is not finite are
 dropped before bucketing (one ``inf`` would otherwise poison its shard's
 window for ``window_slots`` slots) and counted as
-``stream.rejected_nonfinite``.
+``stream.rejected_nonfinite``.  Reports for an already-closed slot are
+dropped on every ingest path and counted once, as
+``stream.rejected_late``, whatever their speed.
 
 Each shard's re-completion stops at convergence, capped by the sweep
 budgets, and runs at the full rank once its window is long enough (see
@@ -146,7 +148,8 @@ class ShardedStreamingEstimator:
         """Feed one report; returns estimates for any slots that closed."""
         slot = int((report.time_s - self.start_s) // self.slot_s)
         if slot < self._current_slot:
-            return []  # late report for a closed slot
+            obs_metrics.inc("stream.rejected_late")
+            return []
         closed: List[SlotEstimate] = []
         while slot > self._current_slot:
             closed.append(self._close_slot())
@@ -173,22 +176,27 @@ class ShardedStreamingEstimator:
         searchsorted column lookup, one slot assignment, then a bincount
         accumulation per distinct slot in the batch.  Slots close in
         order as the stream advances past them, exactly as with
-        report-at-a-time :meth:`ingest`.  Non-finite speeds are dropped
-        and counted (``stream.rejected_nonfinite``).
+        report-at-a-time :meth:`ingest`.  Late reports and non-finite
+        speeds are dropped and counted (``stream.rejected_late``, then
+        ``stream.rejected_nonfinite`` for the rest).
         """
         if not len(batch):
             return []
         times = batch.times_s
         speeds = batch.speeds_kmh
         segs = batch.segment_ids
-        # ReportBatch guarantees time order, so slots are non-decreasing.
+        # ReportBatch guarantees time order, so slots are non-decreasing
+        # and the late reports are a prefix.
         slots = ((times - self.start_s) // self.slot_s).astype(np.int64)
-        finite = np.isfinite(speeds)
-        rejected = finite.size - int(np.count_nonzero(finite))
-        if rejected:
-            obs_metrics.inc("stream.rejected_nonfinite", rejected)
-        keep = finite & (segs >= 0) & (speeds >= self.min_speed_kmh)
-        keep &= slots >= self._current_slot
+        late = int(np.searchsorted(slots, self._current_slot))
+        keep = np.isfinite(speeds)
+        keep[:late] = False
+        nonfinite = keep.size - late - int(np.count_nonzero(keep))
+        if late:
+            obs_metrics.inc("stream.rejected_late", late)
+        if nonfinite:
+            obs_metrics.inc("stream.rejected_nonfinite", nonfinite)
+        keep &= (segs >= 0) & (speeds >= self.min_speed_kmh)
         cols, known = _columns_of(segs, self._sorted_ids, self._sorter)
         keep &= known
 

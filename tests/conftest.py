@@ -17,6 +17,10 @@ from repro.roadnet.generators import grid_city
 from repro.traffic.dynamics import TrafficDynamicsConfig
 from repro.traffic.groundtruth import GroundTruthTraffic
 
+#: A fast path must match its oracle at least this tightly (max abs
+#: difference over every cell of the final output).
+EQUIVALENCE_TOL = 1e-8
+
 
 @pytest.fixture(scope="session")
 def small_network():

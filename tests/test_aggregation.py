@@ -10,6 +10,7 @@ from repro.probes.aggregation import (
     reports_per_cell,
 )
 from repro.probes.report import ProbeReport, ReportBatch
+from tests.probe_oracles import aggregate_reference, reports_per_cell_reference
 
 
 def grid3():
@@ -152,8 +153,8 @@ class TestMethodEquivalence:
         batch = self._random_batch(500, seed)
         grid = grid3()
         ids = [0, 1, 2]
-        fast = aggregate_reports(batch, grid, ids, method="bincount")
-        slow = aggregate_reports(batch, grid, ids, method="scalar")
+        fast = aggregate_reports(batch, grid, ids)
+        slow = aggregate_reference(batch, grid, ids)
         np.testing.assert_array_equal(fast.mask, slow.mask)
         np.testing.assert_allclose(
             fast.values[fast.mask], slow.values[slow.mask], atol=1e-12
@@ -164,8 +165,8 @@ class TestMethodEquivalence:
         grid = grid3()
         ids = [0, 1, 2]
         config = AggregationConfig(min_speed_kmh=20.0, max_speed_kmh=90.0)
-        fast = aggregate_reports(batch, grid, ids, config, method="bincount")
-        slow = aggregate_reports(batch, grid, ids, config, method="scalar")
+        fast = aggregate_reports(batch, grid, ids, config)
+        slow = aggregate_reference(batch, grid, ids, config)
         np.testing.assert_array_equal(fast.mask, slow.mask)
         np.testing.assert_allclose(
             fast.values[fast.mask], slow.values[slow.mask], atol=1e-12
@@ -173,18 +174,18 @@ class TestMethodEquivalence:
 
     def test_empty_cells_stay_empty_in_both(self):
         # Only segment 1 / slot 0 is visited; every other cell must be
-        # missing under both methods.
+        # missing under both implementations.
         batch = ReportBatch([report(10.0, 1, 40.0)])
         grid = grid3()
-        for method in ("bincount", "scalar"):
-            tcm = aggregate_reports(batch, grid, [0, 1, 2], method=method)
+        for aggregate in (aggregate_reports, aggregate_reference):
+            tcm = aggregate(batch, grid, [0, 1, 2])
             assert tcm.mask[0, 1]
             assert tcm.mask.sum() == 1
 
     def test_empty_batch_equivalent(self):
         grid = grid3()
-        for method in ("bincount", "scalar"):
-            tcm = aggregate_reports(ReportBatch([]), grid, [0, 1], method=method)
+        for aggregate in (aggregate_reports, aggregate_reference):
+            tcm = aggregate(ReportBatch([]), grid, [0, 1])
             assert not tcm.mask.any()
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -192,10 +193,6 @@ class TestMethodEquivalence:
         batch = self._random_batch(400, seed)
         grid = grid3()
         ids = [0, 1, 2]
-        fast = reports_per_cell(batch, grid, ids, method="bincount")
-        slow = reports_per_cell(batch, grid, ids, method="scalar")
+        fast = reports_per_cell(batch, grid, ids)
+        slow = reports_per_cell_reference(batch, grid, ids)
         np.testing.assert_array_equal(fast, slow)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            aggregate_reports(ReportBatch([]), grid3(), [0], method="nope")

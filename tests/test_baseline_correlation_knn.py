@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.correlation_knn import CorrelationKNN
 from repro.datasets.masks import random_integrity_mask
 from repro.metrics.errors import nmae
+from tests.baseline_oracles import LoopCorrelationKNN
 
 
 class TestValidation:
@@ -86,9 +87,7 @@ class TestMethodEquivalence:
         mask = random_integrity_mask(truth_tcm.shape, integrity, seed=2)
         measured = np.where(mask, truth_tcm.values, 0.0)
         fast = CorrelationKNN(k=4, axis=axis).complete(measured, mask)
-        slow = CorrelationKNN(k=4, axis=axis, method="scalar").complete(
-            measured, mask
-        )
+        slow = LoopCorrelationKNN(k=4, axis=axis).complete(measured, mask)
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
     def test_sparse_input_matches_scalar(self):
@@ -99,9 +98,5 @@ class TestMethodEquivalence:
         mask = rng.random((12, 9)) < 0.15
         measured = np.where(mask, values, 0.0)
         fast = CorrelationKNN(k=4).complete(measured, mask)
-        slow = CorrelationKNN(k=4, method="scalar").complete(measured, mask)
+        slow = LoopCorrelationKNN(k=4).complete(measured, mask)
         np.testing.assert_allclose(fast, slow, atol=1e-10)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            CorrelationKNN(method="nope")

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.baselines.mssa import MSSA, _block_hankel, _diagonal_average
+from repro.baselines.mssa import MSSA, _block_hankel, _diagonal_average_stacked
 from repro.datasets.masks import random_integrity_mask
 from repro.metrics.errors import nmae
+from tests.baseline_oracles import LoopMSSA, diagonal_average
 
 
 class TestHankel:
@@ -28,15 +29,15 @@ class TestDiagonalAverage:
     def test_inverts_hankel(self):
         series = np.random.default_rng(0).normal(size=10)
         h = _block_hankel(series[:, None], window=4)
-        back = _diagonal_average(h, 10)
-        assert np.allclose(back, series)
+        for back in (_diagonal_average_stacked(h, 4, 10)[:, 0], diagonal_average(h, 10)):
+            assert np.allclose(back, series)
 
     def test_averages_conflicts(self):
         block = np.array([[1.0, 3.0], [1.0, 5.0]])
-        out = _diagonal_average(block, 3)
-        assert out[0] == 1.0
-        assert out[1] == 2.0  # mean of 3 and 1
-        assert out[2] == 5.0
+        for out in (_diagonal_average_stacked(block, 2, 3)[:, 0], diagonal_average(block, 3)):
+            assert out[0] == 1.0
+            assert out[1] == 2.0  # mean of 3 and 1
+            assert out[2] == 5.0
 
 
 class TestValidation:
@@ -117,11 +118,5 @@ class TestMethodEquivalence:
         mask = random_integrity_mask(truth_tcm.shape, 0.4, seed=3)
         measured = np.where(mask, truth_tcm.values, 0.0)
         fast = MSSA(solver=solver, max_iterations=3).complete(measured, mask)
-        slow = MSSA(solver=solver, max_iterations=3, method="scalar").complete(
-            measured, mask
-        )
+        slow = LoopMSSA(solver=solver, max_iterations=3).complete(measured, mask)
         np.testing.assert_allclose(fast, slow, atol=1e-10)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            MSSA(method="nope")

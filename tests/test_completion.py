@@ -12,9 +12,9 @@ from repro.core.completion import (
 )
 from repro.core.tcm import TrafficConditionMatrix
 from repro.datasets.masks import random_integrity_mask
-from repro.experiments.perf_bench import EQUIVALENCE_TOL, _make_truth, default_cases
+from repro.experiments.perf_bench import _make_truth, default_cases
 from repro.metrics.errors import nmae
-from tests.conftest import make_low_rank
+from tests.conftest import EQUIVALENCE_TOL, make_low_rank
 from tests.solver_oracles import als_reference, eq16, ridge_by_column
 
 

@@ -13,7 +13,12 @@ from repro.probes.mapmatch import GridIndex, MapMatcher
 from repro.probes.report import ProbeReport, ReportBatch
 from repro.roadnet.geometry import Point, heading_deg, point_segment_distance
 from repro.roadnet.network import RoadNetwork
+from repro.core.tcm import TimeGrid
+from repro.probes.aggregation import aggregate_reports
+from repro.roadnet.generators import grid_city
 from repro.roadnet.segment import Intersection, RoadSegment
+from tests.conftest import EQUIVALENCE_TOL
+from tests.probe_oracles import aggregate_reference, match_batch_reference
 
 
 class TestGridIndex:
@@ -193,15 +198,15 @@ class TestVectorizedScalarEquivalence:
     def test_matches_scalar_on_random_reports(self, small_network, seed):
         matcher = MapMatcher(small_network, max_distance_m=60.0)
         batch = self._random_batch(small_network, 400, seed)
-        fast = matcher.match_batch(batch, method="vectorized")
-        slow = matcher.match_batch(batch, method="scalar")
+        fast = matcher.match_batch(batch)
+        slow = match_batch_reference(matcher, batch)
         np.testing.assert_array_equal(fast.segment_ids, slow.segment_ids)
 
     def test_matches_scalar_without_headings(self, small_network):
         matcher = MapMatcher(small_network)
         batch = self._random_batch(small_network, 300, 3, with_headings=False)
-        fast = matcher.match_batch(batch, method="vectorized")
-        slow = matcher.match_batch(batch, method="scalar")
+        fast = matcher.match_batch(batch)
+        slow = match_batch_reference(matcher, batch)
         np.testing.assert_array_equal(fast.segment_ids, slow.segment_ids)
 
     def test_equidistant_tie_breaks_identically(self, small_network):
@@ -222,8 +227,8 @@ class TestVectorizedScalarEquivalence:
                 )
             ]
         )
-        fast = matcher.match_batch(batch, method="vectorized")
-        slow = matcher.match_batch(batch, method="scalar")
+        fast = matcher.match_batch(batch)
+        slow = match_batch_reference(matcher, batch)
         np.testing.assert_array_equal(fast.segment_ids, slow.segment_ids)
         oracle = brute_force_match(matcher, node.x + 10.0, node.y + 10.0, None)
         assert fast.segment_ids.tolist() == [oracle]
@@ -243,14 +248,37 @@ class TestVectorizedScalarEquivalence:
                 )
             ]
         )
-        for method in ("vectorized", "scalar"):
-            out = matcher.match_batch(batch, method=method)
+        for out in (matcher.match_batch(batch), match_batch_reference(matcher, batch)):
             assert out.segment_ids.tolist() == [-1]
 
-    def test_unknown_method_rejected(self, small_network):
-        matcher = MapMatcher(small_network)
-        with pytest.raises(ValueError, match="method"):
-            matcher.match_batch(ReportBatch([]), method="nope")
+    def test_probe_day_pipeline_matches_reference(self):
+        # A day of uniform fixes over a padded 8x8 grid city, half with a
+        # heading: matching and aggregation both equal their references.
+        rng = np.random.default_rng(0)
+        n = 2_000
+        network = grid_city(8, 8, block_m=250.0, seed=0)
+        x0, y0, x1, y1 = network.bounding_box()
+        headings = rng.uniform(0.0, 360.0, n)
+        headings[rng.random(n) < 0.5] = np.nan
+        batch = ReportBatch.from_columns(
+            rng.integers(0, n // 40, n),
+            rng.uniform(0.0, 86_400.0, n),
+            rng.uniform(x0 - 120.0, x1 + 120.0, n),
+            rng.uniform(y0 - 120.0, y1 + 120.0, n),
+            rng.uniform(0.0, 70.0, n),
+            headings_deg=headings,
+        )
+        matcher = MapMatcher(network)
+        matched = matcher.match_batch(batch)
+        np.testing.assert_array_equal(
+            matched.segment_ids, match_batch_reference(matcher, batch).segment_ids
+        )
+        assert 0.0 < np.mean(matched.segment_ids >= 0) <= 1.0
+        grid = TimeGrid.over_days(1.0, 900.0)
+        fast = aggregate_reports(matched, grid, network.segment_ids)
+        slow = aggregate_reference(matched, grid, network.segment_ids)
+        np.testing.assert_array_equal(fast.mask, slow.mask)
+        assert np.abs(fast.values - slow.values).max() <= EQUIVALENCE_TOL
 
 
 def brute_force_match(matcher, x, y, heading):

@@ -5,7 +5,10 @@ import pytest
 
 from repro.core.completion import CompressiveSensingCompleter
 from repro.core.tcm import TimeGrid, TrafficConditionMatrix
-from repro.roadnet.generators import grid_city
+from repro.datasets.masks import random_integrity_mask
+from repro.experiments.perf_bench import _make_truth
+from repro.metrics.errors import nmae
+from repro.roadnet.generators import grid_city, shanghai_downtown_like
 from repro.scale import (
     GridPartitioner,
     ShardedCompleter,
@@ -13,6 +16,7 @@ from repro.scale import (
     SinglePartitioner,
     contiguous_shards,
 )
+from repro.utils.rng import ensure_rng
 
 RANK, LAM, ITERS = 2, 10.0, 12
 
@@ -131,6 +135,39 @@ class TestMultilevelRegime:
             result.estimate[missing] - mono[missing]
         ).sum() / np.abs(mono[missing]).sum()
         assert nmae_delta < 0.25
+
+    def test_downtown_accuracy_matches_monolithic(self):
+        """Sharded and monolithic NMAE on the unobserved cells of a
+        downtown-scale day (96 x 221 at 20% integrity, 4 tiles with a
+        1-hop halo) differ by at most 1e-2."""
+        network = shanghai_downtown_like()
+        rng = ensure_rng(0)
+        truth = _make_truth(96, network.num_segments, rng)
+        mask = random_integrity_mask(truth.shape, 0.2, seed=rng)
+        measured = np.where(mask, truth, 0.0)
+        tcm = TrafficConditionMatrix(
+            measured,
+            mask,
+            grid=TimeGrid(0.0, 900.0, 96),
+            segment_ids=network.segment_ids,
+        )
+        common = dict(
+            rank=2,
+            lam=10.0,
+            iterations=20,
+            center=True,
+            clip_min=0.0,
+            clip_max=150.0,
+            seed=0,
+        )
+        mono = CompressiveSensingCompleter(**common).complete(measured, mask)
+        sharded = ShardedCompleter(
+            seed_iterations=5, warm_iterations=8, **common
+        ).complete(tcm, GridPartitioner(4, halo=1).partition(network))
+        assert sharded.mode == "multilevel"
+        mono_nmae = nmae(truth, mono.estimate, ~mask)
+        sharded_nmae = nmae(truth, sharded.estimate, ~mask)
+        assert abs(sharded_nmae - mono_nmae) <= 1e-2
 
     def test_geometry_free_contiguous_shards(self, measured):
         shards = contiguous_shards(measured.segment_ids, 3)

@@ -211,6 +211,55 @@ class TestNonFiniteSpeeds:
         assert counters["stream.rejected_nonfinite"] == 1.0
 
 
+class TestLateReports:
+    """A report for an already-closed slot is dropped and counted once."""
+
+    def _publish(self, network, path, late=None):
+        reports = _reports(network, slots=12, per_slot=30)
+        # The first slot-4 report closes slot 3.
+        i = next(k for k, r in enumerate(reports) if r.time_s >= 4 * 600.0)
+        parts = [reports[: i + 1], [late] if late else [], reports[i + 1 :]]
+        if path == "monolithic":
+            est = streaming.StreamingEstimator(
+                network.segment_ids,
+                slot_s=600.0,
+                window_slots=8,
+                warm_iterations=3,
+                cold_iterations=6,
+                seed=0,
+            )
+        else:
+            est = _make_estimator(network, window_slots=8)
+        for part in filter(None, parts):
+            if path == "batch":
+                est.ingest_batch(ReportBatch(part))
+            else:
+                for r in part:
+                    est.ingest(r)
+        est.flush()
+        return np.vstack([e.speeds_kmh for e in est.estimates])
+
+    @pytest.mark.parametrize("speed", [40.0, float("inf")])
+    @pytest.mark.parametrize("path", ["batch", "scalar", "monolithic"])
+    def test_dropped_and_counted(self, network, obs_on, path, speed):
+        clean = self._publish(network, path)
+        assert "stream.rejected_late" not in obs_on.snapshot()["counters"]
+        late = ProbeReport(
+            vehicle_id=99,
+            time_s=600.0 + 300.0,
+            x=0.0,
+            y=0.0,
+            speed_kmh=speed,
+            segment_id=int(network.segment_ids[0]),
+        )
+        published = self._publish(network, path, late)
+        assert np.array_equal(published, clean)
+        counters = obs_on.snapshot()["counters"]
+        assert counters["stream.rejected_late"] == 1.0
+        # Late and non-finite counts once, as late.
+        assert "stream.rejected_nonfinite" not in counters
+
+
 class TestAdaptiveSweeps:
     """Re-completions stop at convergence instead of a fixed count."""
 

@@ -10,6 +10,7 @@ from repro.probes.trajectory import (
     fleet_quality,
     split_trajectories,
 )
+from tests.probe_oracles import fleet_quality_reference, split_reference
 
 
 def report(vid, t, x=0.0, y=0.0, speed=30.0, seg=0):
@@ -153,8 +154,8 @@ class TestMethodEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_split_matches_scalar(self, seed):
         batch = self._random_batch(300, seed)
-        fast = split_trajectories(batch, max_gap_s=600.0, method="vectorized")
-        slow = split_trajectories(batch, max_gap_s=600.0, method="scalar")
+        fast = split_trajectories(batch, max_gap_s=600.0)
+        slow = split_reference(batch, max_gap_s=600.0)
         assert len(fast) == len(slow)
         for a, b in zip(fast, slow):
             assert a.vehicle_id == b.vehicle_id
@@ -163,8 +164,8 @@ class TestMethodEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fleet_quality_matches_scalar(self, seed):
         batch = self._random_batch(300, seed)
-        fast = fleet_quality(batch, method="vectorized")
-        slow = fleet_quality(batch, method="scalar")
+        fast = fleet_quality(batch)
+        slow = fleet_quality_reference(batch)
         assert fast.num_vehicles == slow.num_vehicles
         assert fast.num_reports == slow.num_reports
         assert fast.num_trajectories == slow.num_trajectories
@@ -172,13 +173,9 @@ class TestMethodEquivalence:
         assert fast.glitch_fraction == pytest.approx(slow.glitch_fraction)
 
     def test_empty_batch_equivalent(self):
-        for method in ("vectorized", "scalar"):
-            assert split_trajectories(ReportBatch([]), method=method) == []
-            quality = fleet_quality(ReportBatch([]), method=method)
-            assert quality.num_reports == 0
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            split_trajectories(ReportBatch([]), method="nope")
-        with pytest.raises(ValueError, match="method"):
-            fleet_quality(ReportBatch([]), method="nope")
+        for split, quality_of in (
+            (split_trajectories, fleet_quality),
+            (split_reference, fleet_quality_reference),
+        ):
+            assert split(ReportBatch([])) == []
+            assert quality_of(ReportBatch([])).num_reports == 0
