@@ -13,7 +13,6 @@ import numpy as np
 from benchmarks.conftest import FULL_DAYS
 from repro.baselines import HistoricalMean, LinearInterpolation
 from repro.core.completion import CompressiveSensingCompleter
-from repro.core.streaming import StreamingEstimator
 from repro.core.tuning import GeneticTuner
 from repro.datasets.masks import random_integrity_mask
 from repro.experiments.config import make_completer
@@ -21,6 +20,8 @@ from repro.experiments.error_vs_integrity import build_city_truth
 from repro.experiments.param_sensitivity import run_algorithm2
 from repro.metrics.errors import estimate_error
 from repro.probes.report import ProbeReport
+from repro.roadnet.generators import grid_city
+from repro.scale import ShardedStreamingEstimator
 
 
 def _masked_truth(days=FULL_DAYS, integrity=0.2, slot_s=1800.0, seed=0):
@@ -79,7 +80,7 @@ def test_ablation_structure_vs_smoothing(once):
 def test_extension_streaming_throughput(once):
     """Online sliding-window estimation over a synthetic report stream."""
     rng = np.random.default_rng(0)
-    segment_ids = list(range(60))
+    network = grid_city(5, 5)  # segment ids 0-79; the reports use 0-59
     reports = []
     for slot in range(96):
         for _ in range(40):
@@ -96,8 +97,8 @@ def test_extension_streaming_throughput(once):
     reports.sort(key=lambda r: r.time_s)
 
     def run():
-        streamer = StreamingEstimator(
-            segment_ids, slot_s=900.0, window_slots=24, seed=0
+        streamer = ShardedStreamingEstimator(
+            network, partitioner="single", slot_s=900.0, window_slots=24, seed=0
         )
         streamer.ingest_many(reports)
         streamer.flush()

@@ -3,19 +3,24 @@
 
 The paper's first future-work item: extend the offline algorithm "to
 support processing of online streaming probe data".  This example feeds
-a simulated day of probe reports to the :class:`StreamingEstimator`
-one report at a time, as a monitoring center would receive them, and
-prints the live city-wide estimate published as each slot closes.
+a simulated day of probe reports to the whole-network stream — a
+:class:`repro.scale.ShardedStreamingEstimator` with
+``partitioner="single"`` — one report at a time, as a monitoring center
+would receive them, and prints the live city-wide estimate published as
+each slot closes.  Reports that do not count (idle, off-network, NaN/inf
+or above 150 km/h, or late for a closed slot) are dropped; published
+speeds stay within [0, 150] km/h.
 
 Run:  python examples/streaming_estimation.py
 """
 
 import numpy as np
 
-from repro.core import StreamingEstimator, TimeGrid
+from repro.core import TimeGrid
 from repro.metrics import nmae
 from repro.mobility import FleetConfig, FleetSimulator
 from repro.roadnet import grid_city
+from repro.scale import ShardedStreamingEstimator
 from repro.traffic import GroundTruthTraffic
 
 
@@ -30,8 +35,9 @@ def main() -> None:
     ).run()
     print(f"  {len(reports)} reports\n")
 
-    streamer = StreamingEstimator(
-        segment_ids=network.segment_ids,
+    streamer = ShardedStreamingEstimator(
+        network,
+        partitioner="single",
         slot_s=grid.slot_s,
         window_slots=24,  # six-hour sliding window
         rank=2,

@@ -31,7 +31,6 @@ or explicitly::
 from repro.core import (
     CompressiveSensingCompleter,
     GeneticTuner,
-    StreamingEstimator,
     TimeGrid,
     TrafficConditionMatrix,
     TrafficEstimator,
@@ -43,7 +42,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CompressiveSensingCompleter",
     "GeneticTuner",
-    "StreamingEstimator",
     "TimeGrid",
     "TrafficConditionMatrix",
     "TrafficEstimator",

@@ -299,6 +299,7 @@ def check_sharded(
     """
     from repro.core.completion import CompressiveSensingCompleter
     from repro.core.tcm import TimeGrid, TrafficConditionMatrix
+    from repro.probes.aggregation import MAX_SPEED_KMH
     from repro.roadnet.generators import grid_city
     from repro.scale import (
         GridPartitioner,
@@ -333,7 +334,7 @@ def check_sharded(
             seed_iterations=0,
             center=True,
             clip_min=0.0,
-            clip_max=150.0,
+            clip_max=MAX_SPEED_KMH,
             seed=seed,
         )
 
@@ -343,7 +344,7 @@ def check_sharded(
         iterations=iterations,
         center=True,
         clip_min=0.0,
-        clip_max=150.0,
+        clip_max=MAX_SPEED_KMH,
         seed=seed,
     )
     mono_est = mono.complete(tcm.values, tcm.mask).estimate
@@ -380,7 +381,7 @@ def check_sharded(
             warm_iterations=4,
             center=True,
             clip_min=0.0,
-            clip_max=150.0,
+            clip_max=MAX_SPEED_KMH,
             max_workers=pool,
             seed=seed,
         )

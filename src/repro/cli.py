@@ -134,6 +134,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _estimate_sharded(args: argparse.Namespace, measured) -> int:
     """``repro estimate --shards N``: the metropolitan sharded path."""
     from repro.datasets.loaders import save_tcm
+    from repro.probes.aggregation import MAX_SPEED_KMH
     from repro.scale import ShardedEstimator, contiguous_shards
     from repro.scale.sharded import ShardedCompleter
 
@@ -178,7 +179,7 @@ def _estimate_sharded(args: argparse.Namespace, measured) -> int:
             lam=args.lam,
             iterations=args.iterations,
             clip_min=0.0,
-            clip_max=150.0,
+            clip_max=MAX_SPEED_KMH,
             center=True,
             dtype=args.dtype,
             max_workers=args.max_workers,

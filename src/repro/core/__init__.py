@@ -11,8 +11,9 @@
 * :mod:`repro.core.tuning` — Algorithm 2, the genetic hyper-parameter
   search for (rank bound r, tradeoff coefficient lambda).
 * :mod:`repro.core.estimator` — high-level facade tying it together.
-* :mod:`repro.core.streaming` — online/sliding-window extension (the
-  paper's first future-work item).
+* :mod:`repro.core.streaming` — the sliding-window state behind the
+  online extension (the paper's first future-work item), driven by
+  :class:`repro.scale.streaming.ShardedStreamingEstimator`.
 * :mod:`repro.core.matrix_selection` — TCM construction from segment
   neighbourhoods (Section 4.5 / second future-work item).
 """
@@ -39,7 +40,6 @@ from repro.core.completion import (
 )
 from repro.core.tuning import FitnessCacheStats, GeneticTuner, TuningResult
 from repro.core.estimator import TrafficEstimator
-from repro.core.streaming import StreamingEstimator
 from repro.core.matrix_selection import (
     SegmentSetBuilder,
     build_paper_sets,
@@ -77,7 +77,6 @@ __all__ = [
     "GeneticTuner",
     "TuningResult",
     "TrafficEstimator",
-    "StreamingEstimator",
     "SegmentSetBuilder",
     "build_paper_sets",
     "AnomalyEvent",

@@ -9,9 +9,7 @@ examples and experiment harness build on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import Optional, Sequence
 
 from repro.core.completion import (
     PAPER_ITERATIONS,
@@ -67,10 +65,9 @@ class TrafficEstimator:
     tuner:
         Custom :class:`GeneticTuner` (implies ``auto_tune=True``).
     aggregation:
-        Report-to-matrix aggregation settings.
-    clip_speeds:
-        Clamp estimates into ``[0, max]`` km/h (estimated speeds are
-        physical quantities).
+        Report-to-matrix aggregation settings.  Estimates are clamped
+        into ``[0, aggregation.max_speed_kmh]`` km/h (estimated speeds
+        are physical quantities, capped like the reports they come from).
     center:
         Complete the matrix around the observed mean speed (on by
         default here: it makes the regularizer shrink toward the mean
@@ -95,8 +92,6 @@ class TrafficEstimator:
         auto_tune: bool = False,
         tuner: Optional[GeneticTuner] = None,
         aggregation: Optional[AggregationConfig] = None,
-        clip_speeds: bool = True,
-        max_speed_kmh: float = 150.0,
         center: bool = True,
         dtype: DTypeLike = None,
         max_workers: Optional[int] = None,
@@ -108,8 +103,6 @@ class TrafficEstimator:
         self.auto_tune = auto_tune or tuner is not None
         self._tuner = tuner
         self.aggregation = aggregation or AggregationConfig()
-        self.clip_speeds = clip_speeds
-        self.max_speed_kmh = max_speed_kmh
         self.center = center
         self.dtype = dtype
         self.max_workers = max_workers
@@ -161,8 +154,8 @@ class TrafficEstimator:
             lam=lam,
             iterations=self.iterations,
             dtype=self.dtype,
-            clip_min=0.0 if self.clip_speeds else None,
-            clip_max=self.max_speed_kmh if self.clip_speeds else None,
+            clip_min=0.0,
+            clip_max=self.aggregation.max_speed_kmh,
             center=self.center,
             max_workers=self.max_workers,
             seed=self._seed,

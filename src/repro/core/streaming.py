@@ -2,8 +2,7 @@
 
 The paper's Algorithm 1 is offline: it completes one fixed TCM.  The
 conclusion proposes extending it "to support processing of online
-streaming probe data".  :class:`StreamingEstimator` does so with a
-sliding window:
+streaming probe data".  The extension is a sliding window:
 
 * probe reports are ingested incrementally and bucketed into slots;
 * when a slot closes, the estimator re-runs completion over the most
@@ -18,15 +17,14 @@ The warm start is what makes streaming cheap: consecutive windows share
 all but one row, and ALS from a near-solution converges in a handful of
 sweeps instead of the cold-start 100.
 
-The window state itself lives in :class:`WindowCompleter` — one sliding
-window of measurements, its warm-start factor, and the (warm or cold)
-re-completion step — so the sharded metropolitan estimator
-(:mod:`repro.scale.streaming`) can keep one instance per spatial tile
-and re-complete only the tiles whose columns actually received reports.
-The window buffers are preallocated 2-D arrays and the per-column
-observation counts are maintained *incrementally* (add the new slot's
-mask, subtract the slot that slid out) instead of being re-derived from
-a freshly stacked indicator matrix at every slot close.
+This module holds the window state, :class:`WindowCompleter` — one
+sliding window of measurements, its warm-start factor, and the (warm or
+cold) re-completion step.  The one streaming estimator,
+:class:`repro.scale.streaming.ShardedStreamingEstimator`, keeps one
+window per spatial tile (``partitioner="single"`` is the whole-network
+stream).  The window buffers are preallocated 2-D arrays and the
+per-column observation counts are maintained *incrementally* (add the
+new slot's mask, subtract the slot that slid out).
 
 Every re-completion, warm or cold, stops once a sweep improves the
 Eq. 16 objective by less than :data:`STREAM_TOL` (relative, the
@@ -36,18 +34,14 @@ only cap the sweeps.  Reading the objective costs O((m + n) r) per sweep
 checking convergence is nearly free.  A warm factor narrower than
 ``min(rank, filled slots, columns)`` — e.g. the rank-1 factor of a cold
 solve on a one-row window — is discarded for a cold solve, so every
-window reaches the full rank once it has enough rows.  Speeds that are
-not finite are dropped at ingest and counted as
-``stream.rejected_nonfinite``; reports for an already-closed slot are
-dropped and counted as ``stream.rejected_late`` (a late report counts
-only as late, whatever its speed).
+window reaches the full rank once it has enough rows.  The completed
+row is clipped to ``[0, MAX_SPEED_KMH]``, the cap batch estimates use.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -58,13 +52,11 @@ from repro.core.completion import (
     PAPER_LAMBDA,
     PAPER_RANK,
 )
-from repro.core.tcm import TimeGrid, TrafficConditionMatrix
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.probes.report import ProbeReport
+from repro.probes.aggregation import MAX_SPEED_KMH
 from repro.utils.contracts import shapes
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.validation import check_positive
 
 #: Relative per-sweep objective improvement below which a stream
 #: re-completion stops (warm or cold; the sweep budgets only cap it).
@@ -98,10 +90,9 @@ class WindowCompleter:
     Holds the mutable state a streaming estimator needs per column set:
     the last ``window_slots`` measurement rows (preallocated buffers, no
     per-close stacking), the incremental per-column observation counts,
-    and the warm-start left factor carried between solves.  Both the
-    whole-network :class:`StreamingEstimator` and the per-shard state of
-    :class:`repro.scale.streaming.ShardedStreamingEstimator` are thin
-    drivers around instances of this class.
+    and the warm-start left factor carried between solves.
+    :class:`repro.scale.streaming.ShardedStreamingEstimator` keeps one
+    instance per shard.
 
     Parameters
     ----------
@@ -176,17 +167,6 @@ class WindowCompleter:
     def observation_counts(self) -> np.ndarray:
         """Per-column observed-slot counts over the current window."""
         return self._obs_counts.copy()
-
-    def window_arrays(self) -> tuple:
-        """Copies of the window's (values, mask) matrices."""
-        return (
-            self._values[: self._filled].copy(),
-            self._masks[: self._filled].copy(),
-        )
-
-    def last_estimate(self) -> np.ndarray:
-        """The most recently completed last-row estimate (km/h)."""
-        return self._last_estimate.copy()
 
     # ------------------------------------------------------------------
     def push(
@@ -282,159 +262,7 @@ class WindowCompleter:
             obs_metrics.observe("stream.sweeps", sweeps)
         self._warm_left = left
         # Only the newest row is published: form it alone, not L R^T.
-        return np.maximum(left[-1] @ right.T + offset, 0.0)
-
-
-class StreamingEstimator:
-    """Sliding-window online completion of streaming probe data.
-
-    Parameters
-    ----------
-    segment_ids:
-        The tracked road segments (column order of all outputs).
-    slot_s:
-        Slot length in seconds.
-    window_slots:
-        Rows of the sliding TCM window; larger windows expose more
-        temporal structure to the completion at higher per-update cost.
-    start_s:
-        Stream clock origin (start of slot 0).
-    rank, lam:
-        Algorithm 1 parameters.
-    warm_iterations, cold_iterations:
-        ALS sweeps for warm-started updates vs the first (cold) solve.
-    min_speed_kmh:
-        Idle-report filter threshold, as in batch aggregation.
-    dtype:
-        Working dtype, forwarded to :class:`CompressiveSensingCompleter`.
-    """
-
-    def __init__(
-        self,
-        segment_ids: Sequence[int],
-        slot_s: float,
-        window_slots: int = 96,
-        start_s: float = 0.0,
-        rank: int = PAPER_RANK,
-        lam: float = PAPER_LAMBDA,
-        warm_iterations: int = 8,
-        cold_iterations: int = 60,
-        min_speed_kmh: float = 2.0,
-        dtype: DTypeLike = None,
-        seed: SeedLike = None,
-    ) -> None:
-        check_positive(slot_s, "slot_s")
-        self.segment_ids = [int(s) for s in segment_ids]
-        if len(set(self.segment_ids)) != len(self.segment_ids):
-            raise ValueError("segment_ids must be unique")
-        self._col_of = {sid: j for j, sid in enumerate(self.segment_ids)}
-        self.slot_s = slot_s
-        self.window_slots = window_slots
-        self.start_s = start_s
-        self.rank = rank
-        self.lam = lam
-        self.warm_iterations = warm_iterations
-        self.cold_iterations = cold_iterations
-        self.min_speed_kmh = min_speed_kmh
-        self.dtype = dtype
-        self._window = WindowCompleter(
-            num_columns=len(self.segment_ids),
-            window_slots=window_slots,
-            rank=rank,
-            lam=lam,
-            warm_iterations=warm_iterations,
-            cold_iterations=cold_iterations,
-            dtype=dtype,
-            rng=ensure_rng(seed),
-        )
-
-    # mutable stream state ------------------------------------------------
-        n = len(self.segment_ids)
-        self._current_slot = 0
-        self._sums = np.zeros(n)
-        self._counts = np.zeros(n, dtype=np.int64)
-        self.estimates: List[SlotEstimate] = []
-
-    # ------------------------------------------------------------------
-    def ingest(self, report: ProbeReport) -> List[SlotEstimate]:
-        """Feed one report; returns estimates for any slots that closed.
-
-        Reports must arrive in (approximately) non-decreasing time order;
-        a report for an already-closed slot is dropped (late data) and
-        counted as ``stream.rejected_late``.
-        """
-        slot = int((report.time_s - self.start_s) // self.slot_s)
-        if slot < self._current_slot:
-            obs_metrics.inc("stream.rejected_late")
-            return []
-        closed: List[SlotEstimate] = []
-        while slot > self._current_slot:
-            closed.append(self._close_slot())
-        self._accumulate(report)
-        return closed
-
-    def ingest_many(self, reports: Sequence[ProbeReport]) -> List[SlotEstimate]:
-        """Feed a chronologically sorted batch of reports."""
-        closed: List[SlotEstimate] = []
-        for report in sorted(reports, key=lambda r: r.time_s):
-            closed.extend(self.ingest(report))
-        return closed
-
-    def flush(self) -> SlotEstimate:
-        """Force-close the in-progress slot (e.g. at stream end)."""
-        return self._close_slot()
-
-    # ------------------------------------------------------------------
-    def _accumulate(self, report: ProbeReport) -> None:
-        if not math.isfinite(report.speed_kmh):
-            obs_metrics.inc("stream.rejected_nonfinite")
-            return
-        if report.segment_id < 0 or report.speed_kmh < self.min_speed_kmh:
-            return
-        j = self._col_of.get(int(report.segment_id))
-        if j is None:
-            return
-        self._sums[j] += report.speed_kmh
-        self._counts[j] += 1
-
-    @obs_trace.traced("stream.close_slot")
-    def _close_slot(self) -> SlotEstimate:
-        """Finalize the current slot, slide the window, re-complete."""
-        n = len(self.segment_ids)
-        mask = self._counts > 0
-        values = np.zeros(n)
-        np.divide(self._sums, self._counts, out=values, where=mask)
-
-        estimate = self._window.push(values, mask, recomplete=True)
-        # Where we actually observed the slot, publish the measurement.
-        estimate_row = np.where(mask, values, estimate)
-        slot_start = self.start_s + self._current_slot * self.slot_s
-        result = SlotEstimate(
-            slot_start_s=slot_start,
-            speeds_kmh=estimate_row,
-            observed_fraction=float(mask.mean()),
-        )
-        self.estimates.append(result)
-
-        self._current_slot += 1
-        self._sums[:] = 0.0
-        self._counts[:] = 0
-        return result
-
-    def window_tcm(self) -> TrafficConditionMatrix:
-        """The current window's measurement TCM (for inspection)."""
-        if not self._window.filled:
-            raise ValueError("no closed slots yet")
-        values, masks = self._window.window_arrays()
-        first_slot = self._current_slot - values.shape[0]
-        grid = TimeGrid(
-            start_s=self.start_s + first_slot * self.slot_s,
-            slot_s=self.slot_s,
-            num_slots=values.shape[0],
-        )
-        return TrafficConditionMatrix(
-            values, masks, grid=grid, segment_ids=self.segment_ids
-        )
+        return np.clip(left[-1] @ right.T + offset, 0.0, MAX_SPEED_KMH)
 
 
 @shapes(None, "m n", "m n:bool", "m r")

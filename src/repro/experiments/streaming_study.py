@@ -10,6 +10,10 @@ to the offline algorithm, and what the warm start buys:
   re-completion, warm or cold, stops once it converges
   (:data:`repro.core.streaming.STREAM_TOL`), so the warm-start speedup
   measures time to converge, not a fixed sweep budget.
+
+The stream is the whole-network
+:class:`repro.scale.streaming.ShardedStreamingEstimator`
+(``partitioner="single"``).
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.streaming import StreamingEstimator
 from repro.core.tcm import TimeGrid
 from repro.experiments.config import make_completer
 from repro.experiments.reporting import format_table
@@ -28,6 +31,7 @@ from repro.metrics.errors import nmae
 from repro.mobility.fleet import FleetConfig, FleetSimulator
 from repro.probes.aggregation import aggregate_reports
 from repro.roadnet.generators import grid_city
+from repro.scale.streaming import ShardedStreamingEstimator
 from repro.traffic.groundtruth import GroundTruthTraffic
 from repro.utils.rng import spawn_rngs
 
@@ -102,10 +106,11 @@ TIMING_REPEATS = 3
 
 
 def _run_stream(
-    reports, segment_ids, config: StreamingStudyConfig, warm: bool
+    reports, network, config: StreamingStudyConfig, warm: bool
 ) -> List:
-    streamer = StreamingEstimator(
-        segment_ids=segment_ids,
+    streamer = ShardedStreamingEstimator(
+        network,
+        partitioner="single",
         slot_s=config.slot_s,
         window_slots=config.window_slots,
         warm_iterations=config.warm_iterations if warm else 60,
@@ -116,8 +121,9 @@ def _run_stream(
     if not warm:
         # Disable warm starting; every solve then converges from a
         # random init, capped at the cold iteration budget.
-        streamer._window.warm_start = False
-    streamer.ingest_many(list(reports))
+        for window in streamer._windows:
+            window.warm_start = False
+    streamer.ingest_batch(reports)
     streamer.flush()
     return streamer.estimates
 
@@ -140,7 +146,7 @@ def run_streaming_study(
     for _ in range(TIMING_REPEATS):
         for warm in (True, False):
             started = time.perf_counter()
-            estimates = _run_stream(reports, network.segment_ids, config, warm)
+            estimates = _run_stream(reports, network, config, warm)
             seconds[warm] = min(seconds[warm], time.perf_counter() - started)
             if warm:
                 warm_estimates = estimates

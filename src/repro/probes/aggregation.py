@@ -9,7 +9,10 @@ Stationary probes (taxis waiting for passengers, vehicles stopped at
 signals for a whole reporting interval) would drag the average toward
 zero even on free-flowing roads, so reports below a speed floor are
 dropped before averaging — the standard cleaning step for taxi probe
-data.
+data — and speeds above a cap are GPS glitches.  :func:`admit_reports`
+is the one rule for which reports count, shared by batch aggregation
+and the streaming estimator (:mod:`repro.scale.streaming`);
+:data:`MAX_SPEED_KMH` also bounds every published estimate.
 
 Surviving reports are flattened to ``slot * n + column`` keys and
 accumulated with two ``np.bincount`` passes (weighted sums, counts).
@@ -30,6 +33,11 @@ from repro.obs import trace as obs_trace
 from repro.utils.contracts import hot_path
 from repro.probes.report import ReportBatch
 
+#: Idle-report floor: slower reports are stationary probes, not flow.
+MIN_SPEED_KMH = 2.0
+#: Glitch cap on report speeds, and the upper clip of every estimate.
+MAX_SPEED_KMH = 150.0
+
 
 @dataclass(frozen=True)
 class AggregationConfig:
@@ -47,9 +55,9 @@ class AggregationConfig:
         Reports above this are GPS glitches and dropped.
     """
 
-    min_speed_kmh: float = 2.0
+    min_speed_kmh: float = MIN_SPEED_KMH
     min_reports_per_cell: int = 1
-    max_speed_kmh: float = 150.0
+    max_speed_kmh: float = MAX_SPEED_KMH
 
     def __post_init__(self) -> None:
         if self.min_speed_kmh < 0:
@@ -78,10 +86,30 @@ def _columns_of(
     """Column index per report and a mask of known segment ids."""
     if sorted_ids.size == 0:
         return np.zeros(segs.shape, dtype=np.int64), np.zeros(segs.shape, dtype=bool)
-    pos = np.searchsorted(sorted_ids, segs)
-    pos = np.minimum(pos, sorted_ids.size - 1)
+    pos = sorted_ids.searchsorted(segs)
+    np.minimum(pos, sorted_ids.size - 1, out=pos)
     known = sorted_ids[pos] == segs
     return sorter[pos], known
+
+
+def admit_reports(
+    segs: np.ndarray,
+    speeds: np.ndarray,
+    sorted_ids: np.ndarray,
+    sorter: np.ndarray,
+    min_speed_kmh: float = MIN_SPEED_KMH,
+    max_speed_kmh: float = MAX_SPEED_KMH,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Column per report and the mask of reports that count.
+
+    A report counts when it is matched (``segment_id >= 0``) to a known
+    column and ``min_speed_kmh <= speed <= max_speed_kmh``; the two
+    comparisons also reject NaN and ±inf.  ``(sorted_ids, sorter)``
+    come from :func:`_column_lookup`.
+    """
+    cols, keep = _columns_of(segs, sorted_ids, sorter)
+    keep &= (segs >= 0) & (speeds >= min_speed_kmh) & (speeds <= max_speed_kmh)
+    return cols, keep
 
 
 @hot_path
@@ -130,19 +158,20 @@ def aggregate_reports(
 
     if len(batch):
         times = batch.times_s
-        segs = batch.segment_ids
         speeds = batch.speeds_kmh
-        in_window = (times >= grid.start_s) & (times < grid.end_s)
-        valid_speed = (speeds >= config.min_speed_kmh) & (
-            speeds <= config.max_speed_kmh
+        cols, keep = admit_reports(
+            batch.segment_ids,
+            speeds,
+            sorted_ids,
+            sorter,
+            config.min_speed_kmh,
+            config.max_speed_kmh,
         )
-        keep = in_window & valid_speed & (segs >= 0)
-        times, segs, speeds = times[keep], segs[keep], speeds[keep]
-        slots = ((times - grid.start_s) // grid.slot_s).astype(np.int64)
-        cols, known = _columns_of(segs, sorted_ids, sorter)
-        if known.any():
+        keep &= (times >= grid.start_s) & (times < grid.end_s)
+        if keep.any():
+            slots = ((times[keep] - grid.start_s) // grid.slot_s).astype(np.int64)
             sums, counts = _accumulate_bincount(
-                slots[known], cols[known], speeds[known], (m, n)
+                slots, cols[keep], speeds[keep], (m, n)
             )
 
     mask = counts >= config.min_reports_per_cell

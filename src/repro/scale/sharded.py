@@ -245,10 +245,15 @@ class ShardedCompleter:
                 values, mask, cols_per_shard, seed_result.left, fallback
             )
 
+        col_obs = mask.sum(axis=0)
         started = time.perf_counter()
         with obs_trace.span("scale.stitch", shards=len(ordered)):
             estimate = _stitch(
-                values.shape, mask, ordered, cols_per_shard, sub_results
+                values.shape,
+                col_obs,
+                ordered,
+                cols_per_shard,
+                [res.estimate for res in sub_results],
             )
         stitch_s = time.perf_counter() - started
         if obs_trace.enabled():
@@ -260,7 +265,6 @@ class ShardedCompleter:
             if self.clip_min is not None or self.clip_max is not None:
                 np.clip(estimate, self.clip_min, self.clip_max, out=estimate)
 
-        col_obs = mask.sum(axis=0)
         shard_summaries = [
             ShardResult(
                 shard_id=shard.shard_id,
@@ -389,32 +393,35 @@ class ShardedCompleter:
         return _Tracker()
 
 
-@shapes(None, "m n:bool")
+@shapes(None, "n")
 def _stitch(
     shape: Tuple[int, int],
-    mask: np.ndarray,
+    weights: Optional[np.ndarray],
     ordered: Sequence[Shard],
     cols_per_shard: Sequence[np.ndarray],
-    sub_results: Sequence[CompletionResult],
+    estimates: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """Merge shard estimates into the full matrix.
+    """Merge per-shard estimate blocks into the full ``shape`` matrix.
 
-    Disjoint shards (no halos anywhere) place their columns directly —
-    bit-for-bit passthrough, the exact-equivalence regime.  With halos,
-    most columns still have exactly one contributing shard (a halo only
-    covers the tile fringe), so single-owner columns are placed directly
-    too and only the *contested* columns — those inside at least one
-    other shard's halo — pay for reconciliation: observation-count-
-    weighted averaging, falling back to the unweighted mean of the
-    contributions when no shard observed the column.  Accumulation
-    always runs in ``shard_id`` order (``ordered`` is pre-sorted), so
-    the stitched matrix does not depend on which shard finished first.
+    ``estimates[i]`` holds shard ``ordered[i]``'s columns
+    ``cols_per_shard[i]``; ``weights`` are per-column observation counts
+    (unused, and may be ``None``, when no shard has a halo).  Disjoint
+    shards place their columns directly — bit-for-bit passthrough, the
+    exact-equivalence regime.  With halos, most columns still have
+    exactly one contributing shard (a halo only covers the tile fringe),
+    so single-owner columns are placed directly too and only the
+    *contested* columns — those inside at least one other shard's halo —
+    pay for reconciliation: observation-count-weighted averaging,
+    falling back to the unweighted mean of the contributions when no
+    shard observed the column.  Accumulation always runs in
+    ``shard_id`` order (``ordered`` is pre-sorted), so the stitched
+    matrix does not depend on which shard finished first.
     """
     m, n = shape
     out = np.empty((m, n))
     if all(not shard.halo_ids for shard in ordered):
-        for cols, res in zip(cols_per_shard, sub_results):
-            out[:, cols] = res.estimate
+        for cols, est in zip(cols_per_shard, estimates):
+            out[:, cols] = est
         return out
 
     owners = np.zeros(n, dtype=np.int64)
@@ -424,19 +431,19 @@ def _stitch(
     cidx = np.cumsum(contested) - 1  # global column -> contested slot
     k = int(contested.sum())
 
-    obs_counts = mask.sum(axis=0).astype(np.float64)
+    obs_counts = np.asarray(weights, dtype=np.float64)
     weighted_sum = np.zeros((m, k))
     weight_total = np.zeros(k)
     uniform_sum = np.zeros((m, k))
     uniform_count = np.zeros(k)
-    for cols, res in zip(cols_per_shard, sub_results):
+    for cols, est in zip(cols_per_shard, estimates):
         fought = contested[cols]
-        out[:, cols[~fought]] = res.estimate[:, ~fought]
+        out[:, cols[~fought]] = est[:, ~fought]
         ci = cidx[cols[fought]]
         w = obs_counts[cols[fought]]
-        weighted_sum[:, ci] += res.estimate[:, fought] * w
+        weighted_sum[:, ci] += est[:, fought] * w
         weight_total[ci] += w
-        uniform_sum[:, ci] += res.estimate[:, fought]
+        uniform_sum[:, ci] += est[:, fought]
         uniform_count[ci] += 1.0
     merged = np.empty((m, k))
     observed_cols = weight_total > 0
@@ -495,9 +502,8 @@ class ShardedEstimator:
     rank, lam, iterations, seed_iterations, warm_iterations:
         Completion budgets, as in :class:`ShardedCompleter`.
     aggregation:
-        Report-to-matrix aggregation settings.
-    clip_speeds, max_speed_kmh:
-        Clamp estimates into ``[0, max]`` km/h.
+        Report-to-matrix aggregation settings; estimates are clamped
+        into ``[0, aggregation.max_speed_kmh]`` km/h.
     center:
         Solve around the observed mean (production default, as in
         :class:`TrafficEstimator`).
@@ -517,8 +523,6 @@ class ShardedEstimator:
         seed_iterations: int = 5,
         warm_iterations: int = 8,
         aggregation: Optional[AggregationConfig] = None,
-        clip_speeds: bool = True,
-        max_speed_kmh: float = 150.0,
         center: bool = True,
         dtype: DTypeLike = None,
         max_workers: Optional[int] = None,
@@ -539,8 +543,8 @@ class ShardedEstimator:
             seed_iterations=seed_iterations,
             warm_iterations=warm_iterations,
             dtype=dtype,
-            clip_min=0.0 if clip_speeds else None,
-            clip_max=max_speed_kmh if clip_speeds else None,
+            clip_min=0.0,
+            clip_max=self.aggregation.max_speed_kmh,
             center=center,
             max_workers=max_workers,
             seed=seed,

@@ -1,35 +1,42 @@
-"""Sharded online estimation: per-tile windows, dirty-tile re-completion.
+"""Online estimation over spatial shards: the one streaming estimator.
 
-Scales :class:`repro.core.streaming.StreamingEstimator` to metropolitan
-networks.  Each spatial shard owns its own
-:class:`repro.core.streaming.WindowCompleter` — sliding window, warm
-factors, and an *independent* RNG stream (``spawn_rngs``), so whether
-one tile re-completes never perturbs another tile's draws.  On a slot
-close only the *dirty* shards — those whose columns actually received
-reports during the slot — pay for a re-completion; clean shards just
-slide their window and republish their previous row (the
+:class:`ShardedStreamingEstimator` runs the paper's online extension
+(see :mod:`repro.core.streaming`) at any scale.  Each spatial shard
+owns its own :class:`repro.core.streaming.WindowCompleter` — sliding
+window, warm factors, and an *independent* RNG stream (``spawn_rngs``),
+so whether one tile re-completes never perturbs another tile's draws.
+``partitioner="single"`` is the whole-network (monolithic) stream.  On a
+slot close only the *dirty* shards — those whose columns actually
+received reports during the slot — pay for a re-completion; clean shards
+just slide their window and republish their previous row (the
 ``scale.recompletions_skipped`` metric counts how much work this
 avoids, which at metropolitan scale with a localized fleet is most of
-it).
+it).  Shard rows are merged by the batch stitcher,
+:func:`repro.scale.sharded._stitch`.
 
 Ingestion is columnar: :meth:`ShardedStreamingEstimator.ingest_batch`
 takes a :class:`repro.probes.report.ReportBatch` and buckets the whole
-batch with vectorized searchsorted/bincount passes — the path the
-million-report benchmark drives.  Reports whose speed is not finite are
-dropped before bucketing (one ``inf`` would otherwise poison its shard's
-window for ``window_slots`` slots) and counted as
-``stream.rejected_nonfinite``.  Reports for an already-closed slot are
-dropped on every ingest path and counted once, as
-``stream.rejected_late``, whatever their speed.
+batch with vectorized searchsorted/bincount passes; :meth:`ingest` (one
+report) and :meth:`ingest_many` (loose reports) feed the same path.
+Which reports count is the batch rule,
+:func:`repro.probes.aggregation.admit_reports`: a matched, known segment
+and a speed in ``[min_speed_kmh, MAX_SPEED_KMH]``.  Reports for an
+already-closed slot are dropped and counted once, as
+``stream.rejected_late``, whatever their speed; of the rest, NaN/±inf
+speeds count as ``stream.rejected_nonfinite`` (one ``inf`` would
+otherwise poison its shard's window for ``window_slots`` slots) and
+finite speeds above the cap as ``stream.rejected_overspeed``.  Idle,
+unmatched and unknown-segment reports are dropped uncounted, as in
+batch aggregation.
 
 Each shard's re-completion stops at convergence, capped by the sweep
-budgets, and runs at the full rank once its window is long enough (see
+budgets, runs at the full rank once its window is long enough, and its
+published row is clipped to ``[0, MAX_SPEED_KMH]`` (see
 :mod:`repro.core.streaming`).
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -38,10 +45,16 @@ from repro.core.completion import PAPER_LAMBDA, PAPER_RANK, DTypeLike
 from repro.core.streaming import SlotEstimate, WindowCompleter
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.probes.aggregation import _column_lookup, _columns_of
+from repro.probes.aggregation import (
+    MAX_SPEED_KMH,
+    MIN_SPEED_KMH,
+    _column_lookup,
+    admit_reports,
+)
 from repro.probes.report import ProbeReport, ReportBatch
 from repro.roadnet.network import RoadNetwork
 from repro.scale.partition import Shard, make_partitioner, validate_shards
+from repro.scale.sharded import _stitch
 from repro.utils.contracts import shapes
 from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.validation import check_positive
@@ -59,14 +72,16 @@ class ShardedStreamingEstimator:
         every published estimate row.
     shards, halo, partitioner:
         Spatial decomposition, as in
-        :class:`repro.scale.sharded.ShardedEstimator`.
+        :class:`repro.scale.sharded.ShardedEstimator`;
+        ``partitioner="single"`` runs one window over the whole network.
     slot_s, window_slots, start_s:
-        Stream timing, as in :class:`StreamingEstimator`.
+        Slot length (seconds), rows of each sliding window, and the
+        stream clock origin (start of slot 0).
     rank, lam, warm_iterations, cold_iterations:
         Per-shard completion settings and sweep caps, as in
         :class:`WindowCompleter`.
     min_speed_kmh:
-        Idle-report filter threshold.
+        Idle-report floor of the admission rule.
     dtype:
         Working dtype for every shard's completer.
     seed:
@@ -88,7 +103,7 @@ class ShardedStreamingEstimator:
         lam: float = PAPER_LAMBDA,
         warm_iterations: int = 8,
         cold_iterations: int = 60,
-        min_speed_kmh: float = 2.0,
+        min_speed_kmh: float = MIN_SPEED_KMH,
         dtype: DTypeLike = None,
         seed: SeedLike = None,
     ) -> None:
@@ -114,6 +129,7 @@ class ShardedStreamingEstimator:
             np.array([col_of[sid] for sid in shard.all_ids], dtype=np.intp)
             for shard in self.shards
         ]
+        self._has_halo = any(shard.halo_ids for shard in self.shards)
         self._sorted_ids, self._sorter = _column_lookup(self.segment_ids)
         rngs = spawn_rngs(seed, len(self.shards))
         self._windows = [
@@ -146,59 +162,49 @@ class ShardedStreamingEstimator:
     @shapes(ProbeReport)
     def ingest(self, report: ProbeReport) -> List[SlotEstimate]:
         """Feed one report; returns estimates for any slots that closed."""
-        slot = int((report.time_s - self.start_s) // self.slot_s)
-        if slot < self._current_slot:
-            obs_metrics.inc("stream.rejected_late")
-            return []
-        closed: List[SlotEstimate] = []
-        while slot > self._current_slot:
-            closed.append(self._close_slot())
-        if not math.isfinite(report.speed_kmh):
-            obs_metrics.inc("stream.rejected_nonfinite")
-            return closed
-        if report.segment_id >= 0 and report.speed_kmh >= self.min_speed_kmh:
-            cols, known = _columns_of(
-                np.array([report.segment_id], dtype=np.int64),
-                self._sorted_ids,
-                self._sorter,
-            )
-            if known[0]:
-                self._sums[cols[0]] += report.speed_kmh
-                self._counts[cols[0]] += 1
-        return closed
+        return self._ingest(
+            np.array([report.time_s], dtype=np.float64),
+            np.array([report.segment_id], dtype=np.int64),
+            np.array([report.speed_kmh], dtype=np.float64),
+        )
 
     @obs_trace.traced("scale.ingest_batch")
     @shapes(ReportBatch)
     def ingest_batch(self, batch: ReportBatch) -> List[SlotEstimate]:
         """Feed a columnar report batch (the million-report path).
 
-        The batch is bucketed with vectorized passes: one filter, one
-        searchsorted column lookup, one slot assignment, then a bincount
-        accumulation per distinct slot in the batch.  Slots close in
-        order as the stream advances past them, exactly as with
-        report-at-a-time :meth:`ingest`.  Late reports and non-finite
-        speeds are dropped and counted (``stream.rejected_late``, then
-        ``stream.rejected_nonfinite`` for the rest).
+        One admission test, one slot assignment, then a bincount
+        accumulation per distinct slot; slots close in order as the
+        stream advances past them.
         """
-        if not len(batch):
+        return self._ingest(batch.times_s, batch.segment_ids, batch.speeds_kmh)
+
+    def ingest_many(self, reports: Sequence[ProbeReport]) -> List[SlotEstimate]:
+        """Feed loose reports (columnarized first)."""
+        return self.ingest_batch(ReportBatch(reports))
+
+    def flush(self) -> SlotEstimate:
+        """Force-close the in-progress slot (e.g. at stream end)."""
+        return self._close_slot()
+
+    # ------------------------------------------------------------------
+    def _ingest(
+        self, times: np.ndarray, segs: np.ndarray, speeds: np.ndarray
+    ) -> List[SlotEstimate]:
+        """Bucket time-ordered report columns; close slots as time passes."""
+        if not times.size:
             return []
-        times = batch.times_s
-        speeds = batch.speeds_kmh
-        segs = batch.segment_ids
-        # ReportBatch guarantees time order, so slots are non-decreasing
-        # and the late reports are a prefix.
+        # Time order makes slots non-decreasing, late reports a prefix.
         slots = ((times - self.start_s) // self.slot_s).astype(np.int64)
-        late = int(np.searchsorted(slots, self._current_slot))
-        keep = np.isfinite(speeds)
-        keep[:late] = False
-        nonfinite = keep.size - late - int(np.count_nonzero(keep))
-        if late:
-            obs_metrics.inc("stream.rejected_late", late)
-        if nonfinite:
-            obs_metrics.inc("stream.rejected_nonfinite", nonfinite)
-        keep &= (segs >= 0) & (speeds >= self.min_speed_kmh)
-        cols, known = _columns_of(segs, self._sorted_ids, self._sorter)
-        keep &= known
+        cols, keep = admit_reports(
+            segs, speeds, self._sorted_ids, self._sorter, self.min_speed_kmh
+        )
+        late = 0
+        if slots[0] < self._current_slot:
+            late = int(slots.searchsorted(self._current_slot))
+            keep[:late] = False
+        if obs_trace.enabled():
+            _count_rejected(late, speeds[late:])
 
         closed: List[SlotEstimate] = []
         last_slot = int(slots[-1])
@@ -206,9 +212,10 @@ class ShardedStreamingEstimator:
         n = len(self.segment_ids)
         if slots.size:
             # Group kept reports by slot; boundaries via the sorted order.
-            starts = np.flatnonzero(np.r_[True, slots[1:] != slots[:-1]])
-            ends = np.r_[starts[1:], slots.size]
-            for lo, hi in zip(starts, ends):
+            edges = ()
+            if slots[0] != slots[-1]:
+                edges = tuple(np.flatnonzero(slots[1:] != slots[:-1]) + 1)
+            for lo, hi in zip((0, *edges), (*edges, slots.size)):
                 slot = int(slots[lo])
                 while slot > self._current_slot:
                     closed.append(self._close_slot())
@@ -221,15 +228,6 @@ class ShardedStreamingEstimator:
             closed.append(self._close_slot())
         return closed
 
-    def ingest_many(self, reports: Sequence[ProbeReport]) -> List[SlotEstimate]:
-        """Feed loose reports (columnarized first)."""
-        return self.ingest_batch(ReportBatch(reports))
-
-    def flush(self) -> SlotEstimate:
-        """Force-close the in-progress slot (e.g. at stream end)."""
-        return self._close_slot()
-
-    # ------------------------------------------------------------------
     @obs_trace.traced("scale.close_slot")
     def _close_slot(self) -> SlotEstimate:
         """Close the slot: re-complete dirty shards, stitch, publish."""
@@ -239,7 +237,6 @@ class ShardedStreamingEstimator:
         np.divide(self._sums, self._counts, out=values, where=mask)
 
         rows: List[np.ndarray] = []
-        obs_weights: List[np.ndarray] = []
         for cols, window in zip(self._shard_cols, self._windows):
             dirty = bool(mask[cols].any())
             row = window.push(values[cols], mask[cols], recomplete=dirty)
@@ -249,10 +246,16 @@ class ShardedStreamingEstimator:
                 self.recompletions_skipped += 1
                 if obs_trace.enabled():
                     obs_metrics.inc("scale.recompletions_skipped")
-            rows.append(row)
-            obs_weights.append(window.observation_counts().astype(np.float64))
+            rows.append(row[None])
 
-        estimate = self._stitch_rows(rows, obs_weights)
+        weights: Optional[np.ndarray] = None
+        if self._has_halo:
+            # Every window takes every slot, so a column's count is the
+            # same in each window that holds it.
+            weights = np.zeros(n)
+            for cols, window in zip(self._shard_cols, self._windows):
+                weights[cols] = window.observation_counts()
+        estimate = _stitch((1, n), weights, self.shards, self._shard_cols, rows)[0]
         # Where we actually observed the slot, publish the measurement.
         estimate_row = np.where(mask, values, estimate)
         slot_start = self.start_s + self._current_slot * self.slot_s
@@ -268,36 +271,14 @@ class ShardedStreamingEstimator:
         self._counts[:] = 0
         return result
 
-    def _stitch_rows(
-        self, rows: Sequence[np.ndarray], obs_weights: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """Merge per-shard estimate rows into one full-network row.
 
-        Same reconciliation as the batch stitcher: shards are visited in
-        ``shard_id`` order, overlap columns are averaged weighted by the
-        shard's windowed observation count, and columns no shard has
-        observed fall back to the unweighted mean of their contributions.
-        Disjoint (halo-free) partitions place columns directly.
-        """
-        n = len(self.segment_ids)
-        if all(not shard.halo_ids for shard in self.shards):
-            out = np.empty(n)
-            for cols, row in zip(self._shard_cols, rows):
-                out[cols] = row
-            return out
-        weighted = np.zeros(n)
-        weight_total = np.zeros(n)
-        uniform = np.zeros(n)
-        uniform_count = np.zeros(n)
-        for cols, row, w in zip(self._shard_cols, rows, obs_weights):
-            weighted[cols] += row * w
-            weight_total[cols] += w
-            uniform[cols] += row
-            uniform_count[cols] += 1.0
-        out = np.empty(n)
-        observed = weight_total > 0
-        np.divide(weighted, weight_total, out=out, where=observed)
-        silent = ~observed
-        if silent.any():
-            out[silent] = uniform[silent] / uniform_count[silent]
-        return out
+def _count_rejected(late: int, live: np.ndarray) -> None:
+    """Count late reports, then non-finite and overspeed ones among the rest."""
+    finite = np.isfinite(live)
+    for name, count in (
+        ("stream.rejected_late", late),
+        ("stream.rejected_nonfinite", live.size - np.count_nonzero(finite)),
+        ("stream.rejected_overspeed", np.count_nonzero(live[finite] > MAX_SPEED_KMH)),
+    ):
+        if count:
+            obs_metrics.inc(name, int(count))

@@ -11,8 +11,8 @@ import pytest
 from repro.apps import CongestionMonitor, TripPlannerService
 from repro.core import TrafficEstimator
 from repro.core.online_anomaly import OnlineAnomalyMonitor
-from repro.core.streaming import StreamingEstimator
 from repro.datasets.scenarios import rush_hour_incident
+from repro.scale import ShardedStreamingEstimator
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +66,9 @@ class TestStreamingWithOnlineMonitor:
     def test_pipeline_runs_end_to_end(self, estimated_world):
         dataset, _, _, _ = estimated_world
         grid = dataset.ground_truth.grid
-        streamer = StreamingEstimator(
-            segment_ids=dataset.network.segment_ids,
+        streamer = ShardedStreamingEstimator(
+            dataset.network,
+            partitioner="single",
             slot_s=grid.slot_s,
             window_slots=12,
             seed=0,

@@ -20,8 +20,9 @@ from repro.core.completion import (
     CompressiveSensingCompleter,
     resolve_dtype,
 )
-from repro.core.streaming import StreamingEstimator
 from repro.probes.report import ProbeReport
+from repro.roadnet.generators import grid_city
+from repro.scale import ShardedStreamingEstimator
 from tests.solver_oracles import als_reference
 
 ITERATIONS = 30
@@ -153,8 +154,9 @@ def _probe(t, seg, speed):
 
 class TestStreamingDtype:
     def test_warm_factor_stays_float32_across_windows(self):
-        est = StreamingEstimator(
-            segment_ids=[0, 1, 2],
+        est = ShardedStreamingEstimator(
+            grid_city(2, 2),
+            partitioner="single",
             slot_s=60.0,
             window_slots=4,
             rank=1,
@@ -169,11 +171,13 @@ class TestStreamingDtype:
             est.ingest(_probe(t + 5, 0, 30.0))
             est.ingest(_probe(t + 10, 1, 30.0))
         est.flush()
-        warm_left = est._window._warm_left
+        warm_left = est._windows[0]._warm_left
         assert warm_left is not None
         assert warm_left.dtype == np.float32
         assert est.estimates and np.isfinite(est.estimates[-1].speeds_kmh).all()
 
     def test_bad_dtype_fails_at_construction(self):
         with pytest.raises(ValueError, match="does not support dtype"):
-            StreamingEstimator(segment_ids=[0], slot_s=60.0, dtype="int32")
+            ShardedStreamingEstimator(
+                grid_city(2, 2), partitioner="single", slot_s=60.0, dtype="int32"
+            )

@@ -52,12 +52,6 @@ class TestEstimate:
         assert estimator.last_tuning is output.tuning
         assert output.completion.rank_bound <= 4
 
-    def test_no_clip_option(self, masked_tcm):
-        output = TrafficEstimator(
-            iterations=10, clip_speeds=False, seed=0
-        ).estimate(masked_tcm)
-        assert output.estimate.shape == masked_tcm.shape
-
 
 class TestFromReports:
     def test_full_pipeline(self, ground_truth):

@@ -5,13 +5,13 @@ import pytest
 
 from repro import quickstart_estimate
 from repro.core import TrafficEstimator
-from repro.core.streaming import StreamingEstimator
 from repro.datasets.masks import random_integrity_mask
 from repro.datasets.synthetic import SyntheticDatasetConfig, build_probe_dataset
 from repro.metrics.errors import estimate_error, nmae
 from repro.probes.mapmatch import MapMatcher
 from repro.probes.report import ReportBatch
 from repro.roadnet.generators import grid_city
+from repro.scale import ShardedStreamingEstimator
 
 
 class TestQuickstart:
@@ -59,15 +59,16 @@ class TestFullPipeline:
     def test_streaming_matches_batch_scale(self, dataset):
         """Online estimates land in the same range as offline ones."""
         grid = dataset.ground_truth.grid
-        streamer = StreamingEstimator(
-            segment_ids=dataset.network.segment_ids,
+        streamer = ShardedStreamingEstimator(
+            dataset.network,
+            partitioner="single",
             slot_s=grid.slot_s,
             window_slots=12,
             rank=2,
             lam=10.0,
             seed=0,
         )
-        streamer.ingest_many(list(dataset.reports))
+        streamer.ingest_batch(dataset.reports)
         streamer.flush()
         assert len(streamer.estimates) >= grid.num_slots - 1
         final = streamer.estimates[-1].speeds_kmh

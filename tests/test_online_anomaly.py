@@ -147,14 +147,15 @@ class TestEdgeCases:
 class TestEndToEnd:
     def test_with_streaming_estimator(self, ground_truth):
         """Monitor runs on top of the streaming estimator's output."""
-        from repro.core.streaming import StreamingEstimator
         from repro.mobility.fleet import FleetConfig, FleetSimulator
+        from repro.scale import ShardedStreamingEstimator
 
         reports = FleetSimulator(
             ground_truth, FleetConfig(num_vehicles=40), seed=0
         ).run()
-        streamer = StreamingEstimator(
-            segment_ids=ground_truth.network.segment_ids,
+        streamer = ShardedStreamingEstimator(
+            ground_truth.network,
+            partitioner="single",
             slot_s=ground_truth.grid.slot_s,
             window_slots=12,
             seed=0,

@@ -1,10 +1,21 @@
-"""Tests for repro.core.streaming."""
+"""Tests for repro.core.streaming, driven as the whole-network stream.
+
+The whole-network stream is ``ShardedStreamingEstimator`` with
+``partitioner="single"``: one :class:`WindowCompleter` over every
+column.  Behaviour the sharded tests already cover for every ingest
+path (late and non-finite reports) lives in ``test_scale_streaming.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.streaming import SlotEstimate, StreamingEstimator, WindowCompleter
+from repro.core.streaming import WindowCompleter
 from repro.probes.report import ProbeReport
+from repro.roadnet.generators import grid_city
+from repro.scale import ShardedStreamingEstimator
+
+#: Segment ids 0-7; the tests report on 0-2 and leave the rest silent.
+NETWORK = grid_city(2, 2)
 
 
 def report(t, seg, speed, vid=0):
@@ -13,7 +24,7 @@ def report(t, seg, speed, vid=0):
 
 def make_estimator(**overrides):
     params = dict(
-        segment_ids=[0, 1, 2],
+        partitioner="single",
         slot_s=60.0,
         window_slots=6,
         rank=1,
@@ -23,7 +34,7 @@ def make_estimator(**overrides):
         seed=0,
     )
     params.update(overrides)
-    return StreamingEstimator(**params)
+    return ShardedStreamingEstimator(NETWORK, **params)
 
 
 class TestValidation:
@@ -33,7 +44,7 @@ class TestValidation:
             {"slot_s": 0.0},
             {"window_slots": 1},
             {"warm_iterations": 0},
-            {"segment_ids": [1, 1]},
+            {"cold_iterations": 0},
         ],
     )
     def test_bad_params_rejected(self, kwargs):
@@ -60,12 +71,6 @@ class TestIngest:
         closed = est.ingest(report(200.0, 1, 40.0))
         assert len(closed) == 3  # slots 0, 1, 2 close
 
-    def test_late_report_dropped(self):
-        est = make_estimator()
-        est.ingest(report(70.0, 0, 30.0))  # now in slot 1
-        est.flush()  # close slot 1, current = 2
-        assert est.ingest(report(10.0, 1, 99.0)) == []
-
     def test_observed_cells_published_verbatim(self):
         est = make_estimator(min_speed_kmh=0.0)
         est.ingest(report(10.0, 0, 30.0))
@@ -78,7 +83,7 @@ class TestIngest:
         est.ingest(report(10.0, 0, 30.0))
         est.ingest(report(20.0, 2, 30.0))
         result = est.flush()
-        assert result.observed_fraction == pytest.approx(2 / 3)
+        assert result.observed_fraction == pytest.approx(2 / 8)
 
     def test_idle_reports_filtered(self):
         est = make_estimator(min_speed_kmh=2.0)
@@ -130,12 +135,7 @@ class TestEstimation:
         for k in range(6):
             est.ingest(report(k * 60.0 + 5, 0, 30.0))
         est.flush()
-        tcm = est.window_tcm()
-        assert tcm.num_slots == 3
-
-    def test_window_tcm_before_any_slot_rejected(self):
-        with pytest.raises(ValueError):
-            make_estimator().window_tcm()
+        assert est._windows[0].filled == 3
 
     def test_estimates_accumulate(self):
         est = make_estimator()
@@ -152,8 +152,8 @@ class TestEstimation:
             est.ingest(report(k * 60.0 + 5, 0, 30.0))
             est.ingest(report(k * 60.0 + 15, 1, 35.0))
         est.flush()
-        assert est._window._warm_left is not None
-        assert est._window._warm_left.shape[0] == 3
+        assert est._windows[0]._warm_left is not None
+        assert est._windows[0]._warm_left.shape[0] == 3
 
 
 class TestFullRank:
@@ -171,31 +171,6 @@ class TestFullRank:
             assert window._warm_left.shape[1] == min(2, window.filled)
 
 
-class TestNonFiniteSpeeds:
-    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
-    def test_rejected_and_counted(self, bad):
-        from repro.obs import metrics as obs_metrics
-        from repro.obs import trace as obs_trace
-
-        obs_trace.reset()
-        obs_metrics.reset()
-        obs_trace.enable()
-        try:
-            est = make_estimator()
-            est.ingest(report(5.0, 0, 30.0))
-            est.ingest(report(10.0, 1, bad))
-            est.ingest(report(65.0, 0, 32.0))
-            est.flush()
-            counters = obs_metrics.registry().snapshot()["counters"]
-        finally:
-            obs_trace.disable()
-            obs_trace.reset()
-            obs_metrics.reset()
-        assert counters["stream.rejected_nonfinite"] == 1.0
-        assert est.estimates[0].observed_fraction == pytest.approx(1 / 3)
-        assert all(np.isfinite(e.speeds_kmh).all() for e in est.estimates)
-
-
 class TestEdgeCases:
     def test_empty_window_flush_publishes_zeros(self):
         # Closing a slot with no observations at all: the window mask is
@@ -203,10 +178,9 @@ class TestEdgeCases:
         est = make_estimator()
         result = est.flush()
         assert result.observed_fraction == 0.0
-        assert np.array_equal(result.speeds_kmh, np.zeros(3))
-        tcm = est.window_tcm()
-        assert tcm.num_slots == 1
-        assert not tcm.mask.any()
+        assert np.array_equal(result.speeds_kmh, np.zeros(8))
+        assert est._windows[0].filled == 1
+        assert not est._windows[0]._masks.any()
 
     def test_single_slot_update(self):
         # One observed slot (fewer rows than the window): the cold solve
@@ -219,12 +193,13 @@ class TestEdgeCases:
         assert result.speeds_kmh[0] == pytest.approx(30.0)
         assert np.all(np.isfinite(result.speeds_kmh))
         assert np.all(result.speeds_kmh >= 0.0)
-        assert est._window._warm_left is not None
-        assert est._window._warm_left.shape[0] == 1
+        assert est._windows[0]._warm_left is not None
+        assert est._windows[0]._warm_left.shape[0] == 1
 
     def test_empty_slot_between_observed_slots(self):
-        # A fully unobserved slot inside an observed stream still gets a
-        # (completed) estimate rather than zeros.
+        # A fully unobserved slot inside an observed stream still gets an
+        # estimate rather than zeros: the previous completed row,
+        # republished without a re-solve.
         est = make_estimator()
         for k in (0, 1, 3, 4):
             est.ingest(report(k * 60.0 + 5, 0, 30.0))
@@ -233,6 +208,9 @@ class TestEdgeCases:
         gap = est.estimates[2]
         assert gap.observed_fraction == 0.0
         assert np.all(np.isfinite(gap.speeds_kmh))
+        assert est.recompletions_skipped == 1
+        completed = est.estimates[1].speeds_kmh
+        assert np.array_equal(gap.speeds_kmh[2:], completed[2:])
 
     def test_obs_metrics_record_cold_and_warm_starts(self):
         from repro.obs import metrics as obs_metrics
@@ -251,7 +229,7 @@ class TestEdgeCases:
             assert snap["counters"]["stream.cold_starts"] >= 1.0
             assert snap["counters"]["stream.warm_starts"] >= 1.0
             names = {s.name for s in obs_trace.collector().snapshot()}
-            assert "stream.close_slot" in names
+            assert "scale.close_slot" in names
         finally:
             obs_trace.disable()
             obs_trace.reset()
