@@ -2,8 +2,8 @@
 
 The whole-network stream is ``ShardedStreamingEstimator`` with
 ``partitioner="single"``: one :class:`WindowCompleter` over every
-column.  Behaviour the sharded tests already cover for every ingest
-path (late and non-finite reports) lives in ``test_scale_streaming.py``.
+column.  The sharded tests in ``test_scale_streaming.py`` cover late
+and non-finite reports on every ingest path, counters included.
 """
 
 import numpy as np
@@ -70,6 +70,12 @@ class TestIngest:
         est.ingest(report(10.0, 0, 30.0))
         closed = est.ingest(report(200.0, 1, 40.0))
         assert len(closed) == 3  # slots 0, 1, 2 close
+
+    def test_late_report_dropped(self):
+        est = make_estimator()
+        est.ingest(report(70.0, 0, 30.0))  # now in slot 1
+        est.flush()  # close slot 1, current = 2
+        assert est.ingest(report(10.0, 1, 99.0)) == []
 
     def test_observed_cells_published_verbatim(self):
         est = make_estimator(min_speed_kmh=0.0)
