@@ -96,14 +96,23 @@ class DeterminismReport:
         return "\n".join(lines)
 
 
-def _toy_problem(seed: int, shape: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-    """A low-rank-plus-noise matrix with a 40% observation mask."""
+#: A problem Algorithm 1's kernel binds in its sparse layout: the cell
+#: floor (:data:`repro.core.completion.SPARSE_MIN_CELLS`) at about 4%
+#: observed.
+SPARSE_SHAPE = (128, 1024)
+SPARSE_OBSERVED = 0.03
+
+
+def _toy_problem(
+    seed: int, shape: Tuple[int, int], observed: float = 0.4
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A low-rank-plus-noise matrix with a random observation mask."""
     rng = ensure_rng(seed)
     m, n = shape
     left = rng.uniform(0.5, 1.5, size=(m, 3))
     right = rng.uniform(0.5, 1.5, size=(n, 3))
     values = left @ right.T * 20.0 + rng.normal(0.0, 0.5, size=(m, n))
-    mask = rng.random((m, n)) < 0.4
+    mask = rng.random((m, n)) < observed
     # Guarantee the validation split and completer have cells to work with.
     mask[0, :] = True
     mask[:, 0] = True
@@ -127,12 +136,17 @@ def check_completion(
 ) -> DeterminismCheck:
     """Algorithm 1 restarts: serial vs thread-pool, bit for bit.
 
-    The kernel is double-run in float64 and float32: it reuses buffers
-    across sweeps, so this is exactly where a thread-race would
-    surface, and reduced precision must still be bit-identical serial
-    vs pool.
+    The kernel is double-run in float64 and float32, in both of its
+    layouts (a small dense problem and one at the sparse layout's cell
+    floor): it reuses buffers across sweeps, so this is exactly where a
+    thread-race would surface, and reduced precision must still be
+    bit-identical serial vs pool.
     """
-    from repro.core.completion import CompletionResult, CompressiveSensingCompleter
+    from repro.core.completion import (
+        CompletionResult,
+        CompressiveSensingCompleter,
+        _sparse_layout,
+    )
 
     started = time.perf_counter()
     # At least 2 so the parallel leg really runs through a pool even
@@ -141,10 +155,15 @@ def check_completion(
     shape = (24, 18) if smoke else (96, 60)
     iterations = 8 if smoke else 25
     restarts = 4 if smoke else 6
-    values, mask = _toy_problem(seed, shape)
     dtypes = ("float64", "float32")
+    cases = {
+        "dense": _toy_problem(seed, shape),
+        "sparse": _toy_problem(seed, SPARSE_SHAPE, SPARSE_OBSERVED),
+    }
 
-    def run(pool: Optional[int], dtype: str) -> CompletionResult:
+    def run(
+        values: np.ndarray, mask: np.ndarray, pool: Optional[int], dtype: str
+    ) -> CompletionResult:
         completer = CompressiveSensingCompleter(
             rank=3,
             lam=10.0,
@@ -157,29 +176,37 @@ def check_completion(
         return completer.complete(values, mask)
 
     problems: List[str] = []
-    for dtype in dtypes:
-        serial = run(None, dtype)
-        parallel = run(workers, dtype)
-        detail = _diff_arrays(
-            f"[{dtype}] estimate", serial.estimate, parallel.estimate
-        )
-        if detail:
-            problems.append(detail)
-        if serial.objective != parallel.objective:
-            problems.append(
-                f"[{dtype}] objective {serial.objective!r} "
-                f"vs {parallel.objective!r}"
+    for layout, (values, mask) in cases.items():
+        if _sparse_layout(mask) != (layout == "sparse"):
+            problems.append(f"the {layout} problem binds the other layout")
+        for dtype in dtypes:
+            tag = f"[{layout} {dtype}]"
+            serial = run(values, mask, None, dtype)
+            parallel = run(values, mask, workers, dtype)
+            detail = _diff_arrays(
+                f"{tag} estimate", serial.estimate, parallel.estimate
             )
-        if serial.best_restart != parallel.best_restart:
-            problems.append(f"[{dtype}] winning restart index differs")
-        if serial.restart_histories != parallel.restart_histories:
-            problems.append(f"[{dtype}] per-restart objective histories differ")
+            if detail:
+                problems.append(detail)
+            if serial.objective != parallel.objective:
+                problems.append(
+                    f"{tag} objective {serial.objective!r} "
+                    f"vs {parallel.objective!r}"
+                )
+            if serial.best_restart != parallel.best_restart:
+                problems.append(f"{tag} winning restart index differs")
+            if serial.restart_histories != parallel.restart_histories:
+                problems.append(f"{tag} per-restart objective histories differ")
     ok = not problems
+    shapes_run = ", ".join(
+        f"{values.shape[0]}x{values.shape[1]} ({layout})"
+        for layout, (values, _) in cases.items()
+    )
     return DeterminismCheck(
         name="completion",
         ok=ok,
         detail=(
-            f"{restarts} restarts x {iterations} sweeps on {shape[0]}x{shape[1]}, "
+            f"{restarts} restarts x {iterations} sweeps on {shapes_run}, "
             f"1 vs {workers} workers, " + ", ".join(dtypes)
             if ok
             else "; ".join(problems)
@@ -288,16 +315,19 @@ def check_sharded(
 ) -> DeterminismCheck:
     """Sharded completion: serial vs pool, plus monolithic equivalence.
 
-    Three bit-level claims are pinned:
+    Three bit-level claims are pinned, on a small problem the kernel
+    binds densely and on one whose full matrix and ``halo=0`` shards it
+    binds in its sparse layout:
 
     * a ``shards=1`` exact-regime sharded completion equals the
       monolithic completer on the full matrix;
     * a ``halo=0`` exact-regime run reproduces the monolithic completer
       on every shard's sub-TCM;
     * the multilevel (seed + warm) run is bit-identical serial vs
-      thread-pool and under shuffled shard input order.
+      thread-pool, in float64 and float32, and under shuffled shard
+      input order.
     """
-    from repro.core.completion import CompressiveSensingCompleter
+    from repro.core.completion import CompressiveSensingCompleter, _sparse_layout
     from repro.core.tcm import TimeGrid, TrafficConditionMatrix
     from repro.probes.aggregation import MAX_SPEED_KMH
     from repro.roadnet.generators import grid_city
@@ -311,100 +341,118 @@ def check_sharded(
     # At least 2 so the parallel leg really runs through a pool even
     # on 1-CPU CI boxes (threads, so oversubscription is harmless).
     workers = max_workers or max(2, min(4, available_workers()))
-    rows = 6 if smoke else 10
-    slots = 24 if smoke else 60
     iterations = 8 if smoke else 25
-    network = grid_city(rows, rows, seed=seed)
-    ids = network.segment_ids
-    values, mask = _toy_problem(seed + 2, (slots, len(ids)))
-    tcm = TrafficConditionMatrix(
-        values * mask,
-        mask,
-        grid=TimeGrid(0.0, 600.0, slots),
-        segment_ids=ids,
-    )
-
+    rows = 6 if smoke else 10
+    # (grid rows, slots, observed fraction, shards); the sparse case's
+    # two halo-0 shards each hold over 131,072 cells of a 360-column,
+    # 1,024-slot matrix about 4% observed.
+    cases = {
+        "dense": (rows, 24 if smoke else 60, 0.4, 4),
+        "sparse": (10, 1024, SPARSE_OBSERVED, 2),
+    }
     problems: List[str] = []
+    ran: List[str] = []
 
-    def exact_completer() -> ShardedCompleter:
-        return ShardedCompleter(
+    for layout, (grid_rows, slots, observed, num_shards) in cases.items():
+        network = grid_city(grid_rows, grid_rows, seed=seed)
+        ids = network.segment_ids
+        values, mask = _toy_problem(seed + 2, (slots, len(ids)), observed)
+        tcm = TrafficConditionMatrix(
+            values * mask,
+            mask,
+            grid=TimeGrid(0.0, 600.0, slots),
+            segment_ids=ids,
+        )
+
+        def exact_completer() -> ShardedCompleter:
+            return ShardedCompleter(
+                rank=2,
+                lam=10.0,
+                iterations=iterations,
+                seed_iterations=0,
+                center=True,
+                clip_min=0.0,
+                clip_max=MAX_SPEED_KMH,
+                seed=seed,
+            )
+
+        mono = CompressiveSensingCompleter(
             rank=2,
             lam=10.0,
             iterations=iterations,
-            seed_iterations=0,
             center=True,
             clip_min=0.0,
             clip_max=MAX_SPEED_KMH,
             seed=seed,
         )
+        mono_est = mono.complete(tcm.values, tcm.mask).estimate
 
-    mono = CompressiveSensingCompleter(
-        rank=2,
-        lam=10.0,
-        iterations=iterations,
-        center=True,
-        clip_min=0.0,
-        clip_max=MAX_SPEED_KMH,
-        seed=seed,
-    )
-    mono_est = mono.complete(tcm.values, tcm.mask).estimate
-
-    single = exact_completer().complete(
-        tcm, SinglePartitioner().partition(network)
-    )
-    detail = _diff_arrays("shards=1 vs monolithic", single.estimate, mono_est)
-    if detail:
-        problems.append(detail)
-
-    shards0 = GridPartitioner(4, halo=0).partition(network)
-    res0 = exact_completer().complete(tcm, shards0)
-    col_of = {sid: j for j, sid in enumerate(ids)}
-    for shard in shards0:
-        cols = np.array([col_of[sid] for sid in shard.all_ids])
-        sub = mono.complete(
-            np.ascontiguousarray(tcm.values[:, cols]),
-            np.ascontiguousarray(tcm.mask[:, cols]),
+        single = exact_completer().complete(
+            tcm, SinglePartitioner().partition(network)
         )
         detail = _diff_arrays(
-            f"halo=0 shard {shard.shard_id} vs monolithic sub-TCM",
-            res0.estimate[:, cols],
-            sub.estimate,
+            f"[{layout}] shards=1 vs monolithic", single.estimate, mono_est
         )
         if detail:
             problems.append(detail)
 
-    def multilevel(pool: Optional[int], shard_list) -> np.ndarray:
-        completer = ShardedCompleter(
-            rank=2,
-            lam=10.0,
-            seed_iterations=3,
-            warm_iterations=4,
-            center=True,
-            clip_min=0.0,
-            clip_max=MAX_SPEED_KMH,
-            max_workers=pool,
-            seed=seed,
-        )
-        return completer.complete(tcm, shard_list).estimate
+        shards0 = GridPartitioner(num_shards, halo=0).partition(network)
+        res0 = exact_completer().complete(tcm, shards0)
+        col_of = {sid: j for j, sid in enumerate(ids)}
+        for shard in shards0:
+            cols = np.array([col_of[sid] for sid in shard.all_ids])
+            sub_mask = np.ascontiguousarray(tcm.mask[:, cols])
+            if _sparse_layout(sub_mask) != (layout == "sparse"):
+                problems.append(
+                    f"[{layout}] halo=0 shard {shard.shard_id} binds the "
+                    "other layout"
+                )
+            sub = mono.complete(np.ascontiguousarray(tcm.values[:, cols]), sub_mask)
+            detail = _diff_arrays(
+                f"[{layout}] halo=0 shard {shard.shard_id} vs monolithic sub-TCM",
+                res0.estimate[:, cols],
+                sub.estimate,
+            )
+            if detail:
+                problems.append(detail)
 
-    shards1 = GridPartitioner(4, halo=1).partition(network)
-    serial = multilevel(None, shards1)
-    parallel = multilevel(workers, shards1)
-    detail = _diff_arrays("multilevel serial vs pool", serial, parallel)
-    if detail:
-        problems.append(detail)
-    shuffled = multilevel(None, list(reversed(shards1)))
-    detail = _diff_arrays("multilevel shard input order", serial, shuffled)
-    if detail:
-        problems.append(detail)
+        def multilevel(pool: Optional[int], shard_list, dtype: str) -> np.ndarray:
+            completer = ShardedCompleter(
+                rank=2,
+                lam=10.0,
+                seed_iterations=3,
+                warm_iterations=4,
+                dtype=dtype,
+                center=True,
+                clip_min=0.0,
+                clip_max=MAX_SPEED_KMH,
+                max_workers=pool,
+                seed=seed,
+            )
+            return completer.complete(tcm, shard_list).estimate
+
+        shards1 = GridPartitioner(num_shards, halo=1).partition(network)
+        for dtype in ("float64", "float32"):
+            tag = f"[{layout} {dtype}] multilevel"
+            serial = multilevel(None, shards1, dtype)
+            parallel = multilevel(workers, shards1, dtype)
+            detail = _diff_arrays(f"{tag} serial vs pool", serial, parallel)
+            if detail:
+                problems.append(detail)
+            shuffled = multilevel(None, list(reversed(shards1)), dtype)
+            detail = _diff_arrays(f"{tag} shard input order", serial, shuffled)
+            if detail:
+                problems.append(detail)
+        ran.append(f"{len(shards1)} shards on {slots}x{len(ids)} ({layout})")
 
     ok = not problems
     return DeterminismCheck(
         name="sharded",
         ok=ok,
         detail=(
-            f"{len(shards1)} shards on {slots}x{len(ids)}, exact + "
-            f"multilevel regimes, 1 vs {workers} workers"
+            ", ".join(ran)
+            + f", exact + multilevel regimes, 1 vs {workers} workers, "
+            "float64, float32"
             if ok
             else "; ".join(problems)
         ),

@@ -48,11 +48,14 @@ class CongestionMonitor:
     The congestion index of a cell is ``1 - speed / free_flow`` clamped
     to [0, 1]: 0 = free flow, 1 = standstill.
 
-    :meth:`hotspots` uses an index of each column's endpoint
-    intersections, built at the first hotspot query and kept while
-    refreshes bring the same column list.  It is built into locals and
-    published with one attribute assignment, so concurrent queries are
-    safe; a refresh must not run concurrently with queries.
+    Two indexes are built lazily, each into locals and published with
+    one attribute assignment, so concurrent queries are safe; a refresh
+    must not run concurrently with queries.  The congestion index is
+    built at the first read after a refresh, so a refresh that no query
+    follows costs no (slots x segments) pass.  :meth:`hotspots` also
+    uses an index of each column's endpoint intersections, built at the
+    first hotspot query and kept while refreshes bring the same column
+    list.
 
     Parameters
     ----------
@@ -65,36 +68,47 @@ class CongestionMonitor:
     def __init__(self, network: RoadNetwork, tcm: TrafficConditionMatrix):
         self.network = network
         # Per column list: free-flow speeds and segment ids (kept while a
-        # refresh brings the same columns), and the hotspot index.
-        self._free_flow: Optional[np.ndarray] = None
+        # refresh brings the same columns) and the hotspot index; per
+        # estimate: the congestion index.
+        self._columns: Optional[List[int]] = None
+        self._free_flow = np.empty(0)
         self._column_ids = np.empty(0, dtype=np.int64)
         self._endpoints: Optional[Tuple[np.ndarray, int]] = None
+        self._congestion: Optional[np.ndarray] = None
         self.refresh(tcm)
 
     def refresh(self, tcm: TrafficConditionMatrix) -> None:
-        """Swap in a newer estimate and recompute the congestion index."""
+        """Swap in a newer estimate; the congestion index follows lazily."""
         if not tcm.is_complete:
             raise ValueError("congestion analytics need a complete TCM")
-        if self._free_flow is None or tcm.segment_ids != self.tcm.segment_ids:
-            free_flow = np.array(
+        if tcm.segment_ids != self._columns:
+            self._free_flow = np.array(
                 [self.network.segment(sid).free_flow_kmh for sid in tcm.segment_ids]
             )
-            self._free_flow = free_flow
             self._column_ids = np.asarray(tcm.segment_ids, dtype=np.int64)
+            self._columns = tcm.segment_ids
             self._endpoints = None
         self.tcm = tcm
-        congestion = 1.0 - tcm.values_view / self._free_flow[None, :]
-        self._congestion = np.clip(congestion, 0.0, 1.0, out=congestion)
+        self._congestion = None
+
+    def _index(self) -> np.ndarray:
+        """The congestion index of the current estimate, built on first use."""
+        congestion = self._congestion
+        if congestion is None:
+            congestion = 1.0 - self.tcm.values_view / self._free_flow[None, :]
+            np.clip(congestion, 0.0, 1.0, out=congestion)
+            self._congestion = congestion
+        return congestion
 
     # ------------------------------------------------------------------
     @property
     def congestion_index(self) -> np.ndarray:
         """The (slots x segments) congestion index matrix."""
-        return self._congestion.copy()
+        return self._index().copy()
 
     def network_congestion_series(self) -> np.ndarray:
         """City-wide mean congestion per slot (the management dashboard)."""
-        return self._congestion.mean(axis=1)
+        return self._index().mean(axis=1)
 
     def segment_ranking(
         self, slot_range: Optional[Tuple[int, int]] = None
@@ -103,7 +117,7 @@ class CongestionMonitor:
         lo, hi = slot_range if slot_range else (0, self.tcm.num_slots)
         if not 0 <= lo < hi <= self.tcm.num_slots:
             raise ValueError(f"invalid slot range ({lo}, {hi})")
-        means = self._congestion[lo:hi].mean(axis=0)
+        means = self._index()[lo:hi].mean(axis=0)
         order = np.argsort(means)[::-1]
         return CongestionRanking(
             segment_ids=self._column_ids[order].tolist(),
@@ -117,7 +131,7 @@ class CongestionMonitor:
     def congested_fraction(self, threshold: float = 0.5) -> np.ndarray:
         """Per-slot fraction of segments above a congestion threshold."""
         check_fraction(threshold, "threshold")
-        return (self._congestion >= threshold).mean(axis=1)
+        return (self._index() >= threshold).mean(axis=1)
 
     # ------------------------------------------------------------------
     def _endpoint_nodes(self) -> Tuple[np.ndarray, int]:
@@ -155,7 +169,7 @@ class CongestionMonitor:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
 
-        row = self._congestion[slot]
+        row = self._index()[slot]
         cols = np.flatnonzero(row >= threshold)
         k = cols.size
         if k == 0:

@@ -9,7 +9,7 @@ the speed of the slot the vehicle actually reaches it in.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ class TravelTimeService:
         self.network = network
         self.min_speed_kmh = float(min_speed_kmh)
         self._known = frozenset(network.segment_ids)
+        self._columns: Optional[List[int]] = None
         self.refresh(tcm)
 
     def refresh(self, tcm: TrafficConditionMatrix) -> None:
@@ -50,14 +51,18 @@ class TravelTimeService:
 
         Revalidates the TCM exactly like construction, so a long-lived
         service can follow a continuously re-estimated metropolitan
-        network.  The speed floor is applied per lookup, so no copy of
-        the estimate is made.
+        network; the segment ids are checked against the network only
+        when the column list differs from the previous estimate's.  The
+        speed floor is applied per lookup, so no copy of the estimate is
+        made.
         """
         if not tcm.is_complete:
             raise ValueError("travel times need a complete (estimated) TCM")
-        missing = [sid for sid in tcm.segment_ids if sid not in self._known]
-        if missing:
-            raise ValueError(f"TCM segments not in network: {missing[:5]}")
+        if tcm.segment_ids != self._columns:
+            missing = [sid for sid in tcm.segment_ids if sid not in self._known]
+            if missing:
+                raise ValueError(f"TCM segments not in network: {missing[:5]}")
+            self._columns = tcm.segment_ids
         self.tcm = tcm
         self._values = tcm.values_view
 

@@ -40,7 +40,7 @@ bit-identical whether restarts run serially or in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -69,8 +69,44 @@ SUPPORTED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 #: bench workloads while still catching any wrong-kernel bug outright.
 FLOAT32_RTOL = 1e-3
 
+# The kernel's sparse layout (observed cells only, in CSR form) is bound
+# when the matrix has at least SPARSE_MIN_CELLS cells and at most
+# SPARSE_MAX_OBSERVED of them are observed; everything else binds the
+# dense layout.  Bind (from a boolean mask) plus sweeps, r = 2,
+# lam = 100, float64, min of 3 x 7 runs, one core of a 2-CPU VM with
+# single-threaded OpenBLAS:
+#
+#   shape, observed                      sweeps   dense      sparse
+#   metro stream window 96 x 363, 3.6%       3     0.36 ms    0.78 ms
+#   downtown stream window 96 x 221, 28%     3     0.28 ms    1.08 ms
+#   paper scale 672 x 221, 20%              60    20.9 ms    39.4 ms
+#   672 x 480, 5%                            8     9.50 ms    4.68 ms
+#   672 x 480, 11%                           8     8.43 ms    7.07 ms
+#   672 x 480, 15%                           8     9.79 ms    9.83 ms
+#   metro-week shard 672 x 450, 3.2%         8     9.36 ms    3.40 ms
+#   metro-week seed 672 x 5,812, 3.2%        5   151 ms      24.7 ms
+#
+# The layouts break even near 15% observed on shard-sized matrices and
+# nearer 5% close to the floor (672 x 221: 2.81 ms dense, 2.36 ms
+# sparse at 5%; 2.88 against 3.40 ms at 10%); below it the sparse
+# product's per-call cost loses at any density.  Every stream window
+# (the largest is 96 x 380 = 36,480 cells) stays dense.
+SPARSE_MIN_CELLS = 131_072
+SPARSE_MAX_OBSERVED = 0.10
+
 # (best objective, L, R, per-sweep objective history) of one ALS run.
 _RunOutcome = Tuple[float, np.ndarray, np.ndarray, List[float]]
+
+
+class _Fit(NamedTuple):
+    """Algorithm 1's winning factors and run record, before ``L R^T``."""
+
+    objective: float
+    left: np.ndarray
+    right: np.ndarray
+    offset: float
+    restart_histories: List[List[float]]
+    best_restart: int
 
 
 @dataclass(frozen=True)
@@ -261,6 +297,25 @@ class CompressiveSensingCompleter:
         Accepts either a :class:`TrafficConditionMatrix` or an explicit
         ``(M, B)`` array pair.
         """
+        fit = self._fit(measurements, mask)
+        return CompletionResult(
+            estimate=self._estimate(fit.left, fit.right, fit.offset),
+            left=fit.left,
+            right=fit.right,
+            objective=fit.objective,
+            objective_history=fit.restart_histories[fit.best_restart],
+            iterations_run=sum(len(h) for h in fit.restart_histories),
+            restart_histories=fit.restart_histories,
+            best_restart=fit.best_restart,
+        )
+
+    @effects(allow={"rng"})
+    def _fit(
+        self,
+        measurements: Union[TrafficConditionMatrix, np.ndarray],
+        mask: Optional[np.ndarray] = None,
+    ) -> "_Fit":
+        """:meth:`complete` up to, not including, forming ``L R^T``."""
         if isinstance(measurements, TrafficConditionMatrix):
             if mask is not None:
                 raise ValueError("mask is implied by the TrafficConditionMatrix")
@@ -280,20 +335,27 @@ class CompressiveSensingCompleter:
         m, n = m_arr.shape
         r = min(self.rank, m, n)
 
-        # Zero the unobserved cells once.  The kernel's right-hand side
-        # F^T M relies on it, the literal solver's documented behavior
-        # is "missing entries are zeros", and hoisting the masking out
-        # of the sweep loop removes a full m x n `np.where` per solve.
-        # The masking stays in the working dtype, and when the caller
-        # already zeroed the unobserved cells (synthetic pipelines
-        # build M as `np.where(mask, truth, 0)`) the full-matrix copy
-        # is skipped entirely.
+        # The dense kernel multiplies by the indicator in the working
+        # dtype, cast once here and shared by every restart; the sparse
+        # kernel reads only the boolean mask's pattern.
+        sparse = self.mask_aware and _sparse_layout(b_arr)
+        ind = b_arr if sparse else b_arr.astype(work_dtype)
+
+        # Zero the unobserved cells once.  The dense kernel's right-hand
+        # side F^T M relies on it, the literal solver's documented
+        # behavior is "missing entries are zeros", and hoisting the
+        # masking out of the sweep loop removes a full m x n `np.where`
+        # per solve.  The masking stays in the working dtype, and when
+        # the caller already zeroed the unobserved cells (synthetic
+        # pipelines build M as `np.where(mask, truth, 0)`) or the sparse
+        # kernel will read the observed cells only, the full-matrix
+        # copy is skipped entirely.
         zero = work_dtype.type(0)
         offset = 0.0
         if self.center:
             offset = float(m_arr[b_arr].mean())
             m_arr = np.where(b_arr, m_arr - offset, zero)
-        elif m_arr[~b_arr].any():
+        elif not sparse and m_arr[~b_arr].any():
             m_arr = np.where(b_arr, m_arr, zero)
 
         # Line 1 of the pseudocode, once per restart: random init of L,
@@ -312,9 +374,6 @@ class CompressiveSensingCompleter:
             for _ in range(self.restarts)
         ]
 
-        # Indicator in the working dtype, cast once for all restarts and
-        # shared (read-only) by the objective and every run's kernel.
-        ind = b_arr.astype(work_dtype)
         with obs_trace.span(
             "als.complete",
             rows=m,
@@ -322,6 +381,7 @@ class CompressiveSensingCompleter:
             rank=r,
             dtype=work_dtype.name,
             restarts=self.restarts,
+            layout="sparse" if sparse else "dense",
         ):
             runs: List[_RunOutcome] = parallel_map(
                 lambda init: self._run_als(m_arr, ind, init),
@@ -334,24 +394,13 @@ class CompressiveSensingCompleter:
         best_idx = min(range(len(runs)), key=lambda i: runs[i][0])
         best_obj, best_left, best_right, _ = runs[best_idx]
         restart_histories = [history for _, _, _, history in runs]
-        iterations_run = sum(len(h) for h in restart_histories)
         if obs_trace.enabled():
             obs_metrics.inc("als.completions")
             obs_metrics.inc("als.restarts", self.restarts)
             for history in restart_histories:
                 obs_metrics.observe("als.iterations_to_convergence", len(history))
             obs_metrics.observe("als.objective", best_obj)
-
-        return CompletionResult(
-            estimate=self._estimate(best_left, best_right, offset),
-            left=best_left,
-            right=best_right,
-            objective=best_obj,
-            objective_history=restart_histories[best_idx],
-            iterations_run=iterations_run,
-            restart_histories=restart_histories,
-            best_restart=best_idx,
-        )
+        return _Fit(best_obj, best_left, best_right, offset, restart_histories, best_idx)
 
     def work_dtype(self, input_dtype: np.dtype) -> np.dtype:
         """Resolve the dtype the ALS sweep will run in.
@@ -370,7 +419,9 @@ class CompressiveSensingCompleter:
         """One ALS run from the given init (pseudocode lines 2-9).
 
         ``m_arr`` is in the working dtype with unobserved cells zeroed
-        and ``ind`` is the observation indicator in the same dtype.
+        (a sparse-layout bind reads observed cells only) and ``ind`` is
+        the observation indicator, boolean or in the same dtype (see
+        :class:`_WorkspaceKernel`).
         Returns ``(best objective, L, R, per-iteration objectives)``.
         Reads only; safe to run concurrently across restarts.  Each run
         binds its own kernel, which reuses its buffers across sweeps, so
@@ -419,9 +470,10 @@ class CompressiveSensingCompleter:
         self, left: np.ndarray, right: np.ndarray, offset: float = 0.0
     ) -> np.ndarray:
         """``L R^T`` plus the centering offset, clipped to the bounds."""
-        estimate = left @ right.T + offset
+        estimate = left @ right.T
+        estimate += offset
         if self.clip_min is not None or self.clip_max is not None:
-            estimate = np.clip(estimate, self.clip_min, self.clip_max)
+            np.clip(estimate, self.clip_min, self.clip_max, out=estimate)
         return estimate
 
     @effects("pure")
@@ -474,6 +526,18 @@ def _observed_or_raise(counts: np.ndarray, label: str, rank: int) -> np.ndarray:
     return observed
 
 
+def _sparse_layout(ind: np.ndarray) -> bool:
+    """Whether a kernel bound to indicator ``ind`` stores observed cells only.
+
+    True for a matrix of at least :data:`SPARSE_MIN_CELLS` cells with
+    at most :data:`SPARSE_MAX_OBSERVED` of them observed.
+    """
+    cells = ind.size
+    return cells >= SPARSE_MIN_CELLS and bool(
+        np.count_nonzero(ind) <= SPARSE_MAX_OBSERVED * cells
+    )
+
+
 class _WorkspaceKernel:
     """Algorithm 1's masked ridge solve, bound to one ALS run.
 
@@ -487,13 +551,27 @@ class _WorkspaceKernel:
     Binding hoists everything the sweep would otherwise re-derive: the
     ridge ``lam I``, the observed index sets (``lam == 0`` only),
     ``||M||_F^2``, and the Gram / right-hand-side / output buffers,
-    which are reused by every sweep.  ``M``, ``M^T``, the indicator and
-    its transpose are *views* of the caller's arrays, so binding
-    allocates only ``O((m + n) r^2)`` of workspace.  A sweep then
-    performs one outer-product write, one GEMM into the Gram stack, one
-    GEMM into the right-hand sides — ``M^T L`` (n x r) and ``M R``
-    (m x r), oriented so BLAS reads ``M`` in its stored order — and the
-    solve.
+    which are reused by every sweep.  A sweep performs one outer-product
+    write, one product into the Gram stack (the indicator times the
+    outer products), one into the right-hand sides — ``M^T L`` (n x r)
+    and ``M R`` (m x r), one row per system — and the solve.
+
+    The two products run in one of two layouts, picked at binding by
+    :func:`_sparse_layout` from the matrix size and its observed-cell
+    count:
+
+    * **dense** — ``M``, ``M^T``, the indicator and its transpose are
+      *views* of the caller's arrays (the indicator is cast to the
+      working dtype unless it already is), and the products are GEMMs
+      over all ``m n`` cells, oriented so BLAS reads ``M`` in its stored
+      order.  Binding allocates only ``O((m + n) r^2)`` of workspace.
+    * **sparse** — only the observed cells are stored, as CSR matrices
+      of ``M``, ``M^T``, the indicator and its transpose (O(observed)
+      arrays, no (m, n) copy), and the products are sparse-times-dense,
+      so a half-sweep costs ``O(observed r^2)``.  The pattern is the
+      indicator's, never ``M != 0``: an observed cell whose value is 0
+      stays observed.  ``scipy.sparse`` is imported only here, so
+      processes that never bind this layout do not load it.
 
     Right after :meth:`solve_left`, every row of ``L`` solves its own
     ridge system exactly, so :meth:`objective` reads Eq. 16 off the
@@ -507,10 +585,11 @@ class _WorkspaceKernel:
     excluded from the ``gesv`` stack and solve to zero; a column (row)
     observed in ``1..r-1`` cells is rejected at binding.
 
-    ``m_arr`` must be zero on unobserved cells (Algorithm 1 zeroes its
-    input on entry) and ``ind`` the indicator in ``m_arr``'s dtype.
-    Buffers are reused across calls, so a kernel must stay on one
-    thread (Algorithm 1 binds one per ALS run).
+    The dense layout needs ``m_arr`` zero on unobserved cells (Algorithm
+    1 zeroes its input on entry); the sparse one reads observed cells
+    only.  ``ind`` is the indicator, boolean or in ``m_arr``'s dtype.
+    Buffers are reused across calls, so a kernel must stay on one thread
+    (Algorithm 1 binds one per ALS run).
     """
 
     def __init__(
@@ -519,18 +598,29 @@ class _WorkspaceKernel:
         m, n = m_arr.shape
         dtype = m_arr.dtype
         self._lam = lam
-        self._m = m_arr
-        self._m_t = m_arr.T
-        self._ind = ind
-        self._ind_t = ind.T
+        self.sparse = _sparse_layout(ind)
+        if self.sparse:
+            self._bind_sparse(m_arr, ind)
+        else:
+            ind = ind.astype(dtype, copy=False)
+            self._m = m_arr
+            self._m_t = m_arr.T
+            self._ind = ind
+            self._ind_t = ind.T
+            flat = m_arr.reshape(-1).astype(np.float64, copy=False)
+            self._m_sq = float(np.dot(flat, flat))
+        if obs_trace.enabled():
+            obs_metrics.inc("als.binds_sparse" if self.sparse else "als.binds_dense")
         self._lam_eye = lam * np.eye(rank, dtype=dtype)
-        flat = m_arr.reshape(-1).astype(np.float64, copy=False)
-        self._m_sq = float(np.dot(flat, flat))
         self._observed_cols: Optional[np.ndarray] = None
         self._observed_rows: Optional[np.ndarray] = None
         if not lam > 0:
-            self._observed_cols = _observed_or_raise(ind.sum(axis=0), "column", rank)
-            self._observed_rows = _observed_or_raise(ind.sum(axis=1), "row", rank)
+            self._observed_cols = _observed_or_raise(
+                np.count_nonzero(ind, axis=0), "column", rank
+            )
+            self._observed_rows = _observed_or_raise(
+                np.count_nonzero(ind, axis=1), "row", rank
+            )
         # pairs_* hold the r*r outer products of the fixed factor's rows;
         # grams_* and rhs_* receive the GEMMs; out_* receive the solves.
         self._pairs_m = np.empty((m, rank * rank), dtype=dtype)
@@ -541,6 +631,27 @@ class _WorkspaceKernel:
         self._rhs_m = np.empty((m, rank), dtype=dtype)
         self._out_n = np.empty((n, rank), dtype=dtype)
         self._out_m = np.empty((m, rank), dtype=dtype)
+
+    def _bind_sparse(self, m_arr: np.ndarray, ind: np.ndarray) -> None:
+        """Bind the observed cells of ``M`` and ``ind`` as CSR matrices."""
+        from scipy.sparse import csr_matrix
+
+        m, n = m_arr.shape
+        # Observed cells in C order: row by row, columns ascending.
+        rows, cols = np.divmod(np.flatnonzero(ind), n)
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+        data = m_arr[rows, cols]
+        self._m = csr_matrix((data, cols, indptr), shape=(m, n))
+        # A structural transpose: explicit zeros are kept.
+        self._m_t = self._m.T.tocsr()
+        ones = np.ones(data.size, dtype=m_arr.dtype)
+        self._ind = csr_matrix((ones, self._m.indices, self._m.indptr), shape=(m, n))
+        self._ind_t = csr_matrix(
+            (ones, self._m_t.indices, self._m_t.indptr), shape=(n, m)
+        )
+        flat = data.astype(np.float64, copy=False)
+        self._m_sq = float(np.dot(flat, flat))
 
     def solve_right(self, left: np.ndarray) -> np.ndarray:
         """R <- argmin of Eq. 16 with L fixed."""
@@ -610,7 +721,8 @@ class _WorkspaceKernel:
 
         ``m_side @ factor`` is this side's right-hand side, one row per
         system; ``ind_gram`` is the indicator oriented so that
-        ``ind_gram @ pairs`` stacks the matching Gram matrices;
+        ``ind_gram @ pairs`` stacks the matching Gram matrices (both
+        dense arrays or both CSR matrices, per the bound layout);
         ``observed`` lists the observed systems (``None`` when
         ``lam > 0``); ``pairs``/``grams``/``rhs``/``out`` are this
         side's buffers.
@@ -622,12 +734,18 @@ class _WorkspaceKernel:
             factor[:, None, :],
             out=pairs.reshape(k, r, r),
         )
-        np.matmul(ind_gram, pairs, out=grams.reshape(cols, r * r))
-        # Writing the ridge into the preallocated Gram buffer is the
-        # point of the workspace (no fresh allocation per sweep).
+        # Writing the products and the ridge into the preallocated
+        # buffers is the point of the workspace.
+        if self.sparse:
+            # The sparse products return fresh O((m + n) r^2) arrays.
+            grams.reshape(cols, r * r)[...] = ind_gram @ pairs
+            # repro-lint: disable-next-line=param-mutation
+            rhs[...] = m_side @ factor
+        else:
+            np.matmul(ind_gram, pairs, out=grams.reshape(cols, r * r))
+            np.matmul(m_side, factor, out=rhs)
         # repro-lint: disable-next-line=param-mutation
         grams += self._lam_eye
-        np.matmul(m_side, factor, out=rhs)
         if observed is not None:
             # lam == 0: all-unobserved systems are singular; they are
             # left out of the stack and solve to zero.

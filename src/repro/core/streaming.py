@@ -279,13 +279,14 @@ def _warm_run(
     ``(best objective, L, R, per-sweep objectives)``.  ``m_arr`` must
     already be zero on unobserved cells.  The sweep runs in the
     completer's working dtype: measurements and the warm factor are cast
-    on entry, and the returned factors stay in that dtype so the next
-    window warm-starts without re-promotion.
+    on entry (the kernel casts the indicator only if its layout reads
+    it), and the returned factors stay in that dtype so the next window
+    warm-starts without re-promotion.
     """
     work_dtype = completer.work_dtype(m_arr.dtype)
     m_arr = np.ascontiguousarray(m_arr, dtype=work_dtype)
     return completer._run_als(
-        m_arr, b_arr.astype(work_dtype), warm_left.astype(work_dtype, copy=False)
+        m_arr, b_arr, warm_left.astype(work_dtype, copy=False)
     )
 
 

@@ -112,10 +112,22 @@ class TrafficConditionMatrix:
         grid: Optional[TimeGrid] = None,
         segment_ids: Optional[Sequence[int]] = None,
     ) -> None:
-        values = np.asarray(values, dtype=np.float64)
         if mask is None:
-            mask = np.ones_like(values, dtype=bool)
-        values, mask = check_matrix_pair(values, mask)
+            # Fully observed: one owned copy and one finiteness pass, no
+            # masked gather or masked copy.
+            values = np.array(values, dtype=np.float64)
+            if values.ndim != 2:
+                raise ValueError(f"values must be 2-D, got shape {values.shape}")
+            if not np.isfinite(values).all():
+                raise ValueError("observed entries must be finite")
+            mask = np.ones(values.shape, dtype=bool)
+            cleaned = values
+        else:
+            values, mask = check_matrix_pair(
+                np.asarray(values, dtype=np.float64), mask
+            )
+            # Zero out unobserved cells so values match the paper's M = X .x B.
+            cleaned = np.where(mask, values, 0.0)
         m, n = values.shape
         if grid is None:
             grid = TimeGrid(start_s=0.0, slot_s=900.0, num_slots=m)
@@ -132,8 +144,6 @@ class TrafficConditionMatrix:
             )
         if len(set(segment_ids)) != n:
             raise ValueError("segment_ids must be unique")
-        # Zero out unobserved cells so values match the paper's M = X .x B.
-        cleaned = np.where(mask, values, 0.0)
         self._values = cleaned
         self._mask = mask
         self.grid = grid
@@ -171,6 +181,13 @@ class TrafficConditionMatrix:
     def mask(self) -> np.ndarray:
         """The boolean indicator matrix ``B``."""
         return self._mask.copy()
+
+    @property
+    def mask_view(self) -> np.ndarray:
+        """Read-only view of :attr:`mask`, for readers that must not copy."""
+        view = self._mask.view()
+        view.flags.writeable = False
+        return view
 
     def column_of(self, segment_id: int) -> int:
         """Column index of a segment id."""

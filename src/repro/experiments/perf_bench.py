@@ -23,6 +23,10 @@ Two profiles:
 * ``smoke=True`` — a seconds-fast configuration: a small matrix, few
   sweeps, the same record schema and the same float32 check.
 
+Both profiles add one sparse-regime case (672 x 450 at 3%), which
+Algorithm 1's kernel binds in its sparse layout; the others bind the
+dense one.
+
 :func:`compare_payloads` diffs two reports record by record and flags
 any tracked case whose wall time regressed beyond
 :data:`REGRESSION_THRESHOLD`.  ``repro bench --compare BENCH_<date>.json``
@@ -90,6 +94,11 @@ class BenchCase:
     @property
     def name(self) -> str:
         return f"{self.m}x{self.n}@{self.integrity:.2f}"
+
+
+#: A metro-week-shard-sized case (672 slots x 450 segments, 3%
+#: observed) that Algorithm 1's kernel binds in its sparse layout.
+SPARSE_CASE = BenchCase(672, 450, 0.03)
 
 
 @dataclass(frozen=True)
@@ -186,14 +195,20 @@ class BenchReport:
 
 
 def default_cases(smoke: bool = False) -> List[BenchCase]:
-    """The benchmark workload grid for a profile."""
+    """The benchmark workload grid for a profile.
+
+    Both profiles end with :data:`SPARSE_CASE`, so the float32 check
+    also covers the kernel's sparse layout; every other case binds the
+    dense one.
+    """
     if smoke:
-        return [BenchCase(96, 40, 0.3)]
+        return [BenchCase(96, 40, 0.3), SPARSE_CASE]
     hm, hn = HEADLINE_SHAPE
     return [
         BenchCase(hm, hn, HEADLINE_INTEGRITY),
         BenchCase(hm, hn, 0.4),
         BenchCase(hm // 2, hn // 2, HEADLINE_INTEGRITY),
+        SPARSE_CASE,
     ]
 
 

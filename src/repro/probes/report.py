@@ -19,7 +19,7 @@ no per-report Python work.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,16 +52,23 @@ class ProbeReport(NamedTuple):
         return self.heading_deg == self.heading_deg  # not NaN
 
 
+def _time_order(report: ProbeReport) -> Tuple[bool, float]:
+    """Sort key by time with NaN times last, the order ``np.argsort`` gives."""
+    nan = report.time_s != report.time_s
+    return (nan, 0.0 if nan else report.time_s)
+
+
 class ReportBatch:
     """Columnar view over a collection of probe reports.
 
     Construction sorts by timestamp, matching the arrival order the
-    monitoring center would process.
+    monitoring center would process; reports with a NaN time go last, in
+    their given order, as in :meth:`from_columns`.
     """
 
     def __init__(self, reports: Iterable[ProbeReport]):
         reports = list(reports)
-        reports.sort(key=lambda r: r.time_s)
+        reports.sort(key=_time_order)
         self._report_list: Optional[List[ProbeReport]] = reports
         if reports:
             self.vehicle_ids = np.array([r.vehicle_id for r in reports], dtype=np.int64)

@@ -9,8 +9,9 @@ baseline) — is shared city-wide, while the *spatial* right factor is
 local.  So:
 
 1. **Seed solve** — a few cheap ALS sweeps (``seed_iterations``, default
-   5) over the full matrix produce a city-wide left factor ``L0`` (and a
-   complete fallback estimate for shards with no observations).
+   5) over the full matrix produce a city-wide left factor ``L0`` (and,
+   when some shard has no observations, the seed's full estimate as its
+   fallback).
 2. **Per-shard refinement** — every shard runs ``warm_iterations``
    (default 8) ALS sweeps over its own columns only, warm-started from
    ``L0`` via :func:`repro.core.streaming._warm_complete`.  No random
@@ -219,8 +220,9 @@ class ShardedCompleter:
         set as ``measurements`` (cores partition the columns exactly).
         """
         validate_shards(shards, measurements.segment_ids)
-        values = measurements.values
-        mask = measurements.mask
+        # Read-only views: every step below reads them or copies first.
+        values = measurements.values_view
+        mask = measurements.mask_view
         col_of = {sid: j for j, sid in enumerate(measurements.segment_ids)}
         ordered = sorted(shards, key=lambda s: s.shard_id)
         cols_per_shard = [
@@ -228,24 +230,27 @@ class ShardedCompleter:
             for shard in ordered
         ]
 
+        col_obs = mask.sum(axis=0)
+        seed_objective: Optional[float] = None
         if self.seed_iterations == 0:
             sub_results = self._solve_exact(values, mask, cols_per_shard)
-            mode, seed_objective, offset = "exact", None, 0.0
-            fallback: Optional[np.ndarray] = None
+            mode, offset = "exact", 0.0
         else:
             mode = "multilevel"
             offset = 0.0
             if self.center:
                 offset = float(values[mask].mean()) if mask.any() else 0.0
-                values = np.where(mask, values - offset, 0.0)
-            seed_result = self._solve_seed(values, mask)
-            seed_objective = seed_result.objective
-            fallback = seed_result.estimate
+                # np.where(mask, values - offset, 0.0) in one pass.
+                values = np.subtract(
+                    values, offset, out=np.zeros_like(values), where=mask
+                )
+            seed_left, seed_objective, fallback = self._solve_seed(
+                values, mask, col_obs, cols_per_shard
+            )
             sub_results = self._solve_warm(
-                values, mask, cols_per_shard, seed_result.left, fallback
+                values, mask, cols_per_shard, seed_left, fallback
             )
 
-        col_obs = mask.sum(axis=0)
         started = time.perf_counter()
         with obs_trace.span("scale.stitch", shards=len(ordered)):
             estimate = _stitch(
@@ -286,16 +291,31 @@ class ShardedCompleter:
         )
 
     # ------------------------------------------------------------------
-    @shapes("m n", "m n:bool")
+    @shapes("m n", "m n:bool", "n")
     def _solve_seed(
-        self, values: np.ndarray, mask: np.ndarray
-    ) -> CompletionResult:
-        """City-wide low-budget solve producing the shared left factor."""
+        self,
+        values: np.ndarray,
+        mask: np.ndarray,
+        col_obs: np.ndarray,
+        cols_per_shard: Sequence[np.ndarray],
+    ) -> Tuple[np.ndarray, float, Optional[np.ndarray]]:
+        """City-wide low-budget solve producing the shared left factor.
+
+        Returns ``(L0, objective, fallback)``.  The fallback, the seed's
+        full ``L R^T`` estimate, answers for the tiles with nothing
+        observed; it is formed only when such a tile exists (``None``
+        otherwise), which saves an (m, n) product on every estimate of a
+        network whose tiles all see traffic.
+        """
         completer = self._make_completer(
             iterations=self.seed_iterations, clip=False
         )
         with obs_trace.span("scale.seed_solve", sweeps=self.seed_iterations):
-            return completer.complete(values, mask)
+            fit = completer._fit(values, mask)
+        fallback = None
+        if not all(col_obs[cols].any() for cols in cols_per_shard):
+            fallback = completer._estimate(fit.left, fit.right, fit.offset)
+        return fit.left, fit.objective, fallback
 
     @shapes("m n", "m n:bool")
     def _solve_exact(
@@ -311,12 +331,12 @@ class ShardedCompleter:
                 iterations=self.iterations, clip=True, center=self.center
             )
             with self._track_inflight():
-                # Column fancy-indexing yields a non-contiguous view copy;
-                # BLAS takes a different (reordered) summation path on it,
-                # which would break bit-for-bit monolithic equivalence.
+                # C-ordered column copies: BLAS takes a different
+                # (reordered) summation path on the F-ordered copy that
+                # column fancy-indexing yields, which would break
+                # bit-for-bit monolithic equivalence.
                 return completer.complete(
-                    np.ascontiguousarray(values[:, cols]),
-                    np.ascontiguousarray(mask[:, cols]),
+                    np.take(values, cols, axis=1), np.take(mask, cols, axis=1)
                 )
 
         return parallel_map(
@@ -334,14 +354,18 @@ class ShardedCompleter:
         mask: np.ndarray,
         cols_per_shard: Sequence[np.ndarray],
         seed_left: np.ndarray,
-        fallback: np.ndarray,
+        fallback: Optional[np.ndarray],
     ) -> List[CompletionResult]:
-        """Warm per-shard refinements from the city-wide left factor."""
+        """Warm per-shard refinements from the city-wide left factor.
+
+        ``fallback`` is the seed estimate, given exactly when some tile
+        has nothing observed.
+        """
 
         def solve(cols: np.ndarray) -> CompletionResult:
-            sub_b = np.ascontiguousarray(mask[:, cols])
+            sub_b = np.take(mask, cols, axis=1)
             with self._track_inflight():
-                if not sub_b.any():
+                if fallback is not None and not sub_b.any():
                     # Nothing observed in this tile: the seed estimate is
                     # the best available answer for its columns.
                     sub_est = fallback[:, cols]
@@ -357,7 +381,7 @@ class ShardedCompleter:
                     iterations=self.warm_iterations, clip=False
                 )
                 return _warm_complete(
-                    completer, values[:, cols], sub_b, seed_left
+                    completer, np.take(values, cols, axis=1), sub_b, seed_left
                 )
 
         return parallel_map(
@@ -393,6 +417,11 @@ class ShardedCompleter:
         return _Tracker()
 
 
+#: Rows the halo stitch gathers at a time: small enough that one band
+#: of every shard block stays in cache.
+_STITCH_ROWS = 16
+
+
 @shapes(None, "n")
 def _stitch(
     shape: Tuple[int, int],
@@ -409,13 +438,19 @@ def _stitch(
     shards place their columns directly — bit-for-bit passthrough, the
     exact-equivalence regime.  With halos, most columns still have
     exactly one contributing shard (a halo only covers the tile fringe),
-    so single-owner columns are placed directly too and only the
+    so single-owner columns are copied as they are and only the
     *contested* columns — those inside at least one other shard's halo —
     pay for reconciliation: observation-count-weighted averaging,
     falling back to the unweighted mean of the contributions when no
-    shard observed the column.  Accumulation always runs in
+    shard observed the column.  Contributions are always summed in
     ``shard_id`` order (``ordered`` is pre-sorted), so the stitched
     matrix does not depend on which shard finished first.
+
+    The halo case works on bands of :data:`_STITCH_ROWS` rows: a band of
+    every shard block is laid side by side in one buffer, the merged
+    contested columns are appended to it, and one ``take`` gathers the
+    band's output row by row.  This replaces column scatters into the
+    C-ordered output, which cost more than the merge itself.
     """
     m, n = shape
     out = np.empty((m, n))
@@ -424,36 +459,52 @@ def _stitch(
             out[:, cols] = est
         return out
 
-    owners = np.zeros(n, dtype=np.int64)
-    for cols in cols_per_shard:
-        owners[cols] += 1
-    contested = owners > 1
-    cidx = np.cumsum(contested) - 1  # global column -> contested slot
-    k = int(contested.sum())
+    # Position of every (shard, column) pair in the side-by-side band,
+    # grouped by global column and, within a column, in shard order.
+    placed = np.concatenate(cols_per_shard)
+    total = placed.size
+    by_column = np.argsort(placed, kind="stable")
+    owners = np.bincount(placed, minlength=n)
+    first = np.cumsum(owners) - owners
+    src = by_column[first]  # single-owner columns: their only position
 
+    # A column's weight is the same in every shard that holds it, so a
+    # contested column is weighted in all of its shards or observed in
+    # none ("silent": plain mean).  Each kind is ordered by owner count,
+    # descending, so the columns with more than r owners are a prefix.
     obs_counts = np.asarray(weights, dtype=np.float64)
-    weighted_sum = np.zeros((m, k))
-    weight_total = np.zeros(k)
-    uniform_sum = np.zeros((m, k))
-    uniform_count = np.zeros(k)
-    for cols, est in zip(cols_per_shard, estimates):
-        fought = contested[cols]
-        out[:, cols[~fought]] = est[:, ~fought]
-        ci = cidx[cols[fought]]
-        w = obs_counts[cols[fought]]
-        weighted_sum[:, ci] += est[:, fought] * w
-        weight_total[ci] += w
-        uniform_sum[:, ci] += est[:, fought]
-        uniform_count[ci] += 1.0
-    merged = np.empty((m, k))
-    observed_cols = weight_total > 0
-    np.divide(
-        weighted_sum, weight_total, out=merged, where=observed_cols[None, :]
-    )
-    if not observed_cols.all():
-        silent = ~observed_cols
-        merged[:, silent] = uniform_sum[:, silent] / uniform_count[silent]
-    out[:, contested] = merged
+    contested = owners > 1
+    silent = contested & (obs_counts == 0)
+    merges = []
+    offset = total
+    for kind, weighted in ((contested & ~silent, True), (silent, False)):
+        cols = np.flatnonzero(kind)
+        cols = cols[np.argsort(-owners[cols], kind="stable")]
+        src[cols] = offset + np.arange(cols.size)
+        scale = obs_counts[cols] if weighted else np.ones(cols.size)
+        steps, norm = [], np.zeros(cols.size)
+        for r in range(int(owners[cols].max(initial=0))):
+            k = int(np.count_nonzero(owners[cols] > r))
+            steps.append((k, by_column[first[cols[:k]] + r]))
+            norm[:k] += scale[:k]
+        merges.append((offset, cols.size, steps, scale if weighted else None, norm))
+        offset += cols.size
+
+    band = np.empty((_STITCH_ROWS, offset))
+    for lo in range(0, m, _STITCH_ROWS):
+        hi = min(lo + _STITCH_ROWS, m)
+        part = band[: hi - lo]
+        np.concatenate([est[lo:hi] for est in estimates], axis=1, out=part[:, :total])
+        for start, k, steps, scale, norm in merges:
+            acc = part[:, start : start + k]
+            acc[...] = 0.0
+            for kr, positions in steps:
+                contribution = part[:, positions]
+                if scale is not None:
+                    contribution *= scale[:kr]
+                acc[:, :kr] += contribution
+            acc /= norm
+        np.take(part, src, axis=1, out=out[lo:hi], mode="clip")
     return out
 
 

@@ -22,9 +22,10 @@ Which reports count is the batch rule,
 :func:`repro.probes.aggregation.admit_reports`: a matched, known segment
 and a speed in ``[min_speed_kmh, MAX_SPEED_KMH]``.  Reports for an
 already-closed slot are dropped and counted once, as
-``stream.rejected_late``, whatever their speed; of the rest, NaN/±inf
-speeds count as ``stream.rejected_nonfinite`` (one ``inf`` would
-otherwise poison its shard's window for ``window_slots`` slots) and
+``stream.rejected_late``, whatever their speed; of the rest, a NaN/±inf
+time or speed counts as ``stream.rejected_nonfinite`` (a time with no
+slot would otherwise land in whatever slot is open, and one ``inf``
+speed would poison its shard's window for ``window_slots`` slots) and
 finite speeds above the cap as ``stream.rejected_overspeed``.  Idle,
 unmatched and unknown-segment reports are dropped uncounted, as in
 batch aggregation.
@@ -192,6 +193,15 @@ class ShardedStreamingEstimator:
         self, times: np.ndarray, segs: np.ndarray, speeds: np.ndarray
     ) -> List[SlotEstimate]:
         """Bucket time-ordered report columns; close slots as time passes."""
+        timed = np.isfinite(times)
+        if not timed.all():
+            # A NaN or infinite time has no slot: drop the report, counted
+            # once whatever its speed, before it can reach any slot.
+            if obs_trace.enabled():
+                obs_metrics.inc(
+                    "stream.rejected_nonfinite", times.size - int(timed.sum())
+                )
+            times, segs, speeds = times[timed], segs[timed], speeds[timed]
         if not times.size:
             return []
         # Time order makes slots non-decreasing, late reports a prefix.

@@ -4,8 +4,9 @@ Property tests on the 4x4 test grid: random complete and partial-coverage
 TCMs (columns in shuffled order), random thresholds and random trips.
 Plans must match in route and bit for bit in arrival time; hotspots as
 sets with bit-equal means, in the documented order; rankings exactly.
-The last test checks that first-time queries racing to build the lazy
-indexes from several threads answer as serial queries do.
+The last test checks that first-time queries (plans, hotspots and
+rankings) racing to build the lazy indexes from several threads answer
+as serial queries do.
 """
 
 import sys
@@ -149,18 +150,26 @@ class TestConcurrentFirstQueries:
         rng = np.random.default_rng(7)
         nodes = [n.node_id for n in network.intersections()]
         out = []
-        for i in range(4 * self.THREADS):
-            if i % 2 == 0:
+        for i in range(6 * self.THREADS):
+            if i % 3 == 0:
                 a, b = rng.choice(nodes, size=2, replace=False)
                 depart = float(rng.uniform(tcm.grid.start_s, tcm.grid.end_s))
                 out.append(("plan", (int(a), int(b), depart)))
-            else:
+            elif i % 3 == 1:
                 out.append(("hotspots", (int(rng.integers(tcm.num_slots)), 0.3, 1)))
+            else:
+                lo = int(rng.integers(tcm.num_slots))
+                hi = int(rng.integers(lo + 1, tcm.num_slots + 1))
+                out.append(("ranking", ((lo, hi),)))
         return out
 
     @staticmethod
     def answer(planner, monitor, kind, args):
-        return planner.plan(*args) if kind == "plan" else monitor.hotspots(*args)
+        if kind == "plan":
+            return planner.plan(*args)
+        if kind == "hotspots":
+            return monitor.hotspots(*args)
+        return monitor.segment_ranking(*args)
 
     def concurrent(self, planner, monitor, requests):
         """Every thread starts its first query at the same moment."""

@@ -1,9 +1,12 @@
 """Tests for repro.core.completion (Algorithm 1)."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import completion
 from repro.core.completion import (
     FLOAT32_RTOL,
     CompletionResult,
@@ -14,6 +17,8 @@ from repro.core.tcm import TrafficConditionMatrix
 from repro.datasets.masks import random_integrity_mask
 from repro.experiments.perf_bench import _make_truth, default_cases
 from repro.metrics.errors import nmae
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from tests.conftest import EQUIVALENCE_TOL, make_low_rank
 from tests.solver_oracles import als_reference, eq16, ridge_by_column
 
@@ -244,7 +249,50 @@ class TestEdgeCases:
         assert np.all(np.isfinite(result.estimate))
 
 
-class TestSolverEquivalence:
+@contextmanager
+def forced_layout(sparse):
+    """Bind every kernel in the sparse (or dense) layout, whatever the rule."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(completion, "_sparse_layout", lambda ind: sparse)
+        yield
+
+
+def random_mask_cases(test):
+    """The examples of the random-mask oracle comparison."""
+    return settings(max_examples=20, deadline=None)(
+        given(
+            mask_seed=st.integers(0, 2**31 - 1),
+            integrity=st.floats(0.05, 0.95),
+            rank=st.integers(1, 5),
+            mask_aware=st.booleans(),
+        )(test)
+    )
+
+
+def kernel_cases(test):
+    """The examples of the kernel-against-loop comparison."""
+    return settings(max_examples=40, deadline=None)(
+        given(
+            seed=st.integers(0, 2**31 - 1),
+            rank=st.integers(1, 4),
+            lam=st.sampled_from([0.0, 0.1, 100.0]),
+            dtype=st.sampled_from([np.float64, np.float32]),
+        )(test)
+    )
+
+
+class LayoutForced:
+    """Runs a test class with the kernel layout forced to ``SPARSE``."""
+
+    SPARSE = False
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _layout(self, request):
+        with forced_layout(request.cls.SPARSE):
+            yield
+
+
+class TestSolverEquivalence(LayoutForced):
     """The completer must reproduce the per-column reference ALS."""
 
     @staticmethod
@@ -257,14 +305,11 @@ class TestSolverEquivalence:
         assert diff <= EQUIVALENCE_TOL, f"completer deviates from the oracle by {diff}"
         assert result.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
 
-    @settings(max_examples=20, deadline=None)
-    @given(
-        mask_seed=st.integers(0, 2**31 - 1),
-        integrity=st.floats(0.05, 0.95),
-        rank=st.integers(1, 5),
-        mask_aware=st.booleans(),
-    )
+    @random_mask_cases
     def test_random_masks(self, mask_seed, integrity, rank, mask_aware):
+        self.check_random_masks(mask_seed, integrity, rank, mask_aware)
+
+    def check_random_masks(self, mask_seed, integrity, rank, mask_aware):
         x = make_low_rank(14, 10, 2, seed=3)
         mask = random_integrity_mask(x.shape, integrity, seed=mask_seed)
         self._assert_match(
@@ -337,18 +382,43 @@ class TestSolverEquivalence:
             np.where(mask, truth, 0.0), mask, rank=2, lam=10.0, iterations=20
         )
 
+    @pytest.mark.parametrize("center", [False, True])
+    def test_observed_zero_stays_observed(self, center):
+        # Observed cells whose (centred) value is exactly 0 keep their
+        # place in the ridge systems: the pattern is the mask's.
+        x = make_low_rank(12, 9, 2, seed=16)
+        mask = random_integrity_mask(x.shape, 0.5, seed=17)
+        measured = np.where(mask, x, 0.0)
+        rows, cols = np.nonzero(mask)
+        zeroed = (rows[::3], cols[::3])
+        measured[zeroed] = 0.0
+        if center:
+            measured[zeroed] = measured[mask].mean()
+            measured[zeroed] = measured[mask].mean()
+        self._assert_match(
+            measured, mask, rank=2, lam=0.5, iterations=8, center=center
+        )
 
-class TestKernel:
+
+class TestSolverEquivalenceSparse(TestSolverEquivalence):
+    """The oracle comparisons with every kernel bound in the sparse layout."""
+
+    SPARSE = True
+
+    # Hypothesis runs a test function from one class only: restate it.
+    @random_mask_cases
+    def test_random_masks(self, mask_seed, integrity, rank, mask_aware):
+        self.check_random_masks(mask_seed, integrity, rank, mask_aware)
+
+
+class TestKernel(LayoutForced):
     """The bound workspace kernel against the per-column loop."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        rank=st.integers(1, 4),
-        lam=st.sampled_from([0.0, 0.1, 100.0]),
-        dtype=st.sampled_from([np.float64, np.float32]),
-    )
+    @kernel_cases
     def test_matches_loop(self, seed, rank, lam, dtype):
+        self.check_matches_loop(seed, rank, lam, dtype)
+
+    def check_matches_loop(self, seed, rank, lam, dtype):
         rng = np.random.default_rng(seed)
         m, n = 16, 11
         mask = rng.random((m, n)) < 0.6
@@ -358,12 +428,18 @@ class TestKernel:
             mask[: 2 * rank] = True
             mask[:, : 2 * rank] = True
             mask[:, [n - 3, n - 1]] = False
+        # An all-unobserved row and column, and observed cells whose
+        # value is exactly 0.
+        mask[m - 2] = False
+        mask[:, n - 3] = False
         values = np.where(mask, rng.normal(30.0, 8.0, (m, n)), 0.0)
+        values[0, :3] = 0.0
         left = rng.standard_normal((m, rank))
         right = rng.standard_normal((n, rank))
         kernel = _WorkspaceKernel(
             values.astype(dtype), mask.astype(dtype), lam, rank
         )
+        assert kernel.sparse is self.SPARSE
         got = (
             kernel.solve_right(left.astype(dtype)),
             kernel.solve_left(right.astype(dtype)),
@@ -380,16 +456,121 @@ class TestKernel:
 
     def test_binding_copies_no_full_matrix(self):
         m, n = 30, 20
-        values = np.zeros((m, n))
-        ind = np.ones((m, n))
+        ind = (np.random.default_rng(0).random((m, n)) < 0.2).astype(np.float64)
+        values = 7.0 * ind
         kernel = _WorkspaceKernel(values, ind, 1.0, 2)
-        assert np.shares_memory(kernel._m_t, values)
-        assert np.shares_memory(kernel._ind_t, ind)
-        for name, arr in vars(kernel).items():
-            if isinstance(arr, np.ndarray) and arr.size >= m * n:
+        assert kernel.sparse is self.SPARSE
+        if not self.SPARSE:
+            assert np.shares_memory(kernel._m_t, values)
+            assert np.shares_memory(kernel._ind_t, ind)
+        arrays = []
+        for name, attr in vars(kernel).items():
+            if isinstance(attr, np.ndarray):
+                arrays.append((name, attr))
+            elif hasattr(attr, "indptr"):  # a CSR matrix: O(observed) arrays
+                for part in ("data", "indices", "indptr"):
+                    arrays.append((f"{name}.{part}", getattr(attr, part)))
+        assert self.SPARSE == any("." in name for name, _ in arrays)
+        for name, arr in arrays:
+            if arr.size >= m * n:
                 assert np.shares_memory(arr, values) or np.shares_memory(
                     arr, ind
                 ), f"kernel attribute {name} copies an (m, n) array"
+
+
+class TestKernelSparse(TestKernel):
+    """The kernel tests with the sparse layout bound."""
+
+    SPARSE = True
+
+    @kernel_cases
+    def test_matches_loop(self, seed, rank, lam, dtype):
+        self.check_matches_loop(seed, rank, lam, dtype)
+
+
+class TestLayoutSelection:
+    """Which layout the rule binds, and the signals that report it."""
+
+    @pytest.mark.parametrize(
+        "shape, observed, sparse",
+        [
+            ((96, 363), 0.036, False),  # metro stream window
+            ((96, 380), 0.036, False),  # largest e2e stream window
+            ((96, 221), 0.28, False),  # downtown stream window
+            ((672, 221), 0.20, False),  # paper scale
+            ((672, 480), 0.15, False),  # shard-sized, above the ceiling
+            ((672, 450), 0.032, True),  # metro-week shard
+            ((672, 5812), 0.032, True),  # metro-week seed solve
+        ],
+    )
+    def test_rule(self, shape, observed, sparse):
+        mask = np.random.default_rng(0).random(shape) < observed
+        assert completion._sparse_layout(mask) is sparse
+        kernel = _WorkspaceKernel(np.where(mask, 30.0, 0.0), mask, 100.0, 2)
+        assert kernel.sparse is sparse
+
+    @staticmethod
+    def _traced(run):
+        obs_trace.reset()
+        obs_metrics.reset()
+        obs_trace.enable()
+        try:
+            run()
+            counters = obs_metrics.registry().snapshot()["counters"]
+            spans = obs_trace.collector().snapshot()
+        finally:
+            obs_trace.disable()
+            obs_trace.reset()
+            obs_metrics.reset()
+        layouts = [s.attrs["layout"] for s in spans if s.name == "als.complete"]
+        return counters, layouts
+
+    @pytest.mark.parametrize(
+        "mask_aware, layout", [(True, "sparse"), (False, "dense")]
+    )
+    def test_signals(self, mask_aware, layout):
+        # Literal mode binds an all-observed indicator: dense, whatever
+        # the input's sparsity.
+        mask = np.random.default_rng(1).random((672, 450)) < 0.03
+        completer = CompressiveSensingCompleter(
+            iterations=2, restarts=2, mask_aware=mask_aware, seed=0
+        )
+        counters, layouts = self._traced(
+            lambda: completer.complete(np.where(mask, 30.0, 0.0), mask)
+        )
+        assert layouts == [layout]
+        assert counters == {
+            **{k: v for k, v in counters.items() if not k.startswith("als.binds")},
+            f"als.binds_{layout}": 2.0,
+        }
+
+    def test_no_counters_when_off(self):
+        mask = np.random.default_rng(2).random((672, 450)) < 0.03
+        obs_metrics.reset()
+        CompressiveSensingCompleter(iterations=1, seed=0).complete(
+            np.where(mask, 30.0, 0.0), mask
+        )
+        assert obs_metrics.registry().snapshot()["counters"] == {}
+
+    def test_sparse_matches_dense(self):
+        # The two layouts sum each Gram and right-hand-side entry over
+        # the same cells in a different order.
+        rng = np.random.default_rng(3)
+        mask = rng.random((672, 450)) < 0.03
+        truth = _make_truth(672, 450, rng)
+        measured = np.where(mask, truth, 0.0)
+        results = {}
+        for sparse in (False, True):
+            with forced_layout(sparse):
+                results[sparse] = CompressiveSensingCompleter(
+                    iterations=8, center=True, seed=0
+                ).complete(measured, mask)
+        scale = float(np.abs(results[False].estimate).max())
+        diff = float(np.abs(results[True].estimate - results[False].estimate).max())
+        assert diff <= 1e-9 * scale
+        assert results[True].objective == pytest.approx(
+            results[False].objective, rel=1e-12
+        )
 
 
 class TestObjectiveOracle:

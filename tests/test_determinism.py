@@ -39,6 +39,7 @@ class TestSmokeChecks:
         check = check_completion(seed=0, max_workers=2, smoke=True)
         assert check.ok, check.detail
         assert "1 vs 2 workers" in check.detail
+        assert "(dense)" in check.detail and "(sparse)" in check.detail
 
     def test_tuning_bit_identical(self):
         check = check_tuning(seed=0, max_workers=2, smoke=True)
@@ -48,6 +49,7 @@ class TestSmokeChecks:
         check = check_sharded(seed=0, max_workers=2, smoke=True)
         assert check.ok, check.detail
         assert "exact + multilevel" in check.detail
+        assert "(dense)" in check.detail and "(sparse)" in check.detail
 
     def test_suite_subset(self):
         report = run_determinism_suite(

@@ -1,5 +1,7 @@
 """Property-based tests for the streaming estimator and shift schedules."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -120,20 +122,43 @@ SPECIAL_SPEEDS = [
     float("nan"), float("inf"), float("-inf"), -5.0, 0.5, 150.0, 150.0001, 1e6,
 ]
 
-hostile_report = st.tuples(
-    st.integers(0, SLOTS - 1),                      # slot
-    st.floats(0.0, 599.0),                          # offset in the slot
-    st.sampled_from(HOSTILE_IDS + [-1, 10_000]),    # segment
-    st.one_of(st.floats(2.0, 149.0), st.sampled_from(SPECIAL_SPEEDS)),
+#: Offsets that make a report's time NaN or ±inf: it has no slot.
+SPECIAL_OFFSETS = [float("nan"), float("inf"), float("-inf")]
+
+
+def _hostile_report(offsets):
+    return st.tuples(
+        st.integers(0, SLOTS - 1),                      # slot
+        offsets,                                        # offset in the slot
+        st.sampled_from(HOSTILE_IDS + [-1, 10_000]),    # segment
+        st.one_of(st.floats(2.0, 149.0), st.sampled_from(SPECIAL_SPEEDS)),
+    )
+
+
+hostile_report = _hostile_report(
+    st.one_of(st.floats(0.0, 599.0), st.sampled_from(SPECIAL_OFFSETS))
 )
+#: A late report has a slot, so its time is finite.
+late_report = _hostile_report(st.floats(0.0, 599.0))
 
 
 def _report(vid, slot, offset, seg, speed):
     return ProbeReport(vid, slot * SLOT_S + offset, 0.0, 0.0, speed, seg)
 
 
+def _timed(r):
+    return math.isfinite(r.time_s)
+
+
 def _admitted(r):
-    return r.segment_id in HOSTILE_IDS and 2.0 <= r.speed_kmh <= 150.0
+    return (
+        _timed(r) and r.segment_id in HOSTILE_IDS and 2.0 <= r.speed_kmh <= 150.0
+    )
+
+
+def _time_order(r):
+    """Time order with NaN times last, as ``ReportBatch`` sorts."""
+    return (r.time_s != r.time_s, 0.0 if r.time_s != r.time_s else r.time_s)
 
 
 @st.composite
@@ -147,7 +172,7 @@ def hostile_streams(draw, late=True):
     on_time += [on_time[i] for i in draw(
         st.lists(st.integers(0, len(on_time) - 1), max_size=5)
     )]
-    on_time.sort(key=lambda r: r.time_s)
+    on_time.sort(key=_time_order)
     per_report = draw(st.booleans())
     if per_report:
         chunks = [[r] for r in on_time]
@@ -161,12 +186,13 @@ def hostile_streams(draw, late=True):
     lates = []
     if late:
         extra = draw(st.lists(
-            st.tuples(hostile_report, st.integers(0, 3)), max_size=4
+            st.tuples(late_report, st.integers(0, 3)), max_size=4
         ))
         for k, ((slot, offset, seg, speed), delay) in enumerate(extra):
             closer = next(
                 (c for c, chunk in enumerate(chunks)
-                 if any(r.time_s >= (slot + 1) * SLOT_S for r in chunk)),
+                 if any(_timed(r) and r.time_s >= (slot + 1) * SLOT_S
+                        for r in chunk)),
                 None,
             )
             if closer is None:
@@ -253,16 +279,17 @@ class TestHostileIngest:
         _, clean_rows = _publish(partition, clean, per_report)
         assert np.array_equal(rows, clean_rows)
 
-        on_time = np.array([
-            r.speed_kmh for chunk in chunks for r in chunk
-            if id(r) not in late_ids
-        ])
-        finite = np.isfinite(on_time)
+        on_time = [
+            r for chunk in chunks for r in chunk if id(r) not in late_ids
+        ]
+        speeds = np.array([r.speed_kmh for r in on_time if _timed(r)])
+        finite = np.isfinite(speeds)
+        untimed = sum(not _timed(r) for r in on_time)
         expected = {
             "stream.rejected_late": len(lates),
-            "stream.rejected_nonfinite": int(np.count_nonzero(~finite)),
+            "stream.rejected_nonfinite": untimed + int(np.count_nonzero(~finite)),
             "stream.rejected_overspeed": int(
-                np.count_nonzero(on_time[finite] > MAX_SPEED_KMH)
+                np.count_nonzero(speeds[finite] > MAX_SPEED_KMH)
             ),
         }
         for name, count in expected.items():

@@ -1,5 +1,7 @@
 """Tests for repro.scale.sharded (per-shard completion + stitching)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.scale import (
     SinglePartitioner,
     contiguous_shards,
 )
+from repro.scale.sharded import _stitch
 from repro.utils.rng import ensure_rng
 
 RANK, LAM, ITERS = 2, 10.0, 12
@@ -176,6 +179,77 @@ class TestMultilevelRegime:
         shards = contiguous_shards(measured.segment_ids, 3)
         result = _multilevel_completer().complete(measured, shards)
         assert result.estimate.shape == measured.values.shape
+
+
+class TestUnobservedTile:
+    def test_takes_the_seed_estimate(self, network, measured):
+        shards = GridPartitioner(4, halo=0).partition(network)
+        col_of = {sid: j for j, sid in enumerate(network.segment_ids)}
+        silent = [col_of[sid] for sid in shards[0].all_ids]
+        mask = measured.mask
+        mask[:, silent] = False
+        tcm = TrafficConditionMatrix(
+            np.where(mask, measured.values, 0.0),
+            mask,
+            grid=measured.grid,
+            segment_ids=measured.segment_ids,
+        )
+        result = ShardedCompleter(
+            rank=RANK, lam=LAM, seed_iterations=3, warm_iterations=4, seed=0
+        ).complete(tcm, shards)
+        seed = CompressiveSensingCompleter(
+            rank=RANK, lam=LAM, iterations=3, seed=0
+        ).complete(tcm.values, tcm.mask)
+        assert np.array_equal(result.estimate[:, silent], seed.estimate[:, silent])
+        assert result.shards[0].iterations_run == 0
+        assert all(s.iterations_run > 0 for s in result.shards[1:])
+
+
+class TestStitch:
+    """The halo stitch against a column-by-column reference, bit for bit."""
+
+    @staticmethod
+    def reference(shape, weights, cols_per_shard, estimates):
+        m, n = shape
+        out = np.empty((m, n))
+        for j in range(n):
+            parts = [
+                np.asarray(est[:, list(cols).index(j)], dtype=np.float64)
+                for cols, est in zip(cols_per_shard, estimates)
+                if j in cols
+            ]
+            if len(parts) == 1:
+                out[:, j] = parts[0]
+                continue
+            w = weights[j] if weights[j] > 0 else 1.0
+            acc, total = np.zeros(m), 0.0
+            for part in parts:
+                acc += part * w if weights[j] > 0 else part
+                total += w
+            out[:, j] = acc / total
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rows", [1, 37])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_reference(self, seed, rows, dtype):
+        rng = np.random.default_rng(seed)
+        n, num_shards = 60, 5
+        owner = rng.integers(num_shards, size=n)
+        held = [set(np.flatnonzero(owner == s)) for s in range(num_shards)]
+        for j in range(n):  # up to three extra (halo) holders per column
+            for s in rng.choice(num_shards, size=rng.integers(0, 4)):
+                held[s].add(j)
+        cols_per_shard = [rng.permutation(sorted(h)).astype(np.intp) for h in held]
+        estimates = [
+            rng.normal(40.0, 10.0, (rows, cols.size)).astype(dtype)
+            for cols in cols_per_shard
+        ]
+        weights = rng.integers(0, 4, size=n).astype(np.float64)  # some silent
+        shards = [SimpleNamespace(halo_ids=[0]) for _ in range(num_shards)]
+        got = _stitch((rows, n), weights, shards, cols_per_shard, estimates)
+        want = self.reference((rows, n), weights, cols_per_shard, estimates)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestValidation:
