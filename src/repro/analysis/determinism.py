@@ -177,7 +177,7 @@ def check_completion(
 
     problems: List[str] = []
     for layout, (values, mask) in cases.items():
-        if _sparse_layout(mask) != (layout == "sparse"):
+        if _sparse_layout(mask.size, np.count_nonzero(mask)) != (layout == "sparse"):
             problems.append(f"the {layout} problem binds the other layout")
         for dtype in dtypes:
             tag = f"[{layout} {dtype}]"
@@ -325,7 +325,10 @@ def check_sharded(
       on every shard's sub-TCM;
     * the multilevel (seed + warm) run is bit-identical serial vs
       thread-pool, in float64 and float32, and under shuffled shard
-      input order.
+      input order;
+    * on the sparse case, the multilevel run from a TCM built from its
+      observed cells, as ``aggregate_reports`` builds one, equals the
+      run from the same values and mask built densely.
     """
     from repro.core.completion import CompressiveSensingCompleter, _sparse_layout
     from repro.core.tcm import TimeGrid, TrafficConditionMatrix
@@ -402,7 +405,9 @@ def check_sharded(
         for shard in shards0:
             cols = np.array([col_of[sid] for sid in shard.all_ids])
             sub_mask = np.ascontiguousarray(tcm.mask[:, cols])
-            if _sparse_layout(sub_mask) != (layout == "sparse"):
+            if _sparse_layout(sub_mask.size, np.count_nonzero(sub_mask)) != (
+                layout == "sparse"
+            ):
                 problems.append(
                     f"[{layout}] halo=0 shard {shard.shard_id} binds the "
                     "other layout"
@@ -416,7 +421,9 @@ def check_sharded(
             if detail:
                 problems.append(detail)
 
-        def multilevel(pool: Optional[int], shard_list, dtype: str) -> np.ndarray:
+        def multilevel(
+            pool: Optional[int], shard_list, dtype: str, measured=tcm
+        ) -> np.ndarray:
             completer = ShardedCompleter(
                 rank=2,
                 lam=10.0,
@@ -429,9 +436,16 @@ def check_sharded(
                 max_workers=pool,
                 seed=seed,
             )
-            return completer.complete(tcm, shard_list).estimate
+            return completer.complete(measured, shard_list).estimate
 
         shards1 = GridPartitioner(num_shards, halo=1).partition(network)
+        from_cells = TrafficConditionMatrix.from_cells(
+            tcm.shape,
+            np.flatnonzero(mask),
+            tcm.values_view[mask],
+            grid=tcm.grid,
+            segment_ids=ids,
+        )
         for dtype in ("float64", "float32"):
             tag = f"[{layout} {dtype}] multilevel"
             serial = multilevel(None, shards1, dtype)
@@ -443,6 +457,11 @@ def check_sharded(
             detail = _diff_arrays(f"{tag} shard input order", serial, shuffled)
             if detail:
                 problems.append(detail)
+            if layout == "sparse":
+                cells = multilevel(None, shards1, dtype, from_cells)
+                detail = _diff_arrays(f"{tag} cells-built vs dense TCM", cells, serial)
+                if detail:
+                    problems.append(detail)
         ran.append(f"{len(shards1)} shards on {slots}x{len(ids)} ({layout})")
 
     ok = not problems
@@ -452,7 +471,7 @@ def check_sharded(
         detail=(
             ", ".join(ran)
             + f", exact + multilevel regimes, 1 vs {workers} workers, "
-            "float64, float32"
+            "float64, float32, cells-built TCM (sparse)"
             if ok
             else "; ".join(problems)
         ),

@@ -39,7 +39,7 @@ bit-identical whether restarts run serially or in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -107,6 +107,46 @@ class _Fit(NamedTuple):
     offset: float
     restart_histories: List[List[float]]
     best_restart: int
+
+
+@dataclass(frozen=True)
+class ObservedCells:
+    """An ``(m, n)`` matrix given by its observed cells alone.
+
+    The cells run row by row, columns ascending within a row (row-major
+    order): cell ``k`` is ``values[k]`` at ``(rows[k], cols[k])``, and
+    every other cell is unobserved.  This is the form the kernel's
+    sparse layout binds from (:class:`_WorkspaceKernel`), so a caller
+    that already holds the cells (:class:`repro.scale.ShardedCompleter`
+    does) hands them over without an (m, n) pass.
+    """
+
+    shape: Tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, m_arr: np.ndarray, ind: np.ndarray) -> "ObservedCells":
+        """The cells of ``m_arr`` that the indicator ``ind`` marks."""
+        rows, cols = np.divmod(np.flatnonzero(ind), m_arr.shape[1])
+        return cls(m_arr.shape, rows, cols, m_arr[rows, cols])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.values.dtype
+
+    def astype(self, dtype: np.dtype) -> "ObservedCells":
+        """The same cells with their values in ``dtype``."""
+        return replace(self, values=self.values.astype(dtype, copy=False))
+
+    def dense(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(M, B)``: the cells scattered into zeroed ``(m, n)`` arrays."""
+        m_arr = np.zeros(self.shape, dtype=self.values.dtype)
+        m_arr[self.rows, self.cols] = self.values
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[self.rows, self.cols] = True
+        return m_arr, mask
 
 
 @dataclass(frozen=True)
@@ -312,34 +352,63 @@ class CompressiveSensingCompleter:
     @effects(allow={"rng"})
     def _fit(
         self,
-        measurements: Union[TrafficConditionMatrix, np.ndarray],
+        measurements: Union[TrafficConditionMatrix, np.ndarray, ObservedCells],
         mask: Optional[np.ndarray] = None,
     ) -> "_Fit":
-        """:meth:`complete` up to, not including, forming ``L R^T``."""
-        if isinstance(measurements, TrafficConditionMatrix):
+        """:meth:`complete` up to, not including, forming ``L R^T``.
+
+        Also takes the matrix as :class:`ObservedCells`, whose values
+        must be finite.  A sparse-layout solve (:func:`_sparse_layout`)
+        then runs on the cells alone; any other scatters them first.
+        """
+        cells: Optional[ObservedCells] = None
+        if isinstance(measurements, ObservedCells):
             if mask is not None:
-                raise ValueError("mask is implied by the TrafficConditionMatrix")
-            m_arr, b_arr = measurements.values, measurements.mask
+                raise ValueError("mask is implied by the observed cells")
+            cells = measurements
+            if not np.isfinite(cells.values).all():
+                raise ValueError("observed entries must be finite")
+            (m, n), count = cells.shape, cells.values.size
         else:
-            if mask is None:
-                raise ValueError("mask required when passing a raw array")
-            m_arr, b_arr = check_matrix_pair(measurements, mask, dtype=None)
-        if not b_arr.any():
+            if isinstance(measurements, TrafficConditionMatrix):
+                if mask is not None:
+                    raise ValueError("mask is implied by the TrafficConditionMatrix")
+                # Read-only views (nothing below writes to them), laid
+                # out C-ordered as the kernel's products expect.
+                m_arr = np.ascontiguousarray(measurements.values_view)
+                b_arr = np.ascontiguousarray(measurements.mask_view)
+            else:
+                if mask is None:
+                    raise ValueError("mask required when passing a raw array")
+                m_arr, b_arr = check_matrix_pair(measurements, mask, dtype=None)
+            (m, n), count = m_arr.shape, int(np.count_nonzero(b_arr))
+        if not count:
             raise ValueError("measurement matrix has no observed entries")
 
-        work_dtype = self.work_dtype(m_arr.dtype)
-        if m_arr.dtype != work_dtype:
-            m_arr = m_arr.astype(work_dtype)
+        # A sparse-layout run reads the observed cells only, taken once
+        # here for every restart; a dense one reads (m, n) arrays, with
+        # the indicator cast to the working dtype once.
+        sparse = self.mask_aware and _sparse_layout(m * n, count)
+        if sparse and cells is None:
+            cells = ObservedCells.of(m_arr, b_arr)
+        elif not sparse and cells is not None:
+            m_arr, b_arr = cells.dense()
+            cells = None
+
+        # The observed values, gathered once for the centring mean and
+        # the init scale.
+        if cells is not None:
+            work_dtype = self.work_dtype(cells.dtype)
+            cells = cells.astype(work_dtype)
+            observed = cells.values
+        else:
+            work_dtype = self.work_dtype(m_arr.dtype)
+            if m_arr.dtype != work_dtype:
+                m_arr = m_arr.astype(work_dtype)
+            observed = m_arr[b_arr]
 
         rng = ensure_rng(self._seed)
-        m, n = m_arr.shape
         r = min(self.rank, m, n)
-
-        # The dense kernel multiplies by the indicator in the working
-        # dtype, cast once here and shared by every restart; the sparse
-        # kernel reads only the boolean mask's pattern.
-        sparse = self.mask_aware and _sparse_layout(b_arr)
-        ind = b_arr if sparse else b_arr.astype(work_dtype)
 
         # Zero the unobserved cells once.  The dense kernel's right-hand
         # side F^T M relies on it, the literal solver's documented
@@ -347,16 +416,26 @@ class CompressiveSensingCompleter:
         # masking out of the sweep loop removes a full m x n `np.where`
         # per solve.  The masking stays in the working dtype, and when
         # the caller already zeroed the unobserved cells (synthetic
-        # pipelines build M as `np.where(mask, truth, 0)`) or the sparse
-        # kernel will read the observed cells only, the full-matrix
-        # copy is skipped entirely.
+        # pipelines build M as `np.where(mask, truth, 0)`: the matrix
+        # then has no nonzero beyond the observed ones, NaN counting as
+        # nonzero) the full-matrix copy is skipped entirely.
         zero = work_dtype.type(0)
         offset = 0.0
         if self.center:
-            offset = float(m_arr[b_arr].mean())
-            m_arr = np.where(b_arr, m_arr - offset, zero)
-        elif not sparse and m_arr[~b_arr].any():
+            offset = float(observed.mean())
+            observed = observed - offset
+            if cells is not None:
+                cells = replace(cells, values=observed)
+            else:
+                m_arr = np.where(b_arr, m_arr - offset, zero)
+        elif cells is None and np.count_nonzero(m_arr) != np.count_nonzero(
+            observed
+        ):
             m_arr = np.where(b_arr, m_arr, zero)
+        if cells is not None:
+            matrix, ind = cells, None
+        else:
+            matrix, ind = m_arr, b_arr.astype(work_dtype)
 
         # Line 1 of the pseudocode, once per restart: random init of L,
         # scaled to the data's magnitude so the first R-solve starts in
@@ -365,7 +444,7 @@ class CompressiveSensingCompleter:
         # and parallel execution produce bit-identical results.  Draws
         # happen in the generator's native float64 and are cast once,
         # so the working dtype cannot perturb the random stream.
-        observed_scale = float(np.abs(m_arr[b_arr]).mean())
+        observed_scale = float(np.abs(observed).mean())
         init_scale = np.sqrt(max(observed_scale, 1e-6) / r)
         inits = [
             (rng.standard_normal((m, r)) * init_scale).astype(
@@ -384,7 +463,7 @@ class CompressiveSensingCompleter:
             layout="sparse" if sparse else "dense",
         ):
             runs: List[_RunOutcome] = parallel_map(
-                lambda init: self._run_als(m_arr, ind, init),
+                lambda init: self._run_als(matrix, ind, init),
                 inits,
                 max_workers=self.max_workers,
                 backend="thread",
@@ -414,13 +493,18 @@ class CompressiveSensingCompleter:
     # ------------------------------------------------------------------
     @shapes("m n", "m n", "m r")
     def _run_als(
-        self, m_arr: np.ndarray, ind: np.ndarray, init: np.ndarray
+        self,
+        m_arr: Union[np.ndarray, ObservedCells],
+        ind: Optional[np.ndarray],
+        init: np.ndarray,
     ) -> _RunOutcome:
         """One ALS run from the given init (pseudocode lines 2-9).
 
         ``m_arr`` is in the working dtype with unobserved cells zeroed
         (a sparse-layout bind reads observed cells only) and ``ind`` is
-        the observation indicator, boolean or in the same dtype (see
+        the observation indicator, boolean or in the same dtype; or, for
+        a mask-aware run, ``m_arr`` is the matrix's :class:`ObservedCells`
+        in the working dtype and ``ind`` is ``None`` (see
         :class:`_WorkspaceKernel`).
         Returns ``(best objective, L, R, per-iteration objectives)``.
         Reads only; safe to run concurrently across restarts.  Each run
@@ -526,16 +610,13 @@ def _observed_or_raise(counts: np.ndarray, label: str, rank: int) -> np.ndarray:
     return observed
 
 
-def _sparse_layout(ind: np.ndarray) -> bool:
-    """Whether a kernel bound to indicator ``ind`` stores observed cells only.
+def _sparse_layout(cells: int, observed: int) -> bool:
+    """Whether a kernel bound to a matrix stores its observed cells only.
 
     True for a matrix of at least :data:`SPARSE_MIN_CELLS` cells with
     at most :data:`SPARSE_MAX_OBSERVED` of them observed.
     """
-    cells = ind.size
-    return cells >= SPARSE_MIN_CELLS and bool(
-        np.count_nonzero(ind) <= SPARSE_MAX_OBSERVED * cells
-    )
+    return cells >= SPARSE_MIN_CELLS and bool(observed <= SPARSE_MAX_OBSERVED * cells)
 
 
 class _WorkspaceKernel:
@@ -558,7 +639,8 @@ class _WorkspaceKernel:
 
     The two products run in one of two layouts, picked at binding by
     :func:`_sparse_layout` from the matrix size and its observed-cell
-    count:
+    count, whichever form the matrix arrives in — ``(M, B)`` arrays or
+    :class:`ObservedCells` (``ind`` is then ``None``):
 
     * **dense** — ``M``, ``M^T``, the indicator and its transpose are
       *views* of the caller's arrays (the indicator is cast to the
@@ -568,10 +650,15 @@ class _WorkspaceKernel:
     * **sparse** — only the observed cells are stored, as CSR matrices
       of ``M``, ``M^T``, the indicator and its transpose (O(observed)
       arrays, no (m, n) copy), and the products are sparse-times-dense,
-      so a half-sweep costs ``O(observed r^2)``.  The pattern is the
-      indicator's, never ``M != 0``: an observed cell whose value is 0
-      stays observed.  ``scipy.sparse`` is imported only here, so
-      processes that never bind this layout do not load it.
+      so a half-sweep costs ``O(observed r^2)``.  There is one bind, from
+      the cells; arrays reach it through :meth:`ObservedCells.of`, so
+      the pattern is the indicator's, never ``M != 0``: an observed cell
+      whose value is 0 stays observed.  ``scipy.sparse`` is imported
+      only here, so processes that never bind this layout do not load
+      it.
+
+    Cells bound in the dense layout are first scattered into zeroed
+    arrays (:meth:`ObservedCells.dense`).
 
     Right after :meth:`solve_left`, every row of ``L`` solves its own
     ridge system exactly, so :meth:`objective` reads Eq. 16 off the
@@ -593,14 +680,27 @@ class _WorkspaceKernel:
     """
 
     def __init__(
-        self, m_arr: np.ndarray, ind: np.ndarray, lam: float, rank: int
+        self,
+        m_arr: Union[np.ndarray, ObservedCells],
+        ind: Optional[np.ndarray],
+        lam: float,
+        rank: int,
     ) -> None:
         m, n = m_arr.shape
         dtype = m_arr.dtype
         self._lam = lam
-        self.sparse = _sparse_layout(ind)
+        if isinstance(m_arr, ObservedCells):
+            cells: Optional[ObservedCells] = m_arr
+            self.sparse = _sparse_layout(m * n, m_arr.values.size)
+            if not self.sparse:
+                m_arr, ind = m_arr.dense()
+        else:
+            cells = None
+            self.sparse = _sparse_layout(m * n, int(np.count_nonzero(ind)))
         if self.sparse:
-            self._bind_sparse(m_arr, ind)
+            self._bind_sparse(
+                cells if cells is not None else ObservedCells.of(m_arr, ind)
+            )
         else:
             ind = ind.astype(dtype, copy=False)
             self._m = m_arr
@@ -615,12 +715,16 @@ class _WorkspaceKernel:
         self._observed_cols: Optional[np.ndarray] = None
         self._observed_rows: Optional[np.ndarray] = None
         if not lam > 0:
-            self._observed_cols = _observed_or_raise(
-                np.count_nonzero(ind, axis=0), "column", rank
-            )
-            self._observed_rows = _observed_or_raise(
-                np.count_nonzero(ind, axis=1), "row", rank
-            )
+            # Observed cells per column and per row: the CSR row lengths
+            # of M^T and M in the sparse layout.
+            if self.sparse:
+                col_counts = np.diff(self._m_t.indptr)
+                row_counts = np.diff(self._m.indptr)
+            else:
+                col_counts = np.count_nonzero(ind, axis=0)
+                row_counts = np.count_nonzero(ind, axis=1)
+            self._observed_cols = _observed_or_raise(col_counts, "column", rank)
+            self._observed_rows = _observed_or_raise(row_counts, "row", rank)
         # pairs_* hold the r*r outer products of the fixed factor's rows;
         # grams_* and rhs_* receive the GEMMs; out_* receive the solves.
         self._pairs_m = np.empty((m, rank * rank), dtype=dtype)
@@ -632,20 +736,19 @@ class _WorkspaceKernel:
         self._out_n = np.empty((n, rank), dtype=dtype)
         self._out_m = np.empty((m, rank), dtype=dtype)
 
-    def _bind_sparse(self, m_arr: np.ndarray, ind: np.ndarray) -> None:
-        """Bind the observed cells of ``M`` and ``ind`` as CSR matrices."""
+    def _bind_sparse(self, cells: ObservedCells) -> None:
+        """Bind the observed cells of ``M`` and the indicator as CSR matrices."""
         from scipy.sparse import csr_matrix
 
-        m, n = m_arr.shape
-        # Observed cells in C order: row by row, columns ascending.
-        rows, cols = np.divmod(np.flatnonzero(ind), n)
+        m, n = cells.shape
+        # The cells run row by row, columns ascending: CSR order.
         indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-        data = m_arr[rows, cols]
-        self._m = csr_matrix((data, cols, indptr), shape=(m, n))
+        np.cumsum(np.bincount(cells.rows, minlength=m), out=indptr[1:])
+        data = cells.values
+        self._m = csr_matrix((data, cells.cols, indptr), shape=(m, n))
         # A structural transpose: explicit zeros are kept.
         self._m_t = self._m.T.tocsr()
-        ones = np.ones(data.size, dtype=m_arr.dtype)
+        ones = np.ones(data.size, dtype=data.dtype)
         self._ind = csr_matrix((ones, self._m.indices, self._m.indptr), shape=(m, n))
         self._ind_t = csr_matrix(
             (ones, self._m_t.indices, self._m_t.indptr), shape=(n, m)

@@ -41,7 +41,7 @@ row is clipped to ``[0, MAX_SPEED_KMH]``, the cap batch estimates use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from repro.core.completion import (
     CompletionResult,
     CompressiveSensingCompleter,
     DTypeLike,
+    ObservedCells,
     PAPER_LAMBDA,
     PAPER_RANK,
 )
@@ -268,8 +269,8 @@ class WindowCompleter:
 @shapes(None, "m n", "m n:bool", "m r")
 def _warm_run(
     completer: CompressiveSensingCompleter,
-    m_arr: np.ndarray,
-    b_arr: np.ndarray,
+    m_arr: Union[np.ndarray, ObservedCells],
+    b_arr: Optional[np.ndarray],
     warm_left: np.ndarray,
 ) -> Tuple[float, np.ndarray, np.ndarray, List[float]]:
     """Run the completer's ALS sweeps starting from a provided left factor.
@@ -277,14 +278,18 @@ def _warm_run(
     :meth:`CompressiveSensingCompleter.complete` with the random
     initialization (pseudocode line 1) replaced by ``warm_left``; returns
     ``(best objective, L, R, per-sweep objectives)``.  ``m_arr`` must
-    already be zero on unobserved cells.  The sweep runs in the
-    completer's working dtype: measurements and the warm factor are cast
-    on entry (the kernel casts the indicator only if its layout reads
-    it), and the returned factors stay in that dtype so the next window
-    warm-starts without re-promotion.
+    already be zero on unobserved cells, or be the matrix's
+    :class:`~repro.core.completion.ObservedCells` with ``b_arr`` ``None``.
+    The sweep runs in the completer's working dtype: measurements and
+    the warm factor are cast on entry (the kernel casts the indicator
+    only if its layout reads it), and the returned factors stay in that
+    dtype so the next window warm-starts without re-promotion.
     """
     work_dtype = completer.work_dtype(m_arr.dtype)
-    m_arr = np.ascontiguousarray(m_arr, dtype=work_dtype)
+    if isinstance(m_arr, ObservedCells):
+        m_arr = m_arr.astype(work_dtype)
+    else:
+        m_arr = np.ascontiguousarray(m_arr, dtype=work_dtype)
     return completer._run_als(
         m_arr, b_arr, warm_left.astype(work_dtype, copy=False)
     )
@@ -293,8 +298,8 @@ def _warm_run(
 @shapes(None, "m n", "m n:bool", "m r")
 def _warm_complete(
     completer: CompressiveSensingCompleter,
-    m_arr: np.ndarray,
-    b_arr: np.ndarray,
+    m_arr: Union[np.ndarray, ObservedCells],
+    b_arr: Optional[np.ndarray],
     warm_left: np.ndarray,
 ) -> CompletionResult:
     """:func:`_warm_run` packaged as a :class:`CompletionResult`."""

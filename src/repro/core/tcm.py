@@ -55,8 +55,11 @@ class TimeGrid:
         return self.slot_s * self.num_slots
 
     def slot_of(self, time_s: float) -> Optional[int]:
-        """Slot index containing ``time_s``; ``None`` outside the grid."""
-        if time_s < self.start_s or time_s >= self.end_s:
+        """Slot index containing ``time_s``; ``None`` outside the grid.
+
+        NaN is outside every grid (both comparisons fail for it).
+        """
+        if not self.start_s <= time_s < self.end_s:
             return None
         return int((time_s - self.start_s) // self.slot_s)
 
@@ -102,7 +105,15 @@ class TrafficConditionMatrix:
         The time discretization of the rows.
     segment_ids:
         Column labels; defaults to ``0..n-1``.
+
+    :meth:`from_cells` builds a TCM from its observed cells instead, and
+    :attr:`observed_cells` reads them back.
     """
+
+    # (flat indices, values) of the observed cells, read-only, or None
+    # until first asked for.  A class default, so a TCM unpickled from
+    # a state without it (see __getstate__) computes them on demand.
+    _cells: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @shapes("m n", "m n:bool")
     def __init__(
@@ -128,6 +139,61 @@ class TrafficConditionMatrix:
             )
             # Zero out unobserved cells so values match the paper's M = X .x B.
             cleaned = np.where(mask, values, 0.0)
+        self._adopt(cleaned, mask, grid, segment_ids)
+
+    @classmethod
+    def from_cells(
+        cls,
+        shape: Tuple[int, int],
+        flat: np.ndarray,
+        values: np.ndarray,
+        grid: Optional[TimeGrid] = None,
+        segment_ids: Optional[Sequence[int]] = None,
+    ) -> "TrafficConditionMatrix":
+        """A TCM of ``shape`` from its observed cells.
+
+        ``flat`` holds the row-major flat indices of the observed cells,
+        strictly ascending, and ``values`` their (finite) measurements;
+        every other cell is unobserved.  The TCM keeps copies of both as
+        its :attr:`observed_cells` and scatters them into its matrices,
+        so building one costs O(observed) beyond zeroing the two arrays.
+        """
+        if len(shape) != 2:
+            raise ValueError(f"values must be 2-D, got shape {tuple(shape)}")
+        m, n = (int(size) for size in shape)
+        flat = np.array(flat, dtype=np.intp)
+        values = np.array(values, dtype=np.float64)
+        if flat.ndim != 1 or values.shape != flat.shape:
+            raise ValueError(
+                f"{flat.shape} cell indices for {values.shape} cell values"
+            )
+        if flat.size and (
+            flat[0] < 0 or flat[-1] >= m * n or np.any(flat[1:] <= flat[:-1])
+        ):
+            raise ValueError(
+                f"cell indices must ascend strictly within [0, {m * n})"
+            )
+        if not np.isfinite(values).all():
+            raise ValueError("observed entries must be finite")
+        dense = np.zeros(m * n)
+        dense[flat] = values
+        mask = np.zeros(m * n, dtype=bool)
+        mask[flat] = True
+        tcm = cls.__new__(cls)
+        tcm._adopt(dense.reshape(m, n), mask.reshape(m, n), grid, segment_ids)
+        flat.flags.writeable = False
+        values.flags.writeable = False
+        tcm._cells = (flat, values)
+        return tcm
+
+    def _adopt(
+        self,
+        values: np.ndarray,
+        mask: np.ndarray,
+        grid: Optional[TimeGrid],
+        segment_ids: Optional[Sequence[int]],
+    ) -> None:
+        """Take ownership of checked ``(values, mask)`` and their labels."""
         m, n = values.shape
         if grid is None:
             grid = TimeGrid(start_s=0.0, slot_s=900.0, num_slots=m)
@@ -144,11 +210,18 @@ class TrafficConditionMatrix:
             )
         if len(set(segment_ids)) != n:
             raise ValueError("segment_ids must be unique")
-        self._values = cleaned
+        self._values = values
         self._mask = mask
         self.grid = grid
         self.segment_ids = segment_ids
         self._column_of = {sid: j for j, sid in enumerate(segment_ids)}
+
+    def __getstate__(self) -> dict:
+        # The cell cache is left out: it is derived, and arrays come back
+        # from a pickle writeable, which the read-only contract forbids.
+        state = self.__dict__.copy()
+        state.pop("_cells", None)
+        return state
 
     # ------------------------------------------------------------------
     # Shape and access
@@ -188,6 +261,28 @@ class TrafficConditionMatrix:
         view = self._mask.view()
         view.flags.writeable = False
         return view
+
+    @property
+    def observed_cells(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(flat, values)`` of the observed cells, both read-only.
+
+        ``flat`` holds the cells' row-major flat indices (ascending) and
+        ``values`` their measurements, so ``values`` equals
+        ``self.values[self.mask]`` in the same order.  A TCM built by
+        :meth:`from_cells` answers from what it was given; any other
+        computes them on first request and keeps them.
+        """
+        cells = self._cells
+        if cells is None:
+            # Built into locals and published with one assignment, so a
+            # concurrent reader sees either nothing or the whole pair.
+            flat = np.flatnonzero(self._mask)
+            values = self._values.reshape(-1)[flat]
+            flat.flags.writeable = False
+            values.flags.writeable = False
+            cells = (flat, values)
+            self._cells = cells
+        return cells
 
     def column_of(self, segment_id: int) -> int:
         """Column index of a segment id."""

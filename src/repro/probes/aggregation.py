@@ -17,7 +17,13 @@ and the streaming estimator (:mod:`repro.scale.streaming`);
 Surviving reports are flattened to ``slot * n + column`` keys and
 accumulated with two ``np.bincount`` passes (weighted sums, counts).
 ``np.bincount`` adds weights in input order, exactly like a per-report
-loop, so the sums are bit-identical to one.
+loop, so the sums are bit-identical to one.  The observed cells come
+straight out of the counts (row-major flat keys, ascending) with their
+means, and the TCM is built from those cells
+(:meth:`~repro.core.tcm.TrafficConditionMatrix.from_cells`), which keeps
+them for the sharded solver.  What still costs O(m n) is the bincount
+output, the one compare that picks the cells, and zeroing the TCM's two
+matrices.
 """
 
 from __future__ import annotations
@@ -118,13 +124,19 @@ def _accumulate_bincount(
     cols: np.ndarray,
     speeds: np.ndarray,
     shape: Tuple[int, int],
+    min_reports: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-cell speed sums and report counts via flattened-key bincount."""
+    """Observed cells and their mean speeds via flattened-key bincount.
+
+    Returns the row-major flat keys of the cells with at least
+    ``min_reports`` reports, ascending, and each cell's mean speed.
+    """
     m, n = shape
     keys = slots * n + cols
-    sums = np.bincount(keys, weights=speeds, minlength=m * n).reshape(m, n)
-    counts = np.bincount(keys, minlength=m * n).reshape(m, n).astype(np.int64)
-    return sums, counts
+    sums = np.bincount(keys, weights=speeds, minlength=m * n)
+    counts = np.bincount(keys, minlength=m * n)
+    cells = np.flatnonzero(counts >= min_reports)
+    return cells, sums[cells] / counts[cells]
 
 
 @obs_trace.traced("ingest.aggregate")
@@ -153,8 +165,8 @@ def aggregate_reports(
     sorted_ids, sorter = _column_lookup(segment_ids)
     n = sorted_ids.size
 
-    sums = np.zeros((m, n), dtype=np.float64)
-    counts = np.zeros((m, n), dtype=np.int64)
+    cells = np.zeros(0, dtype=np.intp)
+    means = np.zeros(0, dtype=np.float64)
 
     if len(batch):
         times = batch.times_s
@@ -170,19 +182,19 @@ def aggregate_reports(
         keep &= (times >= grid.start_s) & (times < grid.end_s)
         if keep.any():
             slots = ((times[keep] - grid.start_s) // grid.slot_s).astype(np.int64)
-            sums, counts = _accumulate_bincount(
-                slots, cols[keep], speeds[keep], (m, n)
+            cells, means = _accumulate_bincount(
+                slots,
+                cols[keep],
+                speeds[keep],
+                (m, n),
+                config.min_reports_per_cell,
             )
 
-    mask = counts >= config.min_reports_per_cell
-    values = np.zeros_like(sums)
-    np.divide(sums, counts, out=values, where=counts > 0)
-    values[~mask] = 0.0
     if obs_trace.enabled():
         obs_metrics.inc("ingest.reports", len(batch))
-        obs_metrics.inc("ingest.cells_observed", int(mask.sum()))
-    return TrafficConditionMatrix(
-        values, mask, grid=grid, segment_ids=list(segment_ids)
+        obs_metrics.inc("ingest.cells_observed", cells.size)
+    return TrafficConditionMatrix.from_cells(
+        (m, n), cells, means, grid=grid, segment_ids=list(segment_ids)
     )
 
 

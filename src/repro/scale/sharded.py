@@ -53,6 +53,7 @@ from repro.core.completion import (
     CompletionResult,
     CompressiveSensingCompleter,
     DTypeLike,
+    ObservedCells,
 )
 from repro.core.streaming import _warm_complete
 from repro.core.tcm import TimeGrid, TrafficConditionMatrix
@@ -115,6 +116,54 @@ class ShardedCompletionResult:
     seed_objective: Optional[float]
     offset: float
     stitch_s: float
+
+
+@dataclass(frozen=True)
+class _ShardIndex:
+    """Shards checked against one column order and indexed into it.
+
+    ``ordered`` holds the shards by ``shard_id``; ``cols[i]`` the column
+    of each of ``ordered[i]``'s segments, in ``all_ids`` order (the
+    shard block's column order), and ``local[i]`` the inverse map: the
+    block column of every matrix column, -1 outside the shard.
+    """
+
+    ordered: List[Shard]
+    cols: List[np.ndarray]
+    local: List[np.ndarray]
+
+    @classmethod
+    def build(
+        cls, shards: Sequence[Shard], segment_ids: Sequence[int]
+    ) -> "_ShardIndex":
+        validate_shards(shards, segment_ids)
+        col_of = {sid: j for j, sid in enumerate(segment_ids)}
+        ordered = sorted(shards, key=lambda s: s.shard_id)
+        cols = [
+            np.array([col_of[sid] for sid in shard.all_ids], dtype=np.intp)
+            for shard in ordered
+        ]
+        local = []
+        for shard_cols in cols:
+            inverse = np.full(len(col_of), -1, dtype=np.intp)
+            inverse[shard_cols] = np.arange(shard_cols.size)
+            local.append(inverse)
+        return cls(ordered, cols, local)
+
+    def cut(self, i: int, cells: ObservedCells) -> ObservedCells:
+        """The cells of shard ``ordered[i]``'s block, row by row.
+
+        The shard keeps the matrix's row-major order; its block columns
+        ascend within a row when its columns ascend in the matrix (the
+        case for sorted segment ids), else the cells are re-sorted.
+        """
+        pos = self.local[i][cells.cols]
+        keep = np.flatnonzero(pos >= 0)
+        rows, cols, values = cells.rows[keep], pos[keep], cells.values[keep]
+        if np.any(np.diff(self.cols[i]) < 0):
+            order = np.lexsort((cols, rows))
+            rows, cols, values = rows[order], cols[order], values[order]
+        return ObservedCells((cells.shape[0], self.cols[i].size), rows, cols, values)
 
 
 class ShardedCompleter:
@@ -219,45 +268,50 @@ class ShardedCompleter:
         ``shards`` must come from a partitioner over the same segment
         set as ``measurements`` (cores partition the columns exactly).
         """
-        validate_shards(shards, measurements.segment_ids)
-        # Read-only views: every step below reads them or copies first.
-        values = measurements.values_view
-        mask = measurements.mask_view
-        col_of = {sid: j for j, sid in enumerate(measurements.segment_ids)}
-        ordered = sorted(shards, key=lambda s: s.shard_id)
-        cols_per_shard = [
-            np.array([col_of[sid] for sid in shard.all_ids], dtype=np.intp)
-            for shard in ordered
-        ]
+        return self._complete(
+            measurements, _ShardIndex.build(shards, measurements.segment_ids)
+        )
 
-        col_obs = mask.sum(axis=0)
+    def _complete(
+        self, measurements: TrafficConditionMatrix, index: _ShardIndex
+    ) -> ShardedCompletionResult:
+        """:meth:`complete` over shards already checked and indexed.
+
+        The multilevel regime works from the measurement's observed
+        cells (:attr:`TrafficConditionMatrix.observed_cells`): the
+        offset, the centred values, the column counts, the seed and the
+        shard blocks all cost O(observed), and only a dense-layout solve
+        scatters its cells into an array.
+        """
+        m, n = measurements.shape
+        flat, cell_values = measurements.observed_cells
+        rows, cols = np.divmod(flat, n)
+        col_obs = np.bincount(cols, minlength=n)
         seed_objective: Optional[float] = None
         if self.seed_iterations == 0:
-            sub_results = self._solve_exact(values, mask, cols_per_shard)
+            # Read-only views: the exact regime copies shard blocks.
+            sub_results = self._solve_exact(
+                measurements.values_view, measurements.mask_view, index.cols
+            )
             mode, offset = "exact", 0.0
         else:
             mode = "multilevel"
             offset = 0.0
-            if self.center:
-                offset = float(values[mask].mean()) if mask.any() else 0.0
-                # np.where(mask, values - offset, 0.0) in one pass.
-                values = np.subtract(
-                    values, offset, out=np.zeros_like(values), where=mask
-                )
+            if self.center and flat.size:
+                offset = float(cell_values.mean())
+            cells = ObservedCells((m, n), rows, cols, cell_values - offset)
             seed_left, seed_objective, fallback = self._solve_seed(
-                values, mask, col_obs, cols_per_shard
+                cells, col_obs, index.cols
             )
-            sub_results = self._solve_warm(
-                values, mask, cols_per_shard, seed_left, fallback
-            )
+            sub_results = self._solve_warm(cells, index, seed_left, fallback)
 
         started = time.perf_counter()
-        with obs_trace.span("scale.stitch", shards=len(ordered)):
+        with obs_trace.span("scale.stitch", shards=len(index.ordered)):
             estimate = _stitch(
-                values.shape,
+                (m, n),
                 col_obs,
-                ordered,
-                cols_per_shard,
+                index.ordered,
+                index.cols,
                 [res.estimate for res in sub_results],
             )
         stitch_s = time.perf_counter() - started
@@ -275,11 +329,11 @@ class ShardedCompleter:
                 shard_id=shard.shard_id,
                 num_core=len(shard.core_ids),
                 num_halo=len(shard.halo_ids),
-                observed_cells=int(col_obs[cols].sum()),
+                observed_cells=int(col_obs[shard_cols].sum()),
                 objective=float(res.objective),
                 iterations_run=int(res.iterations_run),
             )
-            for shard, cols, res in zip(ordered, cols_per_shard, sub_results)
+            for shard, shard_cols, res in zip(index.ordered, index.cols, sub_results)
         ]
         return ShardedCompletionResult(
             estimate=estimate,
@@ -291,11 +345,10 @@ class ShardedCompleter:
         )
 
     # ------------------------------------------------------------------
-    @shapes("m n", "m n:bool", "n")
+    @shapes(None, "n")
     def _solve_seed(
         self,
-        values: np.ndarray,
-        mask: np.ndarray,
+        cells: ObservedCells,
         col_obs: np.ndarray,
         cols_per_shard: Sequence[np.ndarray],
     ) -> Tuple[np.ndarray, float, Optional[np.ndarray]]:
@@ -311,7 +364,7 @@ class ShardedCompleter:
             iterations=self.seed_iterations, clip=False
         )
         with obs_trace.span("scale.seed_solve", sweeps=self.seed_iterations):
-            fit = completer._fit(values, mask)
+            fit = completer._fit(cells)
         fallback = None
         if not all(col_obs[cols].any() for cols in cols_per_shard):
             fallback = completer._estimate(fit.left, fit.right, fit.offset)
@@ -347,30 +400,30 @@ class ShardedCompleter:
             span_name="scale.shard_solve",
         )
 
-    @shapes("m n", "m n:bool", None, "m r", "m n")
+    @shapes(None, None, "m r", "m n")
     def _solve_warm(
         self,
-        values: np.ndarray,
-        mask: np.ndarray,
-        cols_per_shard: Sequence[np.ndarray],
+        cells: ObservedCells,
+        index: _ShardIndex,
         seed_left: np.ndarray,
         fallback: Optional[np.ndarray],
     ) -> List[CompletionResult]:
         """Warm per-shard refinements from the city-wide left factor.
 
+        Each shard solves its own cells (:meth:`_ShardIndex.cut`).
         ``fallback`` is the seed estimate, given exactly when some tile
         has nothing observed.
         """
 
-        def solve(cols: np.ndarray) -> CompletionResult:
-            sub_b = np.take(mask, cols, axis=1)
+        def solve(i: int) -> CompletionResult:
             with self._track_inflight():
-                if fallback is not None and not sub_b.any():
+                sub = index.cut(i, cells)
+                if fallback is not None and not sub.values.size:
                     # Nothing observed in this tile: the seed estimate is
                     # the best available answer for its columns.
-                    sub_est = fallback[:, cols]
+                    cols = index.cols[i]
                     return CompletionResult(
-                        estimate=sub_est,
+                        estimate=fallback[:, cols],
                         left=seed_left,
                         right=np.zeros((cols.size, seed_left.shape[1])),
                         objective=float("nan"),
@@ -380,13 +433,11 @@ class ShardedCompleter:
                 completer = self._make_completer(
                     iterations=self.warm_iterations, clip=False
                 )
-                return _warm_complete(
-                    completer, np.take(values, cols, axis=1), sub_b, seed_left
-                )
+                return _warm_complete(completer, sub, None, seed_left)
 
         return parallel_map(
             solve,
-            cols_per_shard,
+            range(len(index.ordered)),
             max_workers=self.max_workers,
             backend="thread",
             span_name="scale.shard_solve",
@@ -585,7 +636,8 @@ class ShardedEstimator:
         self.partitioner = partitioner
         with obs_trace.span("scale.partition", shards=shards, halo=halo):
             self.shards = partitioner.partition(network)
-        validate_shards(self.shards, network.segment_ids)
+        # Checked and indexed once; every estimate reuses the index.
+        self._index = _ShardIndex.build(self.shards, network.segment_ids)
         self.aggregation = aggregation or AggregationConfig()
         self.completer = ShardedCompleter(
             rank=rank,
@@ -638,7 +690,7 @@ class ShardedEstimator:
                 "network's segment ids"
             )
         with obs_trace.span("scale.estimate", shards=len(self.shards)):
-            result = self.completer.complete(measurements, self.shards)
+            result = self.completer._complete(measurements, self._index)
         estimate_tcm = TrafficConditionMatrix(
             result.estimate,
             grid=measurements.grid,

@@ -62,11 +62,15 @@ class GroundTruthTraffic:
     def speed_kmh(self, segment_id: int, time_s: float) -> float:
         """Mean flow speed on a segment at an absolute time.
 
-        Times outside the grid clamp to the first/last slot, so vehicles
-        that start a traversal just before the window end still move.
+        Times outside the grid (±inf included) clamp to the first/last
+        slot, so vehicles that start a traversal just before the window
+        end still move.  A NaN time is in no slot and raises
+        ``ValueError``.
         """
         slot = self.grid.slot_of(time_s)
         if slot is None:
+            if time_s != time_s:
+                raise ValueError(f"time_s must not be NaN, got {time_s!r}")
             slot = 0 if time_s < self.grid.start_s else self.grid.num_slots - 1
         return float(self._values[slot, self._col_of[segment_id]])
 

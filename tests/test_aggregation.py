@@ -1,9 +1,12 @@
 """Tests for repro.probes.aggregation."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core.tcm import TimeGrid
+from repro.core.tcm import TimeGrid, TrafficConditionMatrix
 from repro.probes.aggregation import (
     AggregationConfig,
     aggregate_reports,
@@ -196,3 +199,59 @@ class TestMethodEquivalence:
         fast = reports_per_cell(batch, grid, ids)
         slow = reports_per_cell_reference(batch, grid, ids)
         np.testing.assert_array_equal(fast, slow)
+
+
+#: One report: (time, segment id, speed).  The grid spans [0, 180) s;
+#: segment -1 is unmatched and 5/99 are not columns; speeds run from
+#: idle to overspeed, NaN included.
+_REPORTS = st.lists(
+    st.tuples(
+        st.one_of(st.floats(-60.0, 240.0), st.just(float("nan"))),
+        st.sampled_from([-1, 0, 1, 2, 3, 5, 99]),
+        st.one_of(
+            st.floats(-5.0, 200.0),
+            st.sampled_from([0.5, 500.0, float("nan")]),
+        ),
+    ),
+    max_size=80,
+)
+
+
+class TestOracleProperty:
+    """``aggregate_reports`` against the per-report oracle, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=_REPORTS,
+        ids=st.permutations([0, 1, 2, 3]),
+        min_reports=st.sampled_from([1, 2, 3]),
+    )
+    @example(rows=[], ids=[0, 1, 2, 3], min_reports=1)
+    def test_matches_reference(self, rows, ids, min_reports):
+        batch = ReportBatch(
+            ProbeReport(
+                vehicle_id=i % 3, time_s=t, x=0.0, y=0.0, speed_kmh=v, segment_id=seg
+            )
+            for i, (t, seg, v) in enumerate(rows)
+        )
+        grid = grid3()
+        config = AggregationConfig(min_reports_per_cell=min_reports)
+        fast = aggregate_reports(batch, grid, ids, config)
+        slow = aggregate_reference(batch, grid, ids, config)
+        np.testing.assert_array_equal(fast.mask, slow.mask)
+        np.testing.assert_array_equal(fast.values, slow.values)
+
+        # The cells the aggregate was built from are the ones a densely
+        # built TCM derives: same row-major order, same bits, read-only.
+        dense = TrafficConditionMatrix(
+            fast.values, fast.mask, grid=grid, segment_ids=ids
+        )
+        # A pickle carries no cell cache, as one written before the TCM
+        # kept its cells; it still answers.
+        restored = pickle.loads(pickle.dumps(fast))
+        assert restored._cells is None
+        for tcm in (dense, restored):
+            for got, want in zip(fast.observed_cells, tcm.observed_cells):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable and not want.flags.writeable

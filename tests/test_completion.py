@@ -253,7 +253,7 @@ class TestEdgeCases:
 def forced_layout(sparse):
     """Bind every kernel in the sparse (or dense) layout, whatever the rule."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(completion, "_sparse_layout", lambda ind: sparse)
+        patch.setattr(completion, "_sparse_layout", lambda cells, observed: sparse)
         yield
 
 
@@ -478,6 +478,37 @@ class TestKernel(LayoutForced):
                 ), f"kernel attribute {name} copies an (m, n) array"
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lam", [0.0, 100.0])
+    def test_cells_bind_matches_arrays(self, dtype, lam):
+        # The cells come as a TCM keeps them (row-major flat indices),
+        # the arrays as Algorithm 1 hands them over (indicator cast).
+        rng = np.random.default_rng(4)
+        m, n, rank = 24, 17, 2
+        mask = rng.random((m, n)) < 0.5
+        mask[:, : 2 * rank] = True
+        mask[: 2 * rank] = True
+        values = np.where(mask, rng.normal(30.0, 8.0, (m, n)), 0.0).astype(dtype)
+        values[1, 0] = 0.0  # observed, and 0
+        flat = np.flatnonzero(mask)
+        rows, cols = np.divmod(flat, n)
+        cells = completion.ObservedCells((m, n), rows, cols, values.reshape(-1)[flat])
+        from_arrays = _WorkspaceKernel(values, mask.astype(dtype), lam, rank)
+        from_cells = _WorkspaceKernel(cells, None, lam, rank)
+        assert from_arrays.sparse is from_cells.sparse is self.SPARSE
+        left_a = left_c = rng.standard_normal((m, rank)).astype(dtype)
+        for _ in range(4):
+            right_a = from_arrays.solve_right(left_a).copy()
+            right_c = from_cells.solve_right(left_c).copy()
+            left_a = from_arrays.solve_left(right_a).copy()
+            left_c = from_cells.solve_left(right_c).copy()
+            assert right_a.tobytes() == right_c.tobytes()
+            assert left_a.tobytes() == left_c.tobytes()
+            assert from_arrays.objective(left_a, right_a) == from_cells.objective(
+                left_c, right_c
+            )
+
+
 class TestKernelSparse(TestKernel):
     """The kernel tests with the sparse layout bound."""
 
@@ -505,7 +536,7 @@ class TestLayoutSelection:
     )
     def test_rule(self, shape, observed, sparse):
         mask = np.random.default_rng(0).random(shape) < observed
-        assert completion._sparse_layout(mask) is sparse
+        assert completion._sparse_layout(mask.size, np.count_nonzero(mask)) is sparse
         kernel = _WorkspaceKernel(np.where(mask, 30.0, 0.0), mask, 100.0, 2)
         assert kernel.sparse is sparse
 

@@ -49,6 +49,17 @@ class TestSpeedLookup:
         late = ground_truth.speed_kmh(sid, ground_truth.grid.end_s + 999.0)
         assert late == pytest.approx(ground_truth.tcm.values[-1, 0])
 
+    def test_infinite_times_clamp(self, ground_truth):
+        sid = ground_truth.network.segment_ids[0]
+        values = ground_truth.tcm.values
+        assert ground_truth.speed_kmh(sid, -float("inf")) == values[0, 0]
+        assert ground_truth.speed_kmh(sid, float("inf")) == values[-1, 0]
+
+    def test_nan_time_rejected(self, ground_truth):
+        sid = ground_truth.network.segment_ids[0]
+        with pytest.raises(ValueError, match="time_s must not be NaN"):
+            ground_truth.speed_kmh(sid, float("nan"))
+
     def test_speeds_at_slot(self, ground_truth):
         row = ground_truth.speeds_at_slot(2)
         assert np.allclose(row, ground_truth.tcm.values[2])

@@ -5,7 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core import completion
 from repro.core.completion import CompressiveSensingCompleter
+from repro.core.streaming import _warm_complete
 from repro.core.tcm import TimeGrid, TrafficConditionMatrix
 from repro.datasets.masks import random_integrity_mask
 from repro.experiments.perf_bench import _make_truth
@@ -18,7 +20,7 @@ from repro.scale import (
     SinglePartitioner,
     contiguous_shards,
 )
-from repro.scale.sharded import _stitch
+from repro.scale.sharded import _ShardIndex, _stitch
 from repro.utils.rng import ensure_rng
 
 RANK, LAM, ITERS = 2, 10.0, 12
@@ -205,6 +207,140 @@ class TestUnobservedTile:
         assert all(s.iterations_run > 0 for s in result.shards[1:])
 
 
+def _cells_built(tcm):
+    """``tcm`` rebuilt from its observed cells, as ``aggregate_reports`` does."""
+    mask = tcm.mask
+    return TrafficConditionMatrix.from_cells(
+        tcm.shape,
+        np.flatnonzero(mask),
+        tcm.values[mask],
+        grid=tcm.grid,
+        segment_ids=tcm.segment_ids,
+    )
+
+
+def _dense_multilevel(completer, tcm, shards):
+    """The multilevel regime on (m, n) arrays, through the array entries.
+
+    Centres with one masked pass, seeds with ``_fit(values, mask)`` and
+    refines every shard on its ``np.take`` column blocks.
+    """
+    values, mask = tcm.values, tcm.mask
+    index = _ShardIndex.build(shards, tcm.segment_ids)
+    offset = float(values[mask].mean())
+    values = np.where(mask, values - offset, 0.0)
+    seed = completer._make_completer(iterations=completer.seed_iterations, clip=False)
+    fit = seed._fit(values, mask)
+    estimates = []
+    for cols in index.cols:
+        sub_m, sub_b = np.take(values, cols, axis=1), np.take(mask, cols, axis=1)
+        if not sub_b.any():
+            estimates.append(seed._estimate(fit.left, fit.right)[:, cols])
+            continue
+        warm = completer._make_completer(iterations=completer.warm_iterations, clip=False)
+        estimates.append(_warm_complete(warm, sub_m, sub_b, fit.left).estimate)
+    out = _stitch(values.shape, mask.sum(axis=0), index.ordered, index.cols, estimates)
+    out += offset
+    return np.clip(out, completer.clip_min, completer.clip_max, out=out)
+
+
+class TestCellPath:
+    """Solving from a TCM's cells matches the dense path, bit for bit.
+
+    A kernel layout rule forced per matrix puts the seed on the layout
+    under test and splits the shards between both layouts.
+    """
+
+    @staticmethod
+    def rule(tcm, shards, seed_sparse, binds):
+        """The seed on the chosen layout; the least-observed shards sparse."""
+        mask = tcm.mask
+        index = _ShardIndex.build(shards, tcm.segment_ids)
+        counts = [mask[:, cols].sum() for cols in index.cols]
+        least = min(c for c in counts if c)
+
+        def sparse_layout(cells, observed):
+            seed = cells == mask.size
+            sparse = seed_sparse if seed else bool(observed <= least)
+            binds.append((seed, sparse))
+            return sparse
+
+        return sparse_layout
+
+    def check(self, tcm, shards, seed_sparse, **kw):
+        binds = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                completion, "_sparse_layout", self.rule(tcm, shards, seed_sparse, binds)
+            )
+            from_cells = kw.pop("completer")(**kw)
+            got = from_cells.complete(_cells_built(tcm), shards)
+            dense = from_cells.complete(tcm, shards)
+            assert got.estimate.tobytes() == dense.estimate.tobytes()
+            assert repr(got.shards) == repr(dense.shards)  # NaN objectives
+            assert got.offset == dense.offset
+            if got.mode == "multilevel":
+                want = _dense_multilevel(from_cells, tcm, shards)
+                assert got.estimate.tobytes() == want.tobytes()
+        shard_layouts = {sparse for is_seed, sparse in binds if not is_seed}
+        assert shard_layouts == {False, True}
+        if got.mode == "multilevel":
+            assert (True, seed_sparse) in binds
+        return got
+
+    @pytest.mark.parametrize(
+        "regime, seed_sparse",
+        [("multilevel", False), ("multilevel", True), ("exact", False)],
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("halo", [0, 1])
+    @pytest.mark.parametrize("max_workers", [None, 2])
+    def test_matches_dense(
+        self, network, measured, regime, seed_sparse, dtype, halo, max_workers
+    ):
+        completer = _multilevel_completer if regime == "multilevel" else _exact_completer
+        result = self.check(
+            measured,
+            GridPartitioner(4, halo=halo).partition(network),
+            seed_sparse,
+            completer=completer,
+            dtype=dtype,
+            max_workers=max_workers,
+        )
+        assert result.mode == regime
+
+    def test_unsorted_segment_ids(self, network, measured):
+        # Shard columns then descend in places: each shard's cells are
+        # re-sorted into its own column order.
+        perm = np.random.default_rng(5).permutation(measured.num_segments)
+        tcm = TrafficConditionMatrix(
+            measured.values[:, perm],
+            measured.mask[:, perm],
+            grid=measured.grid,
+            segment_ids=[measured.segment_ids[j] for j in perm],
+        )
+        self.check(
+            tcm,
+            GridPartitioner(4, halo=1).partition(network),
+            True,
+            completer=_multilevel_completer,
+        )
+
+    @pytest.mark.parametrize("seed_sparse", [False, True])
+    def test_tile_with_nothing_observed(self, network, measured, seed_sparse):
+        shards = GridPartitioner(4, halo=0).partition(network)
+        silent = [measured.column_of(sid) for sid in shards[0].all_ids]
+        mask = measured.mask
+        mask[:, silent] = False
+        tcm = TrafficConditionMatrix(
+            measured.values, mask, grid=measured.grid, segment_ids=measured.segment_ids
+        )
+        result = self.check(
+            tcm, shards, seed_sparse, completer=_multilevel_completer
+        )
+        assert result.shards[0].iterations_run == 0
+
+
 class TestStitch:
     """The halo stitch against a column-by-column reference, bit for bit."""
 
@@ -288,6 +424,25 @@ class TestShardedEstimator:
         assert output.estimate.grid == measured.grid
         assert output.completion.mode == "multilevel"
         assert output.measurements is measured
+
+    def test_shards_indexed_once(self, network, measured, monkeypatch):
+        from repro.scale import sharded
+
+        calls = []
+        real = sharded.validate_shards
+        monkeypatch.setattr(
+            sharded, "validate_shards", lambda *a: calls.append(1) or real(*a)
+        )
+        est = ShardedEstimator(
+            network, shards=4, halo=1, rank=RANK, lam=LAM,
+            seed_iterations=3, warm_iterations=4, seed=0,
+        )
+        est.estimate(measured)
+        est.estimate(measured)
+        assert len(calls) == 1
+        # Shards handed to the completer directly are checked per call.
+        est.completer.complete(measured, est.shards)
+        assert len(calls) == 2
 
     def test_segment_mismatch_rejected(self, network):
         est = ShardedEstimator(network, shards=2, seed=0)

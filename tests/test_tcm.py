@@ -25,6 +25,11 @@ class TestTimeGrid:
         assert grid.slot_of(-0.1) is None
         assert grid.slot_of(180.0) is None
 
+    @pytest.mark.parametrize("time_s", [float("nan"), float("inf"), -float("inf")])
+    def test_slot_of_non_finite_is_outside(self, time_s):
+        grid = TimeGrid(start_s=0.0, slot_s=60.0, num_slots=3)
+        assert grid.slot_of(time_s) is None
+
     def test_slot_start(self):
         grid = TimeGrid(start_s=10.0, slot_s=5.0, num_slots=4)
         assert grid.slot_start(2) == 20.0
@@ -163,3 +168,89 @@ class TestTrafficConditionMatrix:
         tcm = make_tcm()
         tcm.values[0, 0] = -99
         assert tcm.values[0, 0] != -99
+
+
+class TestObservedCells:
+    """``from_cells`` and the read-only ``observed_cells`` accessor."""
+
+    @staticmethod
+    def pair():
+        mask = np.array([[True, False, True], [False, False, True]])
+        values = np.where(mask, np.array([[1.0, 9.0, 0.0], [9.0, 9.0, 6.5]]), 0.0)
+        return values, mask
+
+    def test_from_cells_matches_dense(self):
+        values, mask = self.pair()
+        dense = TrafficConditionMatrix(values, mask, segment_ids=[4, 5, 6])
+        cells = TrafficConditionMatrix.from_cells(
+            (2, 3), [0, 2, 5], [1.0, 0.0, 6.5], segment_ids=[4, 5, 6]
+        )
+        assert cells.values.tobytes() == dense.values.tobytes()
+        assert np.array_equal(cells.mask, dense.mask)
+        assert cells.segment_ids == dense.segment_ids
+        for got, want in zip(cells.observed_cells, dense.observed_cells):
+            assert got.tobytes() == want.tobytes()
+        # An observed cell whose value is 0 stays observed.
+        assert cells.mask[0, 2]
+
+    def test_accessor_is_read_only_and_owned(self):
+        flat, vals = np.array([1, 4]), np.array([3.0, 4.0])
+        tcm = TrafficConditionMatrix.from_cells((2, 3), flat, vals)
+        flat[0], vals[0] = 0, -1.0
+        got_flat, got_vals = tcm.observed_cells
+        assert got_flat.tolist() == [1, 4] and got_vals.tolist() == [3.0, 4.0]
+        for arr in tcm.observed_cells:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_computed_on_first_request(self):
+        values, mask = self.pair()
+        tcm = TrafficConditionMatrix(values, mask)
+        assert tcm._cells is None
+        flat, vals = tcm.observed_cells
+        assert flat.tolist() == [0, 2, 5]
+        assert vals.tolist() == [1.0, 0.0, 6.5]
+        assert not flat.flags.writeable and not vals.flags.writeable
+        assert tcm.observed_cells is tcm.observed_cells
+
+    def test_fully_observed_computes_nothing_unasked(self):
+        tcm = make_tcm()
+        assert tcm.is_complete and tcm.values_view.shape == (3, 4)
+        assert tcm._cells is None
+        assert tcm.observed_cells[0].tolist() == list(range(12))
+
+    def test_pickle_leaves_the_cache_out(self):
+        import pickle
+
+        tcm = TrafficConditionMatrix.from_cells((2, 3), [1, 4], [3.0, 4.0])
+        back = pickle.loads(pickle.dumps(tcm))
+        assert "_cells" not in back.__dict__
+        flat, vals = back.observed_cells
+        assert flat.tolist() == [1, 4] and vals.tolist() == [3.0, 4.0]
+        assert not flat.flags.writeable and not vals.flags.writeable
+
+    @pytest.mark.parametrize(
+        "shape, flat, vals, match",
+        [
+            ((2, 3), [0, 0], [1.0, 2.0], "ascend"),
+            ((2, 3), [2, 1], [1.0, 2.0], "ascend"),
+            ((2, 3), [-1], [1.0], "ascend"),
+            ((2, 3), [6], [1.0], "ascend"),
+            ((2, 3), [1], [np.nan], "finite"),
+            ((2, 3), [1], [np.inf], "finite"),
+            ((2, 3), [1, 2], [1.0], "cell values"),
+            ((6,), [1], [1.0], "2-D"),
+        ],
+    )
+    def test_from_cells_checks(self, shape, flat, vals, match):
+        with pytest.raises(ValueError, match=match):
+            TrafficConditionMatrix.from_cells(shape, flat, vals)
+
+    def test_from_cells_checks_labels(self):
+        with pytest.raises(ValueError, match="slots"):
+            TrafficConditionMatrix.from_cells(
+                (2, 3), [1], [1.0], grid=TimeGrid(0.0, 60.0, 5)
+            )
+        with pytest.raises(ValueError, match="unique"):
+            TrafficConditionMatrix.from_cells((2, 3), [1], [1.0], segment_ids=[1, 1, 2])
