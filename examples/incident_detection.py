@@ -18,11 +18,11 @@ from repro.core import (
     ResidualAnomalyDetector,
     TimeGrid,
     TrafficConditionMatrix,
-    TrafficEstimator,
 )
 from repro.core.anomaly import match_events
 from repro.datasets import random_integrity_mask
 from repro.roadnet import grid_city
+from repro.scale import ShardedEstimator
 from repro.traffic import CongestionIncident, GroundTruthTraffic, TrafficDynamicsConfig
 
 
@@ -49,7 +49,10 @@ def main() -> None:
     # Observe 30% of cells, complete, then detect on the estimate.
     mask = random_integrity_mask(truth.tcm.shape, 0.3, seed=1)
     measured = truth.tcm.with_mask(mask)
-    output = TrafficEstimator(lam=10.0, rank=3, seed=0).estimate(measured)
+    estimator = ShardedEstimator(
+        network, partitioner="single", lam=10.0, rank=3, seed=0
+    )
+    output = estimator.estimate(measured)
     # Fuse: keep observations where we have them.
     fused = TrafficConditionMatrix(
         np.where(mask, truth.tcm.values, output.estimate.values),

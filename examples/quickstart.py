@@ -13,10 +13,10 @@ Runs the full pipeline on a small grid city in well under a minute:
 Run:  python examples/quickstart.py
 """
 
-from repro.core import TrafficEstimator
 from repro.datasets.synthetic import SyntheticDatasetConfig, build_probe_dataset
 from repro.metrics import estimate_error
 from repro.roadnet import grid_city
+from repro.scale import ShardedEstimator
 
 
 def main() -> None:
@@ -34,8 +34,9 @@ def main() -> None:
 
     print("completing the matrix (Algorithm 1, r=2)...")
     # lam=10 is what Algorithm 2 selects on this synthetic data; see
-    # examples/parameter_tuning.py for the tuning run itself.
-    estimator = TrafficEstimator(lam=10.0, seed=0)
+    # examples/parameter_tuning.py for the tuning run itself.  One shard
+    # ("single") completes the whole matrix in one Algorithm 1 run.
+    estimator = ShardedEstimator(network, partitioner="single", lam=10.0, seed=0)
     output = estimator.estimate(data.measurements)
 
     err = estimate_error(

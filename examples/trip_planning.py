@@ -13,9 +13,9 @@ Run:  python examples/trip_planning.py
 import numpy as np
 
 from repro.apps import CongestionMonitor, TripPlannerService
-from repro.core import TrafficEstimator
 from repro.datasets.synthetic import SyntheticDatasetConfig, build_probe_dataset
 from repro.roadnet import grid_city
+from repro.scale import ShardedEstimator
 
 
 def fmt_hm(seconds: float) -> str:
@@ -27,7 +27,8 @@ def main() -> None:
     network = grid_city(8, 8, block_m=300.0, seed=0)
     config = SyntheticDatasetConfig(days=1.0, num_vehicles=200, slot_s=900.0)
     data = build_probe_dataset(network, config, seed=0)
-    output = TrafficEstimator(lam=10.0, seed=0).estimate(data.measurements)
+    estimator = ShardedEstimator(network, partitioner="single", lam=10.0, seed=0)
+    output = estimator.estimate(data.measurements)
     print(f"  measurement integrity {data.measurements.integrity:.1%} "
           f"-> complete estimate {output.estimate.shape}")
 

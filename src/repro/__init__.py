@@ -16,11 +16,12 @@ Quickstart::
 or explicitly::
 
     from repro.datasets import shanghai_dataset
-    from repro.core import TrafficEstimator
     from repro.metrics import estimate_error
+    from repro.scale import ShardedEstimator
 
     data = shanghai_dataset(days=1.0, num_vehicles=500)
-    output = TrafficEstimator().estimate(data.measurements)
+    estimator = ShardedEstimator(data.network, partitioner="single")
+    output = estimator.estimate(data.measurements)
     err = estimate_error(
         data.truth_tcm.values,
         output.estimate.values,
@@ -33,7 +34,6 @@ from repro.core import (
     GeneticTuner,
     TimeGrid,
     TrafficConditionMatrix,
-    TrafficEstimator,
 )
 from repro.metrics import estimate_error, nmae
 
@@ -44,7 +44,6 @@ __all__ = [
     "GeneticTuner",
     "TimeGrid",
     "TrafficConditionMatrix",
-    "TrafficEstimator",
     "estimate_error",
     "nmae",
     "quickstart_estimate",
@@ -56,14 +55,16 @@ def quickstart_estimate(seed: int = 0):
     """Tiny end-to-end pipeline run (minutes of simulated traffic).
 
     Builds a small grid city, simulates a probe fleet for six hours,
-    aggregates reports, and completes the measurement matrix.  Returns
-    the :class:`repro.core.estimator.EstimationOutput`.
+    aggregates reports, and completes the measurement matrix in one
+    shard (the monolithic solve).  Returns the
+    :class:`repro.scale.ShardedEstimationOutput`.
     """
     from repro.datasets.synthetic import SyntheticDatasetConfig, build_probe_dataset
     from repro.roadnet.generators import grid_city
+    from repro.scale import ShardedEstimator
 
     network = grid_city(5, 5, seed=seed)
     config = SyntheticDatasetConfig(days=0.25, num_vehicles=60, slot_s=900.0)
     data = build_probe_dataset(network, config, seed=seed)
-    estimator = TrafficEstimator(seed=seed)
+    estimator = ShardedEstimator(network, partitioner="single", seed=seed)
     return estimator.estimate(data.measurements)

@@ -19,10 +19,11 @@ Checks:
   (:class:`repro.core.tuning.GeneticTuner`) with memoized fitness: the
   selected (rank, lambda), fitness, and full fitness history must match.
 * ``sharded`` — the sharded metropolitan completion
-  (:class:`repro.scale.sharded.ShardedCompleter`): the exact regime must
-  reproduce monolithic completion bit-for-bit (``shards=1`` and per
-  shard at ``halo=0``), and the multilevel regime must be bit-identical
-  serial vs pool and under shuffled shard input order.
+  (:class:`repro.scale.sharded.ShardedCompleter`): a one-shard
+  :class:`repro.scale.ShardedEstimator` and the exact regime per shard
+  at ``halo=0`` must reproduce monolithic completion bit-for-bit, and
+  the multilevel regime must be bit-identical serial vs pool and under
+  shuffled shard input order.
 * ``run-all`` — the experiment battery
   (:func:`repro.experiments.runner.run_all`): every rendered block must
   be byte-identical, except the two studies whose *output* is measured
@@ -315,12 +316,14 @@ def check_sharded(
 ) -> DeterminismCheck:
     """Sharded completion: serial vs pool, plus monolithic equivalence.
 
-    Three bit-level claims are pinned, on a small problem the kernel
+    Four bit-level claims are pinned, on a small problem the kernel
     binds densely and on one whose full matrix and ``halo=0`` shards it
     binds in its sparse layout:
 
-    * a ``shards=1`` exact-regime sharded completion equals the
-      monolithic completer on the full matrix;
+    * a one-shard ``ShardedEstimator`` at its default budgets (so the
+      one-shard rule, not ``seed_iterations=0``, picks the exact
+      regime) equals the centred, clipped monolithic completer on the
+      full matrix, from the network and from a shuffled-id copy;
     * a ``halo=0`` exact-regime run reproduces the monolithic completer
       on every shard's sub-TCM;
     * the multilevel (seed + warm) run is bit-identical serial vs
@@ -334,11 +337,7 @@ def check_sharded(
     from repro.core.tcm import TimeGrid, TrafficConditionMatrix
     from repro.probes.aggregation import MAX_SPEED_KMH
     from repro.roadnet.generators import grid_city
-    from repro.scale import (
-        GridPartitioner,
-        ShardedCompleter,
-        SinglePartitioner,
-    )
+    from repro.scale import GridPartitioner, ShardedCompleter, ShardedEstimator
 
     started = time.perf_counter()
     # At least 2 so the parallel leg really runs through a pool even
@@ -388,16 +387,32 @@ def check_sharded(
             clip_max=MAX_SPEED_KMH,
             seed=seed,
         )
-        mono_est = mono.complete(tcm.values, tcm.mask).estimate
-
-        single = exact_completer().complete(
-            tcm, SinglePartitioner().partition(network)
+        perm = ensure_rng(seed + 3).permutation(len(ids))
+        shuffled = TrafficConditionMatrix(
+            tcm.values_view[:, perm],
+            tcm.mask_view[:, perm],
+            grid=tcm.grid,
+            segment_ids=[ids[j] for j in perm],
         )
-        detail = _diff_arrays(
-            f"[{layout}] shards=1 vs monolithic", single.estimate, mono_est
-        )
-        if detail:
-            problems.append(detail)
+        for tag, columns, measured in (
+            ("network", network, tcm),
+            ("shuffled ids", shuffled.segment_ids, shuffled),
+        ):
+            single = ShardedEstimator(
+                columns,
+                partitioner="single",
+                rank=2,
+                lam=10.0,
+                iterations=iterations,
+                seed=seed,
+            ).estimate(measured)
+            detail = _diff_arrays(
+                f"[{layout}] shards=1 ({tag}) vs monolithic",
+                single.estimate.values_view,
+                mono.complete(measured.values, measured.mask).estimate,
+            )
+            if detail:
+                problems.append(detail)
 
         shards0 = GridPartitioner(num_shards, halo=0).partition(network)
         res0 = exact_completer().complete(tcm, shards0)
@@ -470,7 +485,8 @@ def check_sharded(
         ok=ok,
         detail=(
             ", ".join(ran)
-            + f", exact + multilevel regimes, 1 vs {workers} workers, "
+            + f", one shard from network and shuffled ids, exact + "
+            f"multilevel regimes, 1 vs {workers} workers, "
             "float64, float32, cells-built TCM (sparse)"
             if ok
             else "; ".join(problems)

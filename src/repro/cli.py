@@ -7,7 +7,8 @@ Python:
 * ``gen-dataset``  — simulate a probe dataset; saves ground-truth and
   measurement TCMs (``.npz``) next to the network.
 * ``estimate``     — complete a measurement TCM with Algorithm 1
-  (optionally Algorithm 2 tuning) and save the estimate.
+  (optionally after Algorithm 2 tuning), in one shard or several, and
+  save the estimate.
 * ``evaluate``     — score an estimate against a ground-truth TCM.
 * ``integrity``    — print the integrity report of a measurement TCM.
 * ``experiments``  — run the paper's full experiment battery.
@@ -99,105 +100,58 @@ def _cmd_gen_dataset(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    from repro.core.estimator import TrafficEstimator
     from repro.core.tuning import GeneticTuner
     from repro.datasets.loaders import load_tcm, save_tcm
+    from repro.scale import ShardedEstimator
 
     measured = load_tcm(args.input)
-    if args.shards > 1:
-        return _estimate_sharded(args, measured)
-    tuner = None
-    if args.auto_tune:
-        tuner = GeneticTuner(seed=args.seed)
-    estimator = TrafficEstimator(
-        rank=args.rank,
-        lam=args.lam,
-        iterations=args.iterations,
-        tuner=tuner,
-        dtype=args.dtype,
-        seed=args.seed,
-    )
-    output = estimator.estimate(measured)
-    save_tcm(output.estimate, args.output)
-    if output.tuning is not None:
-        print(
-            f"Algorithm 2 selected r={output.tuning.rank}, "
-            f"lambda={output.tuning.lam:.2f}"
-        )
-    print(
-        f"completed {measured.shape} matrix "
-        f"(integrity {measured.integrity:.1%}) -> {args.output}"
-    )
-    return 0
-
-
-def _estimate_sharded(args: argparse.Namespace, measured) -> int:
-    """``repro estimate --shards N``: the metropolitan sharded path."""
-    from repro.datasets.loaders import save_tcm
-    from repro.probes.aggregation import MAX_SPEED_KMH
-    from repro.scale import ShardedEstimator, contiguous_shards
-    from repro.scale.sharded import ShardedCompleter
-
-    if args.auto_tune:
+    if args.auto_tune and args.shards > 1:
         print(
             "error: --auto-tune is not supported with --shards; tune once "
             "monolithically, then pass --rank/--lam",
             file=sys.stderr,
         )
         return 2
-    if args.network is not None:
+    rank, lam = args.rank, args.lam
+    if args.auto_tune:
+        tuning = GeneticTuner(seed=args.seed).tune(measured)
+        rank, lam = tuning.rank, tuning.lam
+        print(f"Algorithm 2 selected r={rank}, lambda={lam:.2f}")
+    # One shard is the monolithic solve over the TCM's own columns;
+    # more partition the network when one is given, else the columns.
+    columns = measured.segment_ids
+    partitioner = "single" if args.shards <= 1 else args.partitioner
+    if args.shards > 1 and args.network is not None:
         from repro.roadnet.io import load_network
 
-        network = load_network(args.network)
-        estimator = ShardedEstimator(
-            network,
-            shards=args.shards,
-            halo=args.halo,
-            partitioner=args.partitioner,
-            rank=args.rank,
-            lam=args.lam,
-            iterations=args.iterations,
-            dtype=args.dtype,
-            max_workers=args.max_workers,
-            seed=args.seed,
+        columns = load_network(args.network)
+    elif partitioner == "grid":
+        print(
+            "note: --shards without --network uses the geometry-free "
+            "contiguous partitioner",
+            file=sys.stderr,
         )
-        output = estimator.estimate(measured)
-        result = output.completion
-        estimate = output.estimate
-        realized = estimator.num_shards
-    else:
-        # No network geometry: fall back to contiguous column runs.
-        if args.partitioner == "grid":
-            print(
-                "note: --shards without --network uses the geometry-free "
-                "contiguous partitioner",
-                file=sys.stderr,
-            )
-        shards = contiguous_shards(measured.segment_ids, args.shards)
-        completer = ShardedCompleter(
-            rank=args.rank,
-            lam=args.lam,
-            iterations=args.iterations,
-            clip_min=0.0,
-            clip_max=MAX_SPEED_KMH,
-            center=True,
-            dtype=args.dtype,
-            max_workers=args.max_workers,
-            seed=args.seed,
-        )
-        result = completer.complete(measured, shards)
-        from repro.core.tcm import TrafficConditionMatrix
-
-        estimate = TrafficConditionMatrix(
-            result.estimate,
-            grid=measured.grid,
-            segment_ids=measured.segment_ids,
-        )
-        realized = len(shards)
-    save_tcm(estimate, args.output)
+        partitioner = "contiguous"
+    estimator = ShardedEstimator(
+        columns,
+        shards=args.shards,
+        halo=args.halo,
+        partitioner=partitioner,
+        rank=rank,
+        lam=lam,
+        iterations=args.iterations,
+        dtype=args.dtype,
+        max_workers=args.max_workers,
+        seed=args.seed,
+    )
+    output = estimator.estimate(measured)
+    save_tcm(output.estimate, args.output)
+    result = output.completion
+    realized = estimator.num_shards
     print(
         f"completed {measured.shape} matrix "
-        f"(integrity {measured.integrity:.1%}) over {realized} shards "
+        f"(integrity {measured.integrity:.1%}) over {realized} "
+        f"shard{'' if realized == 1 else 's'} "
         f"({result.mode} regime, stitch {result.stitch_s * 1000.0:.1f} ms) "
         f"-> {args.output}"
     )
@@ -712,7 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--partitioner",
         default="grid",
         choices=("grid", "single", "contiguous"),
-        help="spatial partitioner for --shards > 1",
+        help="spatial partitioner for --shards > 1 (single = one "
+        "monolithic shard)",
     )
     p.add_argument(
         "--network",

@@ -9,8 +9,10 @@
   matrix completion solver (Eq. 13-17), with its float32/float64
   workspace kernel.
 * :mod:`repro.core.tuning` — Algorithm 2, the genetic hyper-parameter
-  search for (rank bound r, tradeoff coefficient lambda).
-* :mod:`repro.core.estimator` — high-level facade tying it together.
+  search for (rank bound r, tradeoff coefficient lambda).  Tune first,
+  then estimate with :class:`repro.scale.ShardedEstimator`, the one
+  batch estimator (``partitioner="single"`` is the monolithic solve:
+  one shard runs Algorithm 1 exactly).
 * :mod:`repro.core.streaming` — the sliding-window state behind the
   online extension (the paper's first future-work item), driven by
   :class:`repro.scale.streaming.ShardedStreamingEstimator`.
@@ -39,7 +41,6 @@ from repro.core.completion import (
     CompressiveSensingCompleter,
 )
 from repro.core.tuning import FitnessCacheStats, GeneticTuner, TuningResult
-from repro.core.estimator import TrafficEstimator
 from repro.core.matrix_selection import (
     SegmentSetBuilder,
     build_paper_sets,
@@ -76,7 +77,6 @@ __all__ = [
     "FitnessCacheStats",
     "GeneticTuner",
     "TuningResult",
-    "TrafficEstimator",
     "SegmentSetBuilder",
     "build_paper_sets",
     "AnomalyEvent",

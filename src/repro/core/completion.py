@@ -329,13 +329,14 @@ class CompressiveSensingCompleter:
     @shapes("m n", "m n:bool")
     def complete(
         self,
-        measurements: Union[TrafficConditionMatrix, np.ndarray],
+        measurements: Union[TrafficConditionMatrix, np.ndarray, ObservedCells],
         mask: Optional[np.ndarray] = None,
     ) -> CompletionResult:
         """Run Algorithm 1 on a measurement matrix.
 
-        Accepts either a :class:`TrafficConditionMatrix` or an explicit
-        ``(M, B)`` array pair.
+        Accepts a :class:`TrafficConditionMatrix`, an explicit ``(M, B)``
+        array pair, or the matrix's :class:`ObservedCells` (see
+        :meth:`_fit`).
         """
         fit = self._fit(measurements, mask)
         return CompletionResult(

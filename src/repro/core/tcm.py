@@ -126,20 +126,30 @@ class TrafficConditionMatrix:
         if mask is None:
             # Fully observed: one owned copy and one finiteness pass, no
             # masked gather or masked copy.
-            values = np.array(values, dtype=np.float64)
-            if values.ndim != 2:
-                raise ValueError(f"values must be 2-D, got shape {values.shape}")
-            if not np.isfinite(values).all():
-                raise ValueError("observed entries must be finite")
-            mask = np.ones(values.shape, dtype=bool)
-            cleaned = values
-        else:
-            values, mask = check_matrix_pair(
-                np.asarray(values, dtype=np.float64), mask
-            )
-            # Zero out unobserved cells so values match the paper's M = X .x B.
-            cleaned = np.where(mask, values, 0.0)
-        self._adopt(cleaned, mask, grid, segment_ids)
+            self._adopt_full(np.array(values, dtype=np.float64), grid, segment_ids)
+            return
+        values, mask = check_matrix_pair(np.asarray(values, dtype=np.float64), mask)
+        # Zero out unobserved cells so values match the paper's M = X .x B.
+        self._adopt(np.where(mask, values, 0.0), mask, grid, segment_ids)
+
+    @classmethod
+    def _full_of(
+        cls,
+        values: np.ndarray,
+        grid: Optional[TimeGrid] = None,
+        segment_ids: Optional[Sequence[int]] = None,
+    ) -> "TrafficConditionMatrix":
+        """A fully observed TCM that keeps ``values`` itself, not a copy.
+
+        For a fresh float64 buffer that nothing else writes to, such as
+        a stitched estimate.  It is checked like the constructor's copy
+        and made read-only, so the caller's reference and the TCM share
+        one array that neither can change.
+        """
+        tcm = cls.__new__(cls)
+        tcm._adopt_full(values, grid, segment_ids)
+        values.flags.writeable = False
+        return tcm
 
     @classmethod
     def from_cells(
@@ -185,6 +195,19 @@ class TrafficConditionMatrix:
         values.flags.writeable = False
         tcm._cells = (flat, values)
         return tcm
+
+    def _adopt_full(
+        self,
+        values: np.ndarray,
+        grid: Optional[TimeGrid],
+        segment_ids: Optional[Sequence[int]],
+    ) -> None:
+        """Take ownership of a float64 ``values``, every cell observed."""
+        if values.ndim != 2:
+            raise ValueError(f"values must be 2-D, got shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError("observed entries must be finite")
+        self._adopt(values, np.ones(values.shape, dtype=bool), grid, segment_ids)
 
     def _adopt(
         self,

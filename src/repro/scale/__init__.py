@@ -1,21 +1,25 @@
-"""Sharded metropolitan-scale estimation (ROADMAP item 1).
+"""The estimators: one batch and one streaming, from one shard to a metropolis.
 
 The paper validates Algorithm 1 on downtown-sized TCMs (221/198
 segments) but targets the full 5,812-segment inner-Shanghai network.
 This package makes that scale practical by decomposing the network into
 spatial tiles, completing each tile independently (float64 or float32,
 optionally in parallel), and stitching the per-shard
-estimates back into one full-network TCM:
+estimates back into one full-network TCM.  A partition with one shard
+runs the exact regime, so ``partitioner="single"`` is the monolithic
+Algorithm 1 solve at paper scale:
 
-* :mod:`repro.scale.partition` — spatial partitioners (``grid``,
-  ``single``, ``contiguous``) producing :class:`Shard` column sets with
-  a configurable halo of overlap segments;
-* :mod:`repro.scale.sharded` — :class:`ShardedCompleter` (multilevel
-  warm-started per-shard Algorithm 1 + observation-count-weighted
-  stitching) and the :class:`ShardedEstimator` facade;
+* :mod:`repro.scale.partition` — partitioners (``grid`` over a road
+  network; the geometry-free ``single`` and ``contiguous`` also over a
+  TCM's segment ids) producing :class:`Shard` column sets with a
+  configurable halo of overlap segments;
+* :mod:`repro.scale.sharded` — :class:`ShardedCompleter` (exact or
+  multilevel warm-started per-shard Algorithm 1 +
+  observation-count-weighted stitching) and :class:`ShardedEstimator`,
+  the one batch estimator;
 * :mod:`repro.scale.streaming` — :class:`ShardedStreamingEstimator`,
-  per-shard sliding windows where only tiles that received new reports
-  re-complete on a slot close.
+  the one streaming estimator: per-shard sliding windows where only
+  tiles that received new reports re-complete on a slot close.
 """
 
 from repro.scale.partition import (

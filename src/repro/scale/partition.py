@@ -14,16 +14,19 @@ Partitioners:
   containing its midpoint; the halo is grown by ``halo`` hops of
   segment adjacency (shared intersections).  This is the metropolitan
   default.
-* :class:`SinglePartitioner` — one shard holding everything; the
-  tested reference against which sharded results are compared.
+* :class:`SinglePartitioner` — one shard holding everything, which
+  the sharded estimator solves as one monolithic Algorithm 1 run.
 * :class:`ContiguousPartitioner` — splits the sorted segment-id list
   into near-equal runs; geometry-free, for TCMs without a network.
+
+The two geometry-free partitioners take either a road network or a
+TCM's segment ids; the grid partitioner needs the network's geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +42,17 @@ __all__ = [
     "make_partitioner",
     "validate_shards",
 ]
+
+#: What a partitioner partitions: a road network, or (for the
+#: geometry-free partitioners) the segment ids of a TCM's columns.
+Columns = Union[RoadNetwork, Sequence[int]]
+
+
+def _segment_ids(columns: Columns) -> Sequence[int]:
+    """The segment ids of a network, or the ids themselves."""
+    if isinstance(columns, RoadNetwork):
+        return columns.segment_ids
+    return columns
 
 
 @dataclass(frozen=True)
@@ -143,8 +157,8 @@ class SinglePartitioner:
         self.num_shards = 1
         self.halo = 0
 
-    def partition(self, network: RoadNetwork) -> List[Shard]:
-        return [Shard(shard_id=0, core_ids=tuple(network.segment_ids))]
+    def partition(self, columns: Columns) -> List[Shard]:
+        return [Shard(shard_id=0, core_ids=tuple(_segment_ids(columns)))]
 
 
 class ContiguousPartitioner:
@@ -163,8 +177,8 @@ class ContiguousPartitioner:
         self.num_shards = num_shards
         self.halo = 0
 
-    def partition(self, network: RoadNetwork) -> List[Shard]:
-        return contiguous_shards(network.segment_ids, self.num_shards)
+    def partition(self, columns: Columns) -> List[Shard]:
+        return contiguous_shards(_segment_ids(columns), self.num_shards)
 
 
 class GridPartitioner:
@@ -194,7 +208,13 @@ class GridPartitioner:
         self.num_shards = num_shards
         self.halo = halo
 
-    def partition(self, network: RoadNetwork) -> List[Shard]:
+    def partition(self, network: Columns) -> List[Shard]:
+        if not isinstance(network, RoadNetwork):
+            raise ValueError(
+                "the grid partitioner tiles a road network's geometry and "
+                "cannot partition bare segment ids; use 'single' or "
+                "'contiguous' for a TCM without a network"
+            )
         segments = network.segments()
         seg_ids = np.array([s.segment_id for s in segments], dtype=np.int64)
         mid_x = np.array(

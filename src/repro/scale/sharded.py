@@ -28,13 +28,16 @@ Total sweep cost is ``seed + warm`` instead of the monolithic budget
 where the >=3x wall-clock win comes from; the measured accuracy delta
 against monolithic on the metro benchmark stays well under 1e-2 NMAE.
 
-Setting ``seed_iterations=0`` switches to the **exact** regime: every
-shard is solved cold with the full ``iterations`` budget and the
-completer's own seed, which makes each shard bit-for-bit identical to a
-monolithic completion of that shard's sub-TCM (and the whole output
-bit-identical to monolithic when ``shards=1`` or ``halo=0`` partitions
-are used).  This regime is what the determinism harness and the
-property tests pin down.
+A partition with one shard runs the **exact** regime, and so does
+``seed_iterations=0`` for any partition: every shard is solved cold
+with the full ``iterations`` budget and the completer's own seed, which
+makes each shard bit-for-bit identical to a monolithic completion of
+that shard's sub-TCM (and the whole output bit-identical to monolithic
+when ``shards=1`` or ``halo=0`` partitions are used).  A seed solve over
+one shard would already be the whole problem, so a one-shard
+:class:`ShardedEstimator` *is* the monolithic Algorithm 1 estimate.
+This regime is what the determinism harness and the property tests pin
+down.
 """
 
 from __future__ import annotations
@@ -61,8 +64,13 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.probes.aggregation import AggregationConfig, aggregate_reports
 from repro.probes.report import ReportBatch
-from repro.roadnet.network import RoadNetwork
-from repro.scale.partition import Shard, make_partitioner, validate_shards
+from repro.scale.partition import (
+    Columns,
+    Shard,
+    _segment_ids,
+    make_partitioner,
+    validate_shards,
+)
 from repro.utils.contracts import shapes
 from repro.utils.parallel import parallel_map
 from repro.utils.rng import SeedLike
@@ -122,10 +130,10 @@ class ShardedCompletionResult:
 class _ShardIndex:
     """Shards checked against one column order and indexed into it.
 
-    ``ordered`` holds the shards by ``shard_id``; ``cols[i]`` the column
-    of each of ``ordered[i]``'s segments, in ``all_ids`` order (the
-    shard block's column order), and ``local[i]`` the inverse map: the
-    block column of every matrix column, -1 outside the shard.
+    ``ordered`` holds the shards by ``shard_id``; ``cols[i]`` the matrix
+    columns of ``ordered[i]``'s segments, ascending (the shard block
+    keeps the matrix's column order), and ``local[i]`` the inverse map:
+    the block column of every matrix column, -1 outside the shard.
     """
 
     ordered: List[Shard]
@@ -140,7 +148,7 @@ class _ShardIndex:
         col_of = {sid: j for j, sid in enumerate(segment_ids)}
         ordered = sorted(shards, key=lambda s: s.shard_id)
         cols = [
-            np.array([col_of[sid] for sid in shard.all_ids], dtype=np.intp)
+            np.sort(np.array([col_of[sid] for sid in shard.all_ids], dtype=np.intp))
             for shard in ordered
         ]
         local = []
@@ -153,17 +161,17 @@ class _ShardIndex:
     def cut(self, i: int, cells: ObservedCells) -> ObservedCells:
         """The cells of shard ``ordered[i]``'s block, row by row.
 
-        The shard keeps the matrix's row-major order; its block columns
-        ascend within a row when its columns ascend in the matrix (the
-        case for sorted segment ids), else the cells are re-sorted.
+        The block's columns ascend as the matrix's do, so the cells
+        keep the matrix's row-major order.
         """
         pos = self.local[i][cells.cols]
         keep = np.flatnonzero(pos >= 0)
-        rows, cols, values = cells.rows[keep], pos[keep], cells.values[keep]
-        if np.any(np.diff(self.cols[i]) < 0):
-            order = np.lexsort((cols, rows))
-            rows, cols, values = rows[order], cols[order], values[order]
-        return ObservedCells((cells.shape[0], self.cols[i].size), rows, cols, values)
+        return ObservedCells(
+            (cells.shape[0], self.cols[i].size),
+            cells.rows[keep],
+            pos[keep],
+            cells.values[keep],
+        )
 
 
 class ShardedCompleter:
@@ -174,12 +182,13 @@ class ShardedCompleter:
     rank, lam:
         Algorithm 1 parameters (paper defaults r=2, lambda=100).
     iterations:
-        Full sweep budget — used per shard in the exact regime
-        (``seed_iterations=0``), matching what a monolithic completer
-        would spend.
+        Full sweep budget — used per shard in the exact regime (one
+        shard, or ``seed_iterations=0``), matching what a monolithic
+        completer would spend.
     seed_iterations:
         Sweeps of the city-wide seed solve.  ``0`` selects the exact
-        regime; the default 5 is the benchmarked multilevel setting.
+        regime for any partition; the default 5 is the benchmarked
+        multilevel setting.  A one-shard partition always runs exact.
     warm_iterations:
         Per-shard refinement sweeps in the multilevel regime.
     dtype:
@@ -192,7 +201,8 @@ class ShardedCompleter:
     center:
         Solve around the observed mean.  In the multilevel regime the
         offset is removed once, globally, so the seed factor and every
-        shard refinement share one residual space.
+        shard refinement share one residual space; in the exact regime
+        each shard centres on its own mean, as a monolithic completer.
     max_workers:
         Worker pool for the per-shard solves (threads; per-shard solves
         release the GIL inside BLAS).  ``None``/``0``/``1`` run serially
@@ -267,6 +277,9 @@ class ShardedCompleter:
 
         ``shards`` must come from a partitioner over the same segment
         set as ``measurements`` (cores partition the columns exactly).
+        A measurement with nothing observed raises ``ValueError``, and
+        so does a shard with nothing observed in the exact regime; the
+        multilevel regime answers such a shard with the seed estimate.
         """
         return self._complete(
             measurements, _ShardIndex.build(shards, measurements.segment_ids)
@@ -277,33 +290,33 @@ class ShardedCompleter:
     ) -> ShardedCompletionResult:
         """:meth:`complete` over shards already checked and indexed.
 
-        The multilevel regime works from the measurement's observed
-        cells (:attr:`TrafficConditionMatrix.observed_cells`): the
-        offset, the centred values, the column counts, the seed and the
-        shard blocks all cost O(observed), and only a dense-layout solve
-        scatters its cells into an array.
+        Both regimes work from the measurement's observed cells
+        (:attr:`TrafficConditionMatrix.observed_cells`): the offset, the
+        column counts, the seed and the shard blocks all cost
+        O(observed), and only a dense-layout solve scatters its cells
+        into an array.
         """
         m, n = measurements.shape
         flat, cell_values = measurements.observed_cells
         rows, cols = np.divmod(flat, n)
         col_obs = np.bincount(cols, minlength=n)
+        # A seed solve over one shard would be the whole problem cut
+        # short: one shard is solved cold, as a monolithic completion.
+        exact = self.seed_iterations == 0 or len(index.ordered) == 1
+        mode = "exact" if exact else "multilevel"
+        offset = 0.0
+        if not exact and self.center and flat.size:
+            # Exact-regime shards centre on their own observed mean.
+            offset = float(cell_values.mean())
+        cells = ObservedCells((m, n), rows, cols, cell_values - offset)
+        seed_left: Optional[np.ndarray] = None
         seed_objective: Optional[float] = None
-        if self.seed_iterations == 0:
-            # Read-only views: the exact regime copies shard blocks.
-            sub_results = self._solve_exact(
-                measurements.values_view, measurements.mask_view, index.cols
-            )
-            mode, offset = "exact", 0.0
-        else:
-            mode = "multilevel"
-            offset = 0.0
-            if self.center and flat.size:
-                offset = float(cell_values.mean())
-            cells = ObservedCells((m, n), rows, cols, cell_values - offset)
+        fallback: Optional[np.ndarray] = None
+        if not exact:
             seed_left, seed_objective, fallback = self._solve_seed(
                 cells, col_obs, index.cols
             )
-            sub_results = self._solve_warm(cells, index, seed_left, fallback)
+        sub_results = self._solve_shards(cells, index, seed_left, fallback)
 
         started = time.perf_counter()
         with obs_trace.span("scale.stitch", shards=len(index.ordered)):
@@ -318,7 +331,7 @@ class ShardedCompleter:
         if obs_trace.enabled():
             obs_metrics.observe("scale.stitch_s", stitch_s)
 
-        if mode == "multilevel":
+        if not exact:
             # _stitch returned a fresh buffer; finish it in place.
             estimate += offset
             if self.clip_min is not None or self.clip_max is not None:
@@ -370,54 +383,32 @@ class ShardedCompleter:
             fallback = completer._estimate(fit.left, fit.right, fit.offset)
         return fit.left, fit.objective, fallback
 
-    @shapes("m n", "m n:bool")
-    def _solve_exact(
-        self,
-        values: np.ndarray,
-        mask: np.ndarray,
-        cols_per_shard: Sequence[np.ndarray],
-    ) -> List[CompletionResult]:
-        """Cold full-budget per-shard solves (monolithic-equivalent)."""
-
-        def solve(cols: np.ndarray) -> CompletionResult:
-            completer = self._make_completer(
-                iterations=self.iterations, clip=True, center=self.center
-            )
-            with self._track_inflight():
-                # C-ordered column copies: BLAS takes a different
-                # (reordered) summation path on the F-ordered copy that
-                # column fancy-indexing yields, which would break
-                # bit-for-bit monolithic equivalence.
-                return completer.complete(
-                    np.take(values, cols, axis=1), np.take(mask, cols, axis=1)
-                )
-
-        return parallel_map(
-            solve,
-            cols_per_shard,
-            max_workers=self.max_workers,
-            backend="thread",
-            span_name="scale.shard_solve",
-        )
-
     @shapes(None, None, "m r", "m n")
-    def _solve_warm(
+    def _solve_shards(
         self,
         cells: ObservedCells,
         index: _ShardIndex,
-        seed_left: np.ndarray,
+        seed_left: Optional[np.ndarray],
         fallback: Optional[np.ndarray],
     ) -> List[CompletionResult]:
-        """Warm per-shard refinements from the city-wide left factor.
+        """Per-shard solves, each on its own cells (:meth:`_ShardIndex.cut`).
 
-        Each shard solves its own cells (:meth:`_ShardIndex.cut`).
-        ``fallback`` is the seed estimate, given exactly when some tile
+        With ``seed_left`` ``None`` every shard is solved cold with the
+        full budget, centred and clipped on its own: the exact regime,
+        each shard a monolithic completion of its block.  Otherwise each
+        shard refines warm from the city-wide left factor, and
+        ``fallback``, the seed estimate, is given exactly when some tile
         has nothing observed.
         """
 
         def solve(i: int) -> CompletionResult:
             with self._track_inflight():
                 sub = index.cut(i, cells)
+                if seed_left is None:
+                    completer = self._make_completer(
+                        iterations=self.iterations, clip=True, center=self.center
+                    )
+                    return completer.complete(sub)
                 if fallback is not None and not sub.values.size:
                     # Nothing observed in this tile: the seed estimate is
                     # the best available answer for its columns.
@@ -507,7 +498,13 @@ def _stitch(
     out = np.empty((m, n))
     if all(not shard.halo_ids for shard in ordered):
         for cols, est in zip(cols_per_shard, estimates):
-            out[:, cols] = est
+            if cols.size and np.all(np.diff(cols) == 1):
+                # A run of adjacent columns (one shard, or a contiguous
+                # one) is a slice: a plain copy, several times cheaper
+                # than a column scatter into the C-ordered rows.
+                out[:, cols[0] : cols[-1] + 1] = est
+            else:
+                out[:, cols] = est
         return out
 
     # Position of every (shard, column) pair in the side-by-side band,
@@ -561,13 +558,14 @@ def _stitch(
 
 @dataclass(frozen=True)
 class ShardedEstimationOutput:
-    """A sharded estimation run's artifacts (mirrors ``EstimationOutput``).
+    """An estimation run's artifacts.
 
     Attributes
     ----------
     estimate:
-        A *complete* :class:`TrafficConditionMatrix` over the full
-        network — apps consume this exactly like a monolithic estimate.
+        A *complete* :class:`TrafficConditionMatrix` over every column;
+        the ``apps/`` services consume it directly.  Its values are
+        :attr:`completion`'s estimate array itself, read-only.
     measurements:
         The partial measurement TCM the estimate was computed from.
     completion:
@@ -580,19 +578,25 @@ class ShardedEstimationOutput:
 
 
 class ShardedEstimator:
-    """Metropolitan-scale estimation facade over spatial shards.
+    """Batch traffic estimation (Algorithm 1) over spatial shards.
 
-    Drop-in alternative to :class:`repro.core.estimator.TrafficEstimator`
-    for large networks: partitions the network once at construction,
-    then every :meth:`estimate` call runs the sharded completion and
-    returns a complete full-network TCM that ``apps/`` services consume
-    unchanged.
+    The one batch estimator, from paper scale to a metropolis: it
+    partitions the columns once at construction, then every
+    :meth:`estimate` call runs the sharded completion and returns a
+    complete TCM that ``apps/`` services consume unchanged.
+    ``partitioner="single"`` is the monolithic solve: one shard runs
+    the exact regime, bit-identical to
+    ``CompressiveSensingCompleter(center=True, clip_min=0,
+    clip_max=aggregation.max_speed_kmh)``.  Tune ``(rank, lam)`` with
+    :class:`repro.core.tuning.GeneticTuner` first; the paper runs
+    Algorithm 2 "only once for a given set of road segments".
 
     Parameters
     ----------
     network:
         The road network whose sorted segment ids define the TCM
-        columns.
+        columns, or a TCM's segment ids (in its column order) when
+        there is no network; the ``grid`` partitioner needs a network.
     shards:
         Target shard count (the realized count can be lower if some
         tiles are empty; see :class:`repro.scale.partition.GridPartitioner`).
@@ -607,15 +611,15 @@ class ShardedEstimator:
         Report-to-matrix aggregation settings; estimates are clamped
         into ``[0, aggregation.max_speed_kmh]`` km/h.
     center:
-        Solve around the observed mean (production default, as in
-        :class:`TrafficEstimator`).
+        Solve around the observed mean (the production default: the
+        regularizer then shrinks toward the mean speed, not toward 0).
     dtype, max_workers, seed:
         Forwarded to the underlying :class:`ShardedCompleter`.
     """
 
     def __init__(
         self,
-        network: RoadNetwork,
+        network: Columns,
         shards: int = 4,
         halo: int = 1,
         partitioner: Union[str, object] = "grid",
@@ -630,14 +634,14 @@ class ShardedEstimator:
         max_workers: Optional[int] = None,
         seed: SeedLike = None,
     ) -> None:
-        self.network = network
+        self.segment_ids = [int(s) for s in _segment_ids(network)]
         if isinstance(partitioner, str):
             partitioner = make_partitioner(partitioner, shards, halo=halo)
         self.partitioner = partitioner
         with obs_trace.span("scale.partition", shards=shards, halo=halo):
             self.shards = partitioner.partition(network)
         # Checked and indexed once; every estimate reuses the index.
-        self._index = _ShardIndex.build(self.shards, network.segment_ids)
+        self._index = _ShardIndex.build(self.shards, self.segment_ids)
         self.aggregation = aggregation or AggregationConfig()
         self.completer = ShardedCompleter(
             rank=rank,
@@ -663,10 +667,8 @@ class ShardedEstimator:
     def aggregate(
         self, reports: ReportBatch, grid: TimeGrid
     ) -> TrafficConditionMatrix:
-        """Turn probe reports into the full-network measurement TCM."""
-        return aggregate_reports(
-            reports, grid, self.network.segment_ids, self.aggregation
-        )
+        """Turn probe reports into the measurement TCM over every column."""
+        return aggregate_reports(reports, grid, self.segment_ids, self.aggregation)
 
     @shapes(ReportBatch, TimeGrid)
     def estimate_from_reports(
@@ -684,14 +686,16 @@ class ShardedEstimator:
         self, measurements: TrafficConditionMatrix
     ) -> ShardedEstimationOutput:
         """Complete a measurement TCM via the sharded pipeline."""
-        if list(measurements.segment_ids) != list(self.network.segment_ids):
+        if list(measurements.segment_ids) != self.segment_ids:
             raise ValueError(
                 "measurement TCM columns do not match the partitioned "
-                "network's segment ids"
+                "segment ids"
             )
         with obs_trace.span("scale.estimate", shards=len(self.shards)):
             result = self.completer._complete(measurements, self._index)
-        estimate_tcm = TrafficConditionMatrix(
+        # The stitched estimate is a fresh buffer nothing else writes
+        # to: the TCM keeps it (read-only) instead of a copy.
+        estimate_tcm = TrafficConditionMatrix._full_of(
             result.estimate,
             grid=measurements.grid,
             segment_ids=measurements.segment_ids,

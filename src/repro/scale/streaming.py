@@ -54,8 +54,8 @@ from repro.probes.aggregation import (
 )
 from repro.probes.report import ProbeReport, ReportBatch
 from repro.roadnet.network import RoadNetwork
-from repro.scale.partition import Shard, make_partitioner, validate_shards
-from repro.scale.sharded import _stitch
+from repro.scale.partition import Shard, make_partitioner
+from repro.scale.sharded import _ShardIndex, _stitch
 from repro.utils.contracts import shapes
 from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.validation import check_positive
@@ -115,21 +115,18 @@ class ShardedStreamingEstimator:
             partitioner = make_partitioner(partitioner, shards, halo=halo)
         self.partitioner = partitioner
         with obs_trace.span("scale.partition", shards=shards, halo=halo):
-            self.shards: List[Shard] = sorted(
-                partitioner.partition(network), key=lambda s: s.shard_id
-            )
-        validate_shards(self.shards, self.segment_ids)
+            partition = partitioner.partition(network)
+        # The shards in shard_id order and their columns; the stream
+        # never cuts cells, so the index's inverse maps are not kept.
+        index = _ShardIndex.build(partition, self.segment_ids)
+        self.shards: List[Shard] = index.ordered
+        self._shard_cols = index.cols
         self.slot_s = slot_s
         self.window_slots = window_slots
         self.start_s = start_s
         self.min_speed_kmh = min_speed_kmh
 
         n = len(self.segment_ids)
-        col_of = {sid: j for j, sid in enumerate(self.segment_ids)}
-        self._shard_cols = [
-            np.array([col_of[sid] for sid in shard.all_ids], dtype=np.intp)
-            for shard in self.shards
-        ]
         self._has_halo = any(shard.halo_ids for shard in self.shards)
         self._sorted_ids, self._sorter = _column_lookup(self.segment_ids)
         rngs = spawn_rngs(seed, len(self.shards))

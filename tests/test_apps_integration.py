@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 
 from repro.apps import CongestionMonitor, TripPlannerService
-from repro.core import TrafficEstimator
 from repro.core.online_anomaly import OnlineAnomalyMonitor
 from repro.datasets.scenarios import rush_hour_incident
-from repro.scale import ShardedStreamingEstimator
+from repro.scale import ShardedEstimator, ShardedStreamingEstimator
 
 
 @pytest.fixture(scope="module")
 def estimated_world():
     dataset, incident, window = rush_hour_incident(seed=0)
-    output = TrafficEstimator(lam=10.0, seed=0).estimate(dataset.measurements)
+    output = ShardedEstimator(
+        dataset.network, partitioner="single", lam=10.0, seed=0
+    ).estimate(dataset.measurements)
     return dataset, output, incident, window
 
 

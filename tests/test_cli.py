@@ -114,6 +114,31 @@ class TestPipeline:
         assert load_tcm(estimate).is_complete
         capsys.readouterr()
 
+    def test_single_partitioner_is_the_one_shard_solve(
+        self, network_path, tmp_path, capsys
+    ):
+        """``--partitioner single`` runs one exact shard whatever --shards
+        says, with or without a network, and writes --shards 1's bytes."""
+        prefix = tmp_path / "d3"
+        main([
+            "gen-dataset", str(network_path), str(prefix),
+            "--days", "0.25", "--vehicles", "40", "--slot-s", "900",
+        ])
+        measured = str(tmp_path / "d3-measured.npz")
+        common = ["--iterations", "20", "--lam", "10"]
+        one = tmp_path / "one.npz"
+        assert main(["estimate", measured, str(one), *common]) == 0
+        capsys.readouterr()
+        for extra in ([], ["--network", str(network_path)]):
+            out = tmp_path / f"single{len(extra)}.npz"
+            rc = main([
+                "estimate", measured, str(out), *common,
+                "--shards", "4", "--partitioner", "single", *extra,
+            ])
+            assert rc == 0
+            assert "over 1 shard (exact regime" in capsys.readouterr().out
+            assert out.read_bytes() == one.read_bytes()
+
     def test_sharded_estimate_rejects_auto_tune(self, tmp_path, capsys):
         from repro.core.tcm import TrafficConditionMatrix
 

@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.completion import CompressiveSensingCompleter
 from repro.core.eigenflows import analyze_eigenflows
-from repro.core.estimator import TrafficEstimator
 from repro.core.tcm import TrafficConditionMatrix
+from repro.scale import ShardedEstimator
 from repro.utils.contracts import (
     ContractError,
     contracts_enabled,
@@ -193,7 +193,9 @@ class TestCoreEntryPoints:
             analyze_eigenflows(bad)
 
     def test_estimator_rejects_raw_array(self, checked):
-        estimator = TrafficEstimator(iterations=2, seed=0)
+        estimator = ShardedEstimator(
+            [0, 1, 2], partitioner="single", iterations=2, seed=0
+        )
         with pytest.raises(ContractError, match="TrafficConditionMatrix"):
             estimator.estimate(np.zeros((4, 3)))
 

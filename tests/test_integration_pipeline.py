@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from repro import quickstart_estimate
-from repro.core import TrafficEstimator
 from repro.datasets.masks import random_integrity_mask
 from repro.datasets.synthetic import SyntheticDatasetConfig, build_probe_dataset
 from repro.metrics.errors import estimate_error, nmae
 from repro.probes.mapmatch import MapMatcher
 from repro.probes.report import ReportBatch
 from repro.roadnet.generators import grid_city
-from repro.scale import ShardedStreamingEstimator
+from repro.scale import ShardedEstimator, ShardedStreamingEstimator
 
 
 class TestQuickstart:
@@ -32,7 +31,9 @@ class TestFullPipeline:
         from repro.baselines import HistoricalMean
 
         measured = dataset.measurements
-        output = TrafficEstimator(iterations=60, seed=0).estimate(measured)
+        output = ShardedEstimator(
+            measured.segment_ids, partitioner="single", iterations=60, seed=0
+        ).estimate(measured)
         cs_err = estimate_error(
             dataset.truth_tcm.values, output.estimate.values, measured.mask
         )
@@ -45,7 +46,9 @@ class TestFullPipeline:
         truth = dataset.truth_tcm
         mask = random_integrity_mask(truth.shape, 0.2, seed=1)
         masked = truth.with_mask(mask)
-        output = TrafficEstimator(iterations=60, seed=0).estimate(masked)
+        output = ShardedEstimator(
+            masked.segment_ids, partitioner="single", iterations=60, seed=0
+        ).estimate(masked)
         err = estimate_error(truth.values, output.estimate.values, mask)
         assert err < 0.35
 
@@ -83,6 +86,10 @@ class TestSeedIsolation:
         config = SyntheticDatasetConfig(days=0.25, num_vehicles=20, slot_s=900.0)
         a = build_probe_dataset(network, config, seed=42)
         b = build_probe_dataset(network, config, seed=42)
-        est_a = TrafficEstimator(iterations=20, seed=7).estimate(a.measurements)
-        est_b = TrafficEstimator(iterations=20, seed=7).estimate(b.measurements)
+        est_a = ShardedEstimator(
+            network, partitioner="single", iterations=20, seed=7
+        ).estimate(a.measurements)
+        est_b = ShardedEstimator(
+            network, partitioner="single", iterations=20, seed=7
+        ).estimate(b.measurements)
         assert np.allclose(est_a.estimate.values, est_b.estimate.values)

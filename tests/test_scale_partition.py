@@ -91,6 +91,13 @@ class TestSinglePartitioner:
         assert shards[0].halo_ids == ()
         validate_shards(shards, network.segment_ids)
 
+    def test_from_segment_ids(self):
+        ids = [7, 3, 11, 5]
+        shards = SinglePartitioner().partition(ids)
+        assert len(shards) == 1
+        assert shards[0].core_ids == (3, 5, 7, 11)
+        validate_shards(shards, ids)
+
 
 class TestContiguousPartitioner:
     def test_partitions_network(self, network):
@@ -98,12 +105,22 @@ class TestContiguousPartitioner:
         validate_shards(shards, network.segment_ids)
         assert len(shards) == 3
 
+    def test_from_segment_ids(self, network):
+        ids = list(np.random.default_rng(0).permutation(network.segment_ids))
+        from_ids = ContiguousPartitioner(3).partition(ids)
+        validate_shards(from_ids, ids)
+        assert from_ids == ContiguousPartitioner(3).partition(network)
+
     def test_rejects_halo(self):
         with pytest.raises(ValueError, match="halo"):
             ContiguousPartitioner(3, halo=1)
 
 
 class TestGridPartitioner:
+    def test_needs_a_network(self, network):
+        with pytest.raises(ValueError, match="'single' or 'contiguous'"):
+            GridPartitioner(4).partition(network.segment_ids)
+
     def test_cores_partition_exactly(self, network):
         shards = GridPartitioner(4, halo=1).partition(network)
         validate_shards(shards, network.segment_ids)

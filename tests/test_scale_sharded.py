@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import completion
 from repro.core.completion import CompressiveSensingCompleter
@@ -12,6 +13,7 @@ from repro.core.tcm import TimeGrid, TrafficConditionMatrix
 from repro.datasets.masks import random_integrity_mask
 from repro.experiments.perf_bench import _make_truth
 from repro.metrics.errors import nmae
+from repro.probes.aggregation import MAX_SPEED_KMH
 from repro.roadnet.generators import grid_city, shanghai_downtown_like
 from repro.scale import (
     GridPartitioner,
@@ -310,8 +312,8 @@ class TestCellPath:
         assert result.mode == regime
 
     def test_unsorted_segment_ids(self, network, measured):
-        # Shard columns then descend in places: each shard's cells are
-        # re-sorted into its own column order.
+        # Each shard's block keeps the matrix's column order, so its
+        # cells stay row-major with the ids out of order.
         perm = np.random.default_rng(5).permutation(measured.num_segments)
         tcm = TrafficConditionMatrix(
             measured.values[:, perm],
@@ -387,6 +389,120 @@ class TestStitch:
         want = self.reference((rows, n), weights, cols_per_shard, estimates)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_disjoint_matches_reference(self, dtype):
+        # An ascending run (placed as a slice), the same run permuted,
+        # and scattered columns.
+        cols_per_shard = [
+            np.arange(0, 4), np.array([5, 4, 6]), np.array([7, 9, 11]),
+            np.array([8, 10]),
+        ]
+        rng = np.random.default_rng(0)
+        estimates = [rng.normal(40.0, 10.0, (5, c.size)).astype(dtype) for c in cols_per_shard]
+        shards = [SimpleNamespace(halo_ids=()) for _ in cols_per_shard]
+        got = _stitch((5, 12), None, shards, cols_per_shard, estimates)
+        want = self.reference((5, 12), np.zeros(12), cols_per_shard, estimates)
+        assert got.tobytes() == want.tobytes()
+
+
+#: The five partitions the one batch estimator is drawn over: (source
+#: of the columns, partitioner, shards, halo, seed sweeps).  ``0`` seed
+#: sweeps is the exact regime at any shard count.
+PARTITIONS = {
+    "single from ids": ("ids", "single", 1, 0, 2),
+    "contiguous from ids": ("ids", "contiguous", None, 0, 2),
+    "grid halo 0": ("network", "grid", 4, 0, 2),
+    "grid halo 1": ("network", "grid", 4, 1, 2),
+    "exact, several shards": ("network", "grid", 4, 1, 0),
+}
+
+_SMALL_CITY = grid_city(3, 3, seed=0)
+
+
+@st.composite
+def batch_problems(draw):
+    """A ShardedEstimator and a small TCM over its columns.
+
+    The TCM may have all-missing rows and columns, fewer observed rows
+    than the rank, and one tile with nothing observed.
+    """
+    name = draw(st.sampled_from(sorted(PARTITIONS)))
+    source, partitioner, shards, halo, seed_iterations = PARTITIONS[name]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if source == "network":
+        columns = _SMALL_CITY
+        ids = list(_SMALL_CITY.segment_ids)
+    else:
+        n = draw(st.integers(3, 24))
+        ids = [int(s) for s in rng.permutation(np.arange(n) * 3 + 7)]
+        columns = ids
+    if shards is None:
+        shards = draw(st.integers(2, 3))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    est = ShardedEstimator(
+        columns, shards=shards, halo=halo, partitioner=partitioner,
+        rank=draw(st.integers(1, 4)), lam=draw(st.sampled_from([1.0, 10.0, 100.0])),
+        iterations=6, seed_iterations=seed_iterations, warm_iterations=3,
+        dtype=dtype, seed=draw(st.integers(0, 1000)),
+    )
+
+    slots, n = draw(st.integers(2, 10)), len(ids)
+    mask = rng.random((slots, n)) < draw(st.floats(0.05, 0.9))
+    mask[rng.permutation(slots)[: draw(st.integers(0, slots - 1))]] = False
+    mask[:, rng.permutation(n)[: draw(st.integers(0, 3))]] = False
+    if draw(st.booleans()):
+        dark = est._index.cols[draw(st.integers(0, est.num_shards - 1))]
+        mask[:, dark] = False
+    values = rng.uniform(1.0, MAX_SPEED_KMH, (slots, n))
+    tcm = TrafficConditionMatrix(
+        np.where(mask, values, 0.0), mask,
+        grid=TimeGrid(0.0, 600.0, slots), segment_ids=ids,
+    )
+    return est, tcm, dtype
+
+
+class TestBatchEstimatorProperties:
+    """Invariants of the one batch estimator over the five partitions."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(batch_problems())
+    def test_estimate_or_documented_error(self, problem):
+        est, tcm, dtype = problem
+        mask = tcm.mask
+        dark = [i for i, cols in enumerate(est._index.cols) if not mask[:, cols].any()]
+        exact = est.completer.seed_iterations == 0 or est.num_shards == 1
+        if not mask.any() or (exact and dark):
+            # Nothing observed at all, or a dark tile in the exact regime.
+            with pytest.raises(ValueError, match="no observed entries"):
+                est.estimate(tcm)
+            return
+
+        output = est.estimate(tcm)
+        values = output.estimate.values_view
+        assert values.shape == tcm.shape
+        assert np.isfinite(values).all()
+        assert values.min() >= 0.0 and values.max() <= MAX_SPEED_KMH
+        assert output.estimate.segment_ids == tcm.segment_ids
+        assert output.completion.mode == ("exact" if exact else "multilevel")
+        # A dark tile takes the seed fallback: no sweep of its own.
+        for i in dark:
+            assert output.completion.shards[i].iterations_run == 0
+            assert np.isnan(output.completion.shards[i].objective)
+
+        if est.num_shards == 1:
+            completer = est.completer
+            mono = CompressiveSensingCompleter(
+                rank=completer.rank, lam=completer.lam,
+                iterations=completer.iterations, dtype=dtype,
+                center=True, clip_min=0.0, clip_max=MAX_SPEED_KMH,
+                seed=completer._seed,
+            ).complete(tcm.values, mask).estimate
+            assert values.tobytes() == mono.astype(np.float64).tobytes()
+
 
 class TestValidation:
     def test_bad_seed_iterations(self):
@@ -455,10 +571,70 @@ class TestShardedEstimator:
             est.estimate(other)
 
     def test_exact_regime_matches_monolithic(self, network, measured):
+        # Explicitly exact, and by the one-shard rule at default budgets.
+        for budgets in ({"seed_iterations": 0}, {}):
+            est = ShardedEstimator(
+                network, shards=1, partitioner="single", rank=RANK, lam=LAM,
+                iterations=ITERS, seed=0, **budgets,
+            )
+            output = est.estimate(measured)
+            assert output.completion.mode == "exact"
+            assert np.array_equal(output.estimate.values, _mono_estimate(measured))
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("source", ["network", "shuffled ids"])
+    def test_one_shard_is_the_monolithic_solve(self, network, source, dtype, layout):
+        """One shard equals the centred, clipped monolithic completion."""
+        rng = np.random.default_rng(11)
+        n = network.num_segments
+        slots, observed = (20, 0.4) if layout == "dense" else (1700, 0.04)
+        truth = rng.uniform(0.6, 1.4, (slots, RANK)) @ rng.uniform(15.0, 45.0, (RANK, n))
+        mask = rng.random((slots, n)) < observed
+        assert completion._sparse_layout(mask.size, mask.sum()) == (layout == "sparse")
+        ids = list(network.segment_ids)
+        if source == "shuffled ids":
+            ids = [ids[j] for j in rng.permutation(n)]
+        tcm = TrafficConditionMatrix(np.where(mask, truth, 0.0), mask, segment_ids=ids)
         est = ShardedEstimator(
-            network, shards=1, partitioner="single", rank=RANK, lam=LAM,
-            iterations=ITERS, seed_iterations=0, seed=0,
+            network if source == "network" else ids, partitioner="single",
+            rank=RANK, lam=LAM, iterations=ITERS, dtype=dtype, seed=0,
         )
-        output = est.estimate(measured)
+        output = est.estimate(tcm)
+        mono = CompressiveSensingCompleter(
+            rank=RANK, lam=LAM, iterations=ITERS, dtype=dtype,
+            center=True, clip_min=0.0, clip_max=MAX_SPEED_KMH, seed=0,
+        ).complete(tcm.values, tcm.mask).estimate
         assert output.completion.mode == "exact"
-        assert np.array_equal(output.estimate.values, _mono_estimate(measured))
+        assert output.estimate.segment_ids == ids
+        assert output.estimate.values.tobytes() == mono.astype(np.float64).tobytes()
+
+    def test_grid_needs_a_network(self, network):
+        with pytest.raises(ValueError, match="'single' or 'contiguous'"):
+            ShardedEstimator(network.segment_ids, shards=4, seed=0)
+
+    @pytest.mark.parametrize("partitioner", ["single", "grid"])
+    def test_estimate_is_the_stitched_array(self, network, measured, partitioner):
+        output = ShardedEstimator(
+            network, partitioner=partitioner, rank=RANK, lam=LAM,
+            iterations=ITERS, seed=0,
+        ).estimate(measured)
+        stitched = output.completion.estimate
+        assert np.shares_memory(stitched, output.estimate.values_view)
+        assert not stitched.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stitched[0, 0] = 0.0
+        assert output.estimate.is_complete
+
+    def test_nonfinite_stitch_rejected(self, network, measured, monkeypatch):
+        from repro.scale import sharded
+
+        def poisoned(*args):
+            out = _stitch(*args)
+            out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(sharded, "_stitch", poisoned)
+        est = ShardedEstimator(network, partitioner="single", iterations=ITERS, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            est.estimate(measured)

@@ -62,11 +62,13 @@ class TestSensorOutage:
         assert slot_cov[:lo].max() > 0.0
 
     def test_completion_bridges_outage(self):
-        from repro.core import TrafficEstimator
         from repro.metrics import nmae
+        from repro.scale import ShardedEstimator
 
         dataset = sensor_outage(seed=0)
-        output = TrafficEstimator(lam=10.0, seed=0).estimate(dataset.measurements)
+        output = ShardedEstimator(
+            dataset.network, partitioner="single", lam=10.0, seed=0
+        ).estimate(dataset.measurements)
         grid = dataset.ground_truth.grid
         lo = grid.slot_of(11 * 3600.0)
         hi = grid.slot_of(14 * 3600.0 - 1)

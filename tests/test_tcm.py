@@ -169,6 +169,14 @@ class TestTrafficConditionMatrix:
         tcm.values[0, 0] = -99
         assert tcm.values[0, 0] != -99
 
+    def test_fully_observed_constructor_copies(self):
+        values = np.arange(12.0).reshape(3, 4)
+        tcm = TrafficConditionMatrix(values)
+        assert not np.shares_memory(values, tcm.values_view)
+        assert values.flags.writeable
+        values[0, 0] = -99.0
+        assert tcm.values[0, 0] == 0.0
+
 
 class TestObservedCells:
     """``from_cells`` and the read-only ``observed_cells`` accessor."""
