@@ -130,15 +130,15 @@ class ShardedCompletionResult:
 class _ShardIndex:
     """Shards checked against one column order and indexed into it.
 
-    ``ordered`` holds the shards by ``shard_id``; ``cols[i]`` the matrix
+    ``ordered`` holds the shards by ``shard_id``, ``cols[i]`` the matrix
     columns of ``ordered[i]``'s segments, ascending (the shard block
-    keeps the matrix's column order), and ``local[i]`` the inverse map:
-    the block column of every matrix column, -1 outside the shard.
+    keeps the matrix's column order), and ``num_columns`` the matrix's
+    column count.
     """
 
     ordered: List[Shard]
     cols: List[np.ndarray]
-    local: List[np.ndarray]
+    num_columns: int
 
     @classmethod
     def build(
@@ -151,12 +151,7 @@ class _ShardIndex:
             np.sort(np.array([col_of[sid] for sid in shard.all_ids], dtype=np.intp))
             for shard in ordered
         ]
-        local = []
-        for shard_cols in cols:
-            inverse = np.full(len(col_of), -1, dtype=np.intp)
-            inverse[shard_cols] = np.arange(shard_cols.size)
-            local.append(inverse)
-        return cls(ordered, cols, local)
+        return cls(ordered, cols, len(col_of))
 
     def cut(self, i: int, cells: ObservedCells) -> ObservedCells:
         """The cells of shard ``ordered[i]``'s block, row by row.
@@ -164,10 +159,16 @@ class _ShardIndex:
         The block's columns ascend as the matrix's do, so the cells
         keep the matrix's row-major order.
         """
-        pos = self.local[i][cells.cols]
+        cols = self.cols[i]
+        # The block column of every matrix column, -1 outside the shard;
+        # built per cut, so an index that never cuts (the stream's)
+        # holds no such maps.
+        local = np.full(self.num_columns, -1, dtype=np.intp)
+        local[cols] = np.arange(cols.size)
+        pos = local[cells.cols]
         keep = np.flatnonzero(pos >= 0)
         return ObservedCells(
-            (cells.shape[0], self.cols[i].size),
+            (cells.shape[0], cols.size),
             cells.rows[keep],
             pos[keep],
             cells.values[keep],

@@ -116,8 +116,7 @@ class ShardedStreamingEstimator:
         self.partitioner = partitioner
         with obs_trace.span("scale.partition", shards=shards, halo=halo):
             partition = partitioner.partition(network)
-        # The shards in shard_id order and their columns; the stream
-        # never cuts cells, so the index's inverse maps are not kept.
+        # The shards in shard_id order and their columns.
         index = _ShardIndex.build(partition, self.segment_ids)
         self.shards: List[Shard] = index.ordered
         self._shard_cols = index.cols

@@ -2,11 +2,13 @@
 
 Property tests on the 4x4 test grid: random complete and partial-coverage
 TCMs (columns in shuffled order), random thresholds and random trips.
-Plans must match in route and bit for bit in arrival time; hotspots as
-sets with bit-equal means, in the documented order; rankings exactly.
-The last test checks that first-time queries (plans, hotspots and
-rankings) racing to build the lazy indexes from several threads answer
-as serial queries do.
+Plans also run on two 8x8 grids, large enough for the planner's A* bound
+to prune: one two-way and one one-way, where many pairs are unreachable.
+Plans must match in route and bit for bit in arrival time, and be
+``None`` exactly where the oracle's are; hotspots as sets with bit-equal
+means, in the documented order; rankings exactly.  The last test checks
+that first-time queries (plans, hotspots and rankings) racing to build
+the lazy indexes from several threads answer as serial queries do.
 """
 
 import sys
@@ -14,11 +16,13 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps.congestion import CongestionMonitor
 from repro.apps.trip_planner import TripPlannerService
 from repro.core.tcm import TimeGrid, TrafficConditionMatrix
+from repro.roadnet.generators import grid_city
 from tests.app_oracles import reference_hotspots, reference_plan, reference_ranking
 
 oracle_settings = settings(
@@ -29,6 +33,16 @@ oracle_settings = settings(
 
 # Congestion levels drawn from a few values so equal cluster means occur.
 LEVELS = np.array([0.0, 0.3, 0.5, 0.6, 0.9, 1.0])
+
+
+@pytest.fixture(scope="module")
+def plan_networks(small_network):
+    """The networks plans are checked on: the 4x4 grid and two 8x8 grids."""
+    return [
+        small_network,
+        grid_city(8, 8, block_m=200.0, seed=1, name="two-way-8x8"),
+        grid_city(8, 8, block_m=200.0, bidirectional=False, seed=2, name="one-way-8x8"),
+    ]
 
 
 def random_tcm(network, seed, partial=False, discrete=False):
@@ -118,10 +132,11 @@ class TestRankingMatchesOracle:
 class TestPlansMatchOracle:
     @oracle_settings
     @given(st.integers(0, 10_000), st.booleans(), st.data())
-    def test_random_trips(self, small_network, seed, partial, data):
-        planner = TripPlannerService(small_network, random_tcm(small_network, seed, partial))
+    def test_random_trips(self, plan_networks, seed, partial, data):
+        network = data.draw(st.sampled_from(plan_networks))
+        planner = TripPlannerService(network, random_tcm(network, seed, partial))
         grid = planner.travel_time.tcm.grid
-        nodes = st.sampled_from([n.node_id for n in small_network.intersections()])
+        nodes = st.sampled_from([n.node_id for n in network.intersections()])
         # Departures before, inside and after the grid exercise the clamp.
         departs = st.floats(grid.start_s - 3600.0, grid.end_s + 3600.0)
         for _ in range(5):
@@ -131,16 +146,18 @@ class TestPlansMatchOracle:
                 reference_plan(planner, origin, destination, depart_s),
             )
 
-    def test_refresh_to_new_columns(self, small_network):
-        planner = TripPlannerService(small_network, random_tcm(small_network, 1))
-        planner.plan(0, 15, 0.0)
-        for seed in (2, 3):
-            planner.refresh(random_tcm(small_network, seed, partial=True))
-            for origin, destination in ((0, 15), (5, 10), (12, 3)):
-                assert_same_plan(
-                    planner.plan(origin, destination, 100.0),
-                    reference_plan(planner, origin, destination, 100.0),
-                )
+    def test_refresh_to_new_columns(self, plan_networks):
+        for network in plan_networks:
+            last = network.num_intersections - 1
+            planner = TripPlannerService(network, random_tcm(network, 1))
+            planner.plan(0, last, 0.0)
+            for seed in (2, 3):
+                planner.refresh(random_tcm(network, seed, partial=True))
+                for origin, destination in ((0, last), (5, 10), (12, 3)):
+                    assert_same_plan(
+                        planner.plan(origin, destination, 100.0),
+                        reference_plan(planner, origin, destination, 100.0),
+                    )
 
 
 class TestConcurrentFirstQueries:
@@ -195,23 +212,24 @@ class TestConcurrentFirstQueries:
             answers[offset :: self.THREADS] = batch
         return answers
 
-    def test_match_serial_across_refresh(self, small_network):
-        tcms = [
-            random_tcm(small_network, 11),
-            random_tcm(small_network, 12),  # same columns: indexes kept
-            random_tcm(small_network, 13, partial=True),  # new columns
-        ]
-        planner = TripPlannerService(small_network, tcms[0])
-        monitor = CongestionMonitor(small_network, tcms[0])
-        for i, tcm in enumerate(tcms):
-            if i:
-                planner.refresh(tcm)
-                monitor.refresh(tcm)
-            serial_planner = TripPlannerService(small_network, tcm)
-            serial_monitor = CongestionMonitor(small_network, tcm)
-            requests = self.requests(small_network, tcm)
-            expected = [
-                self.answer(serial_planner, serial_monitor, *request)
-                for request in requests
+    def test_match_serial_across_refresh(self, plan_networks):
+        for network in plan_networks:
+            tcms = [
+                random_tcm(network, 11),
+                random_tcm(network, 12),  # same columns: only per-column indexes kept
+                random_tcm(network, 13, partial=True),  # new columns
             ]
-            assert self.concurrent(planner, monitor, requests) == expected
+            planner = TripPlannerService(network, tcms[0])
+            monitor = CongestionMonitor(network, tcms[0])
+            for i, tcm in enumerate(tcms):
+                if i:
+                    planner.refresh(tcm)
+                    monitor.refresh(tcm)
+                serial_planner = TripPlannerService(network, tcm)
+                serial_monitor = CongestionMonitor(network, tcm)
+                requests = self.requests(network, tcm)
+                expected = [
+                    self.answer(serial_planner, serial_monitor, *request)
+                    for request in requests
+                ]
+                assert self.concurrent(planner, monitor, requests) == expected

@@ -5,6 +5,13 @@ import pytest
 
 from repro.apps.trip_planner import TripPlannerService
 from repro.core.tcm import TimeGrid, TrafficConditionMatrix
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
+from repro.roadnet.generators import grid_city
+from repro.roadnet.geometry import Point
+from repro.roadnet.network import RoadNetwork
+from repro.roadnet.segment import Intersection, RoadSegment
+from tests.app_oracles import reference_plan
 
 
 def uniform_tcm(network, speed=36.0, num_slots=8, slot_s=1800.0):
@@ -76,6 +83,74 @@ class TestPlan:
         assert plan is not None
         far = [n.node_id for n in small_network.intersections() if n.node_id not in (seg.start, seg.end)][0]
         assert planner.plan(seg.start, far, depart_s=0.0) is None
+
+
+class TestNonFifoLinks:
+    """A slot boundary that speeds a link up breaks FIFO.
+
+    Segments 0->1 (100 m), 0->2 and 2->1 (100 m each) and 1->3 (1,000 m),
+    900 s slots, 36 km/h everywhere except 1->3: 3.6 km/h in slot 0 and
+    72 km/h in slot 1.  Leaving 0 at 885 s, the direct link reaches 1 at
+    895 s, still in slot 0; the detour reaches it at 905 s, in slot 1.
+    """
+
+    @staticmethod
+    def planner():
+        places = [(0.0, 0.0), (100.0, 0.0), (50.0, 80.0), (1100.0, 0.0)]
+        nodes = [Intersection(i, Point(x, y)) for i, (x, y) in enumerate(places)]
+        links = [(0, 1, 100.0), (0, 2, 100.0), (2, 1, 100.0), (1, 3, 1000.0)]
+        segments = [
+            RoadSegment(sid, a, b, nodes[a].location, nodes[b].location, length)
+            for sid, (a, b, length) in enumerate(links)
+        ]
+        network = RoadNetwork(nodes, segments, name="non-fifo")
+        values = np.full((2, 4), 36.0)
+        values[:, 3] = [3.6, 72.0]
+        tcm = TrafficConditionMatrix(
+            values, grid=TimeGrid(0.0, 900.0, 2), segment_ids=[0, 1, 2, 3]
+        )
+        return TripPlannerService(network, tcm)
+
+    def test_each_intersection_left_at_its_earliest_arrival(self):
+        planner = self.planner()
+        plan = planner.plan(0, 3, depart_s=885.0)
+        assert plan == reference_plan(planner, 0, 3, 885.0)
+        assert plan.segment_ids == [0, 3]
+        assert plan.arrive_s == 1895.0
+        # Reaching 1 later, by the detour, arrives far earlier.
+        detour = planner.travel_time.route_time_s([1, 2, 3], 885.0)
+        assert 885.0 + detour == 955.0
+
+
+class TestSearchSignal:
+    @pytest.fixture()
+    def obs_on(self):
+        """Observability switched on for one test; yields the registry."""
+        obs_trace.reset()
+        obs_metrics.reset()
+        obs_trace.enable()
+        try:
+            yield obs_metrics.registry()
+        finally:
+            obs_trace.disable()
+            obs_trace.reset()
+            obs_metrics.reset()
+
+    def test_bound_confines_search_to_the_route(self, obs_on):
+        """On uniform speeds the bound is tight: A* settles about the route."""
+        network = grid_city(10, 10, seed=0)
+        plan = TripPlannerService(network, uniform_tcm(network)).plan(0, 99, 0.0)
+        assert plan.num_links == 18
+        settled = obs_on.snapshot()["histograms"]["apps.trip_planner.settled"]
+        assert settled["count"] == 1
+        # A Dijkstra search settles all 100 intersections.
+        assert settled["sum"] <= 2 * (plan.num_links + 1)
+
+    def test_nothing_recorded_while_off(self, small_network):
+        obs_trace.disable()
+        obs_metrics.reset()
+        TripPlannerService(small_network, uniform_tcm(small_network)).plan(0, 15, 0.0)
+        assert not obs_metrics.registry().snapshot()["histograms"]
 
 
 class TestHostileInput:
