@@ -24,7 +24,7 @@ from repro.datasets import random_integrity_mask
 from repro.metrics import nmae
 from repro.probes import ReportBatch
 from repro.roadnet import shanghai_downtown_like, shanghai_inner_like
-from repro.scale import GridPartitioner, ShardedCompleter, ShardedStreamingEstimator
+from repro.scale import ShardedEstimator, ShardedStreamingEstimator
 
 INTEGRITY = 0.2
 RANK, LAM = 2, 10.0
@@ -67,13 +67,12 @@ def main() -> None:
 
     print(f"sharded completion ({num_shards} tiles, halo 1, "
           f"5 seed + 8 warm sweeps)...")
-    shards = GridPartitioner(num_shards, halo=1).partition(network)
-    completer = ShardedCompleter(
-        rank=RANK, lam=LAM, seed_iterations=5, warm_iterations=8,
-        center=True, clip_min=0.0, clip_max=150.0, seed=0,
+    estimator = ShardedEstimator(
+        network, shards=num_shards, halo=1, rank=RANK, lam=LAM,
+        seed_iterations=5, warm_iterations=8, seed=0,
     )
     start = time.perf_counter()
-    sharded_result = completer.complete(tcm, shards)
+    sharded_result = estimator.estimate(tcm).completion
     sharded_wall = time.perf_counter() - start
     sharded_err = nmae(truth, sharded_result.estimate, missing)
     print(f"  {sharded_wall:.2f}s ({sharded_result.stitch_s:.3f}s stitching), "

@@ -18,12 +18,11 @@ Checks:
 * ``tuning`` — Algorithm 2 GA search
   (:class:`repro.core.tuning.GeneticTuner`) with memoized fitness: the
   selected (rank, lambda), fitness, and full fitness history must match.
-* ``sharded`` — the sharded metropolitan completion
-  (:class:`repro.scale.sharded.ShardedCompleter`): a one-shard
-  :class:`repro.scale.ShardedEstimator` and the exact regime per shard
-  at ``halo=0`` must reproduce monolithic completion bit-for-bit, and
-  the multilevel regime must be bit-identical serial vs pool and under
-  shuffled shard input order.
+* ``sharded`` — the one batch estimator
+  (:class:`repro.scale.ShardedEstimator`): one shard and the exact
+  regime per shard at ``halo=0`` must reproduce monolithic completion
+  bit-for-bit, and the multilevel regime must be bit-identical serial
+  vs pool and when the partitioner hands out its shards in reverse.
 * ``run-all`` — the experiment battery
   (:func:`repro.experiments.runner.run_all`): every rendered block must
   be byte-identical, except the two studies whose *output* is measured
@@ -327,8 +326,8 @@ def check_sharded(
     * a ``halo=0`` exact-regime run reproduces the monolithic completer
       on every shard's sub-TCM;
     * the multilevel (seed + warm) run is bit-identical serial vs
-      thread-pool, in float64 and float32, and under shuffled shard
-      input order;
+      thread-pool, in float64 and float32, and when the partitioner
+      hands out its shards in reverse order;
     * on the sparse case, the multilevel run from a TCM built from its
       observed cells, as ``aggregate_reports`` builds one, equals the
       run from the same values and mask built densely.
@@ -337,7 +336,7 @@ def check_sharded(
     from repro.core.tcm import TimeGrid, TrafficConditionMatrix
     from repro.probes.aggregation import MAX_SPEED_KMH
     from repro.roadnet.generators import grid_city
-    from repro.scale import GridPartitioner, ShardedCompleter, ShardedEstimator
+    from repro.scale import GridPartitioner, ShardedEstimator
 
     started = time.perf_counter()
     # At least 2 so the parallel leg really runs through a pool even
@@ -355,6 +354,10 @@ def check_sharded(
     problems: List[str] = []
     ran: List[str] = []
 
+    def estimate(columns, measured, **kw) -> np.ndarray:
+        est = ShardedEstimator(columns, rank=2, lam=10.0, seed=seed, **kw)
+        return est.estimate(measured).estimate.values_view
+
     for layout, (grid_rows, slots, observed, num_shards) in cases.items():
         network = grid_city(grid_rows, grid_rows, seed=seed)
         ids = network.segment_ids
@@ -365,19 +368,6 @@ def check_sharded(
             grid=TimeGrid(0.0, 600.0, slots),
             segment_ids=ids,
         )
-
-        def exact_completer() -> ShardedCompleter:
-            return ShardedCompleter(
-                rank=2,
-                lam=10.0,
-                iterations=iterations,
-                seed_iterations=0,
-                center=True,
-                clip_min=0.0,
-                clip_max=MAX_SPEED_KMH,
-                seed=seed,
-            )
-
         mono = CompressiveSensingCompleter(
             rank=2,
             lam=10.0,
@@ -398,24 +388,25 @@ def check_sharded(
             ("network", network, tcm),
             ("shuffled ids", shuffled.segment_ids, shuffled),
         ):
-            single = ShardedEstimator(
-                columns,
-                partitioner="single",
-                rank=2,
-                lam=10.0,
-                iterations=iterations,
-                seed=seed,
-            ).estimate(measured)
+            single = estimate(
+                columns, measured, partitioner="single", iterations=iterations
+            )
             detail = _diff_arrays(
                 f"[{layout}] shards=1 ({tag}) vs monolithic",
-                single.estimate.values_view,
+                single,
                 mono.complete(measured.values, measured.mask).estimate,
             )
             if detail:
                 problems.append(detail)
 
         shards0 = GridPartitioner(num_shards, halo=0).partition(network)
-        res0 = exact_completer().complete(tcm, shards0)
+        res0 = estimate(
+            network,
+            tcm,
+            partitioner=_GivenShards(shards0),
+            iterations=iterations,
+            seed_iterations=0,
+        )
         col_of = {sid: j for j, sid in enumerate(ids)}
         for shard in shards0:
             cols = np.array([col_of[sid] for sid in shard.all_ids])
@@ -430,7 +421,7 @@ def check_sharded(
             sub = mono.complete(np.ascontiguousarray(tcm.values[:, cols]), sub_mask)
             detail = _diff_arrays(
                 f"[{layout}] halo=0 shard {shard.shard_id} vs monolithic sub-TCM",
-                res0.estimate[:, cols],
+                res0[:, cols],
                 sub.estimate,
             )
             if detail:
@@ -439,19 +430,15 @@ def check_sharded(
         def multilevel(
             pool: Optional[int], shard_list, dtype: str, measured=tcm
         ) -> np.ndarray:
-            completer = ShardedCompleter(
-                rank=2,
-                lam=10.0,
+            return estimate(
+                network,
+                measured,
+                partitioner=_GivenShards(shard_list),
                 seed_iterations=3,
                 warm_iterations=4,
                 dtype=dtype,
-                center=True,
-                clip_min=0.0,
-                clip_max=MAX_SPEED_KMH,
                 max_workers=pool,
-                seed=seed,
             )
-            return completer.complete(measured, shard_list).estimate
 
         shards1 = GridPartitioner(num_shards, halo=1).partition(network)
         from_cells = TrafficConditionMatrix.from_cells(
@@ -493,6 +480,16 @@ def check_sharded(
         ),
         elapsed_s=time.perf_counter() - started,
     )
+
+
+class _GivenShards:
+    """A partitioner that hands out ready-made shards, in the given order."""
+
+    def __init__(self, shards) -> None:
+        self.shards = list(shards)
+
+    def partition(self, network) -> list:
+        return list(self.shards)
 
 
 CHECKS: Dict[str, Callable[[int, Optional[int], bool], DeterminismCheck]] = {

@@ -8,18 +8,23 @@ the speed of the slot the vehicle actually reaches it in.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.tcm import TrafficConditionMatrix
 from repro.roadnet.network import RoadNetwork
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite_time, check_positive
+
+#: Floor on estimated speeds before they divide a link length.
+MIN_LINK_SPEED_KMH = 3.0
 
 
 class TravelTimeService:
     """Link/route travel times over a completed TCM.
+
+    Estimated speeds are floored at :data:`MIN_LINK_SPEED_KMH` before
+    division, so a zero estimate never yields an infinite travel time.
 
     Parameters
     ----------
@@ -28,20 +33,10 @@ class TravelTimeService:
     tcm:
         A *complete* TCM (run the estimator first); its segment ids
         must all exist in the network.
-    min_speed_kmh:
-        Floor applied to estimated speeds before division (a zero
-        estimate must not produce an infinite travel time).
     """
 
-    def __init__(
-        self,
-        network: RoadNetwork,
-        tcm: TrafficConditionMatrix,
-        min_speed_kmh: float = 3.0,
-    ):
-        check_positive(min_speed_kmh, "min_speed_kmh")
+    def __init__(self, network: RoadNetwork, tcm: TrafficConditionMatrix):
         self.network = network
-        self.min_speed_kmh = float(min_speed_kmh)
         self._known = frozenset(network.segment_ids)
         self._columns: Optional[List[int]] = None
         self.refresh(tcm)
@@ -78,7 +73,7 @@ class TravelTimeService:
         if slot is None:
             slot = 0 if time_s < self.tcm.grid.start_s else self.tcm.num_slots - 1
         speed = self._values.item(slot, self.tcm.column_of(segment_id))
-        floor = self.min_speed_kmh
+        floor = MIN_LINK_SPEED_KMH
         return floor if floor > speed else speed  # np.maximum, NaN included
 
     def link_time_s(self, segment_id: int, time_s: float) -> float:
@@ -95,7 +90,7 @@ class TravelTimeService:
         lengths = np.array(
             [self.network.segment(sid).length_m for sid in self.tcm.segment_ids]
         )
-        times = np.maximum(self._values, self.min_speed_kmh)
+        times = np.maximum(self._values, MIN_LINK_SPEED_KMH)
         times /= 3.6
         np.divide(lengths, times, out=times)
         return times
@@ -144,9 +139,3 @@ class TravelTimeService:
         times = self.route_time_profile(segment_ids, candidates)
         best = int(np.argmin(times))
         return float(candidates[best]), float(times[best])
-
-
-def check_finite_time(value: float, name: str) -> None:
-    """Reject NaN/inf query times (they have no slot)."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")

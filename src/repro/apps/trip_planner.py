@@ -29,11 +29,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.apps.travel_time import TravelTimeService, check_finite_time
+from repro.apps.travel_time import TravelTimeService
 from repro.core.tcm import TrafficConditionMatrix
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.roadnet.network import RoadNetwork
+from repro.utils.validation import check_finite_time
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix

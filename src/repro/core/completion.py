@@ -117,7 +117,7 @@ class ObservedCells:
     order): cell ``k`` is ``values[k]`` at ``(rows[k], cols[k])``, and
     every other cell is unobserved.  This is the form the kernel's
     sparse layout binds from (:class:`_WorkspaceKernel`), so a caller
-    that already holds the cells (:class:`repro.scale.ShardedCompleter`
+    that already holds the cells (:class:`repro.scale.ShardedEstimator`
     does) hands them over without an (m, n) pass.
     """
 
@@ -467,7 +467,6 @@ class CompressiveSensingCompleter:
                 lambda init: self._run_als(matrix, ind, init),
                 inits,
                 max_workers=self.max_workers,
-                backend="thread",
                 span_name="als.restart",
             )
 

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.utils.contracts import shapes
-from repro.utils.validation import check_matrix_pair, check_positive
+from repro.utils.validation import check_finite_time, check_matrix_pair, check_positive
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,10 @@ class TimeGrid:
     num_slots: int
 
     def __post_init__(self) -> None:
+        # A NaN or infinite clock would give every slot a NaN or
+        # infinite start and centre.
+        check_finite_time(self.start_s, "start_s")
+        check_finite_time(self.slot_s, "slot_s")
         check_positive(self.slot_s, "slot_s")
         if self.num_slots < 1:
             raise ValueError(f"num_slots must be >= 1, got {self.num_slots}")

@@ -121,9 +121,9 @@ class TuningResult:
 class _FitnessTask:
     """Everything one fitness evaluation needs, prepared up front.
 
-    Module-level and fully self-contained so the evaluation function is
-    picklable and the task can be dispatched to any
-    :func:`repro.utils.parallel.parallel_map` backend.
+    Self-contained, so evaluations share no state and can run on
+    :func:`repro.utils.parallel.parallel_map`'s worker threads in any
+    order.
     """
 
     rank: int
@@ -387,7 +387,6 @@ class GeneticTuner:
             _evaluate_fitness,
             tasks,
             max_workers=self.max_workers,
-            backend="thread",
             span_name="ga.fitness",
         )
         for task, fitness in zip(tasks, fitnesses):

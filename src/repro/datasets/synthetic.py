@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.tcm import TimeGrid, TrafficConditionMatrix
 from repro.mobility.fleet import FleetConfig, FleetSimulator
-from repro.probes.aggregation import AggregationConfig, aggregate_reports
+from repro.probes.aggregation import aggregate_reports
 from repro.probes.report import ReportBatch
 from repro.roadnet.generators import (
     shanghai_downtown_like,

@@ -17,7 +17,7 @@ Pin the algorithm roster and parameters used throughout Section 4:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -52,25 +52,17 @@ class AlgorithmSpec:
         return result.estimate if hasattr(result, "estimate") else result
 
 
-def make_completer(
-    seed: int = 0,
-    dtype: object = None,
-    max_workers: Optional[int] = None,
-    **overrides,
-) -> CompressiveSensingCompleter:
+def make_completer(seed: int = 0, **overrides) -> CompressiveSensingCompleter:
     """The experiments' CS configuration with optional overrides.
 
-    ``dtype`` selects the working precision and ``max_workers`` sizes
-    the restart worker pool (both forwarded verbatim; see
-    :class:`CompressiveSensingCompleter`).
+    ``overrides`` reach :class:`CompressiveSensingCompleter` verbatim
+    (e.g. ``dtype`` or ``max_workers``).
     """
     params = dict(
         rank=TUNED_RANK,
         lam=TUNED_LAMBDA,
         iterations=CS_ITERATIONS,
         clip_min=0.0,
-        dtype=dtype,
-        max_workers=max_workers,
         seed=seed,
     )
     params.update(overrides)

@@ -493,7 +493,6 @@ def run_all(
                 _named_job,
                 [(name, job, store) for name, job in jobs.items()],
                 max_workers=max_workers,
-                backend="thread",
                 span_name="runner.dispatch",
             )
     finally:

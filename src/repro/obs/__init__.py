@@ -10,8 +10,8 @@ site.  Enable per-process with :func:`enable` or by exporting
 Layer map:
 
 * :mod:`repro.obs.trace` — hierarchical wall-time spans
-  (context-manager + decorator), thread/process-safe collection, and
-  re-parenting of worker spans produced under
+  (context-manager + decorator), thread-safe collection, and
+  re-parenting of worker-thread spans produced under
   :func:`repro.utils.parallel.parallel_map` into the driver trace.
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with JSONL and
   Prometheus-text exporters.
@@ -46,7 +46,6 @@ from repro.obs.schema import validate_manifest
 from repro.obs.summarize import render_spans_jsonl, summarize_manifest
 from repro.obs.trace import (
     Span,
-    absorb_remote,
     collector,
     current_span_id,
     disable,
@@ -60,7 +59,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "Span",
-    "absorb_remote",
     "build_manifest",
     "collector",
     "config_hash",

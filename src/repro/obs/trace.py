@@ -20,11 +20,8 @@ Design constraints, in order:
    ``threading.local`` stack, so concurrent threads nest independently.
 3. **Composes with :mod:`repro.utils.parallel`.**  ``parallel_map``
    wraps dispatched jobs in :func:`pool_task` so a span opened inside a
-   worker is re-parented under the span that was active in the *driver*
-   thread at dispatch time.  For the ``"process"`` backend the worker
-   runs in another address space; its spans are captured locally,
-   shipped back with the result, and merged into the driver's
-   collector (:func:`absorb_remote`).
+   worker thread is re-parented under the span that was active in the
+   *dispatching* thread at dispatch time.
 
 Enabling: ``repro.obs.enable()`` / the ``REPRO_OBS=1`` environment
 variable (read once at import).  Instrumentation never changes any
@@ -50,7 +47,6 @@ _T = TypeVar("_T")
 __all__ = [
     "Span",
     "SpanCollector",
-    "absorb_remote",
     "collector",
     "current_span_id",
     "disable",
@@ -68,9 +64,8 @@ __all__ = [
 class Span:
     """One finished traced region.
 
-    ``start_s``/``end_s`` are ``time.perf_counter()`` readings — on
-    Linux a system-wide monotonic clock, so spans from forked worker
-    processes land on the same timeline as the driver's.
+    ``start_s``/``end_s`` are ``time.perf_counter()`` readings (a
+    monotonic clock).
     """
 
     name: str
@@ -127,10 +122,6 @@ class SpanCollector:
     def add(self, span_: Span) -> None:
         with self._lock:
             self._spans.append(span_)
-
-    def extend(self, spans: List[Span]) -> None:
-        with self._lock:
-            self._spans.extend(spans)
 
     def drain(self) -> List[Span]:
         """All collected spans, clearing the store."""
@@ -319,66 +310,31 @@ def traced(
 # ----------------------------------------------------------------------
 # Worker-pool composition (repro.utils.parallel)
 # ----------------------------------------------------------------------
-class _RemoteSpans:
-    """Result envelope a process-pool worker ships back to the driver."""
-
-    __slots__ = ("result", "spans")
-
-    def __init__(self, result: Any, spans: List[Span]) -> None:
-        self.result = result
-        self.spans = spans
-
-
 class pool_task:
-    """Wrap a pool job so its spans re-parent into the driver trace.
+    """Wrap a pool job so its spans re-parent into the caller's trace.
 
-    Instances are created in the driver thread (capturing the span that
-    is active *at dispatch time*) and called in worker threads or
-    processes.  The class is module-level and its state is plain data,
-    so it pickles for the ``"process"`` backend.
-
-    * Same process (serial or thread backend): the worker thread's empty
-      context is seeded with the captured parent id, so spans opened by
-      the job nest under the dispatch-site span in the shared collector.
-    * Different process: the job's spans land in the *child's* collector;
-      the call returns a :class:`_RemoteSpans` envelope and the driver
-      merges them via :func:`absorb_remote`.
+    Instances are created in the dispatching thread (capturing the span
+    that is active *at dispatch time*) and called in worker threads: the
+    worker thread's empty context is seeded with the captured parent id,
+    so spans opened by the job nest under the dispatch-site span in the
+    shared collector.
     """
 
     def __init__(self, fn: Callable[..., Any], name: str = "parallel.task") -> None:
         self.fn = fn
         self.name = name
         self.parent_id = current_span_id()
-        self.origin_pid = os.getpid()
 
     def __call__(self, item: Any) -> Any:
         if not _enabled:
             return self.fn(item)
-        remote = os.getpid() != self.origin_pid
         saved = _context.stack
         _context.stack = [] if self.parent_id is None else [self.parent_id]
-        local_mark = len(_collector) if remote else 0
         try:
             with span(self.name):
-                result = self.fn(item)
+                return self.fn(item)
         finally:
             _context.stack = saved
-        if remote:
-            # Ship only this job's spans; anything already in the
-            # child's collector before the call stays put.
-            produced = _collector.drain()
-            kept, shipped = produced[:local_mark], produced[local_mark:]
-            _collector.extend(kept)
-            return _RemoteSpans(result, shipped)
-        return result
-
-
-def absorb_remote(result: Any) -> Any:
-    """Unwrap a pool result, merging any worker-process spans."""
-    if isinstance(result, _RemoteSpans):
-        _collector.extend(result.spans)
-        return result.result
-    return result
 
 
 def span_tree(

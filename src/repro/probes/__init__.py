@@ -10,7 +10,7 @@ data problem via integrity (Definition 4, Section 2.3).
 
 from repro.probes.report import ProbeReport, ReportBatch
 from repro.probes.mapmatch import GridIndex, MapMatcher
-from repro.probes.aggregation import AggregationConfig, aggregate_reports
+from repro.probes.aggregation import aggregate_reports
 from repro.probes.integrity import (
     IntegrityReport,
     empirical_cdf,
@@ -34,7 +34,6 @@ __all__ = [
     "ReportBatch",
     "GridIndex",
     "MapMatcher",
-    "AggregationConfig",
     "aggregate_reports",
     "IntegrityReport",
     "empirical_cdf",

@@ -7,11 +7,13 @@ cell with no report is missing (``B_{t,r} = 0``).
 
 Stationary probes (taxis waiting for passengers, vehicles stopped at
 signals for a whole reporting interval) would drag the average toward
-zero even on free-flowing roads, so reports below a speed floor are
-dropped before averaging — the standard cleaning step for taxi probe
-data — and speeds above a cap are GPS glitches.  :func:`admit_reports`
-is the one rule for which reports count, shared by batch aggregation
-and the streaming estimator (:mod:`repro.scale.streaming`);
+zero even on free-flowing roads, so reports below
+:data:`MIN_SPEED_KMH` are dropped before averaging — the standard
+cleaning step for taxi probe data — and speeds above
+:data:`MAX_SPEED_KMH` are GPS glitches.  :func:`admit_reports` is the
+one rule for which reports count, shared by batch aggregation and the
+streaming estimator (:mod:`repro.scale.streaming`); it has no settings,
+and one admitted report makes its cell observed (Eq. 4).
 :data:`MAX_SPEED_KMH` also bounds every published estimate.
 
 Surviving reports are flattened to ``slot * n + column`` keys and
@@ -22,14 +24,13 @@ straight out of the counts (row-major flat keys, ascending) with their
 means, and the TCM is built from those cells
 (:meth:`~repro.core.tcm.TrafficConditionMatrix.from_cells`), which keeps
 them for the sharded solver.  What still costs O(m n) is the bincount
-output, the one compare that picks the cells, and zeroing the TCM's two
+output, the one scan that picks the cells, and zeroing the TCM's two
 matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -43,35 +44,6 @@ from repro.probes.report import ReportBatch
 MIN_SPEED_KMH = 2.0
 #: Glitch cap on report speeds, and the upper clip of every estimate.
 MAX_SPEED_KMH = 150.0
-
-
-@dataclass(frozen=True)
-class AggregationConfig:
-    """Aggregation knobs.
-
-    Attributes
-    ----------
-    min_speed_kmh:
-        Reports slower than this are treated as idle and dropped
-        (0 disables the filter).
-    min_reports_per_cell:
-        A cell needs at least this many surviving reports to count as
-        observed; the paper uses 1 (any probe marks the cell).
-    max_speed_kmh:
-        Reports above this are GPS glitches and dropped.
-    """
-
-    min_speed_kmh: float = MIN_SPEED_KMH
-    min_reports_per_cell: int = 1
-    max_speed_kmh: float = MAX_SPEED_KMH
-
-    def __post_init__(self) -> None:
-        if self.min_speed_kmh < 0:
-            raise ValueError("min_speed_kmh must be >= 0")
-        if self.min_reports_per_cell < 1:
-            raise ValueError("min_reports_per_cell must be >= 1")
-        if self.max_speed_kmh <= self.min_speed_kmh:
-            raise ValueError("max_speed_kmh must exceed min_speed_kmh")
 
 
 def _column_lookup(segment_ids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -103,18 +75,16 @@ def admit_reports(
     speeds: np.ndarray,
     sorted_ids: np.ndarray,
     sorter: np.ndarray,
-    min_speed_kmh: float = MIN_SPEED_KMH,
-    max_speed_kmh: float = MAX_SPEED_KMH,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Column per report and the mask of reports that count.
 
     A report counts when it is matched (``segment_id >= 0``) to a known
-    column and ``min_speed_kmh <= speed <= max_speed_kmh``; the two
+    column and ``MIN_SPEED_KMH <= speed <= MAX_SPEED_KMH``; the two
     comparisons also reject NaN and ±inf.  ``(sorted_ids, sorter)``
     come from :func:`_column_lookup`.
     """
     cols, keep = _columns_of(segs, sorted_ids, sorter)
-    keep &= (segs >= 0) & (speeds >= min_speed_kmh) & (speeds <= max_speed_kmh)
+    keep &= (segs >= 0) & (speeds >= MIN_SPEED_KMH) & (speeds <= MAX_SPEED_KMH)
     return cols, keep
 
 
@@ -124,18 +94,18 @@ def _accumulate_bincount(
     cols: np.ndarray,
     speeds: np.ndarray,
     shape: Tuple[int, int],
-    min_reports: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Observed cells and their mean speeds via flattened-key bincount.
 
-    Returns the row-major flat keys of the cells with at least
-    ``min_reports`` reports, ascending, and each cell's mean speed.
+    Returns the row-major flat keys of the cells with a report (Eq. 4),
+    ascending, and each cell's mean speed.
     """
     m, n = shape
     keys = slots * n + cols
     sums = np.bincount(keys, weights=speeds, minlength=m * n)
     counts = np.bincount(keys, minlength=m * n)
-    cells = np.flatnonzero(counts >= min_reports)
+    # Compare first: a bool scan beats nonzero over the int64 counts.
+    cells = np.flatnonzero(counts > 0)
     return cells, sums[cells] / counts[cells]
 
 
@@ -145,7 +115,6 @@ def aggregate_reports(
     batch: ReportBatch,
     grid: TimeGrid,
     segment_ids: Sequence[int],
-    config: Optional[AggregationConfig] = None,
 ) -> TrafficConditionMatrix:
     """Build the measurement TCM ``(M, B)`` from probe reports.
 
@@ -160,7 +129,6 @@ def aggregate_reports(
         TCM column labels (typically ``network.segment_ids``); reports on
         other segments are skipped.
     """
-    config = config or AggregationConfig()
     m = grid.num_slots
     sorted_ids, sorter = _column_lookup(segment_ids)
     n = sorted_ids.size
@@ -171,24 +139,11 @@ def aggregate_reports(
     if len(batch):
         times = batch.times_s
         speeds = batch.speeds_kmh
-        cols, keep = admit_reports(
-            batch.segment_ids,
-            speeds,
-            sorted_ids,
-            sorter,
-            config.min_speed_kmh,
-            config.max_speed_kmh,
-        )
+        cols, keep = admit_reports(batch.segment_ids, speeds, sorted_ids, sorter)
         keep &= (times >= grid.start_s) & (times < grid.end_s)
         if keep.any():
             slots = ((times[keep] - grid.start_s) // grid.slot_s).astype(np.int64)
-            cells, means = _accumulate_bincount(
-                slots,
-                cols[keep],
-                speeds[keep],
-                (m, n),
-                config.min_reports_per_cell,
-            )
+            cells, means = _accumulate_bincount(slots, cols[keep], speeds[keep], (m, n))
 
     if obs_trace.enabled():
         obs_metrics.inc("ingest.reports", len(batch))

@@ -13,10 +13,11 @@ Algorithm 1 solve at paper scale:
   network; the geometry-free ``single`` and ``contiguous`` also over a
   TCM's segment ids) producing :class:`Shard` column sets with a
   configurable halo of overlap segments;
-* :mod:`repro.scale.sharded` — :class:`ShardedCompleter` (exact or
-  multilevel warm-started per-shard Algorithm 1 +
-  observation-count-weighted stitching) and :class:`ShardedEstimator`,
-  the one batch estimator;
+* :mod:`repro.scale.sharded` — :class:`ShardedEstimator`, the one
+  batch estimator: exact or multilevel warm-started per-shard
+  Algorithm 1, observation-count-weighted stitching, and one fixed
+  policy (centred on the observed mean, clipped to
+  ``[0, MAX_SPEED_KMH]``);
 * :mod:`repro.scale.streaming` — :class:`ShardedStreamingEstimator`,
   the one streaming estimator: per-shard sliding windows where only
   tiles that received new reports re-complete on a slot close.
@@ -33,7 +34,6 @@ from repro.scale.partition import (
     validate_shards,
 )
 from repro.scale.sharded import (
-    ShardedCompleter,
     ShardedCompletionResult,
     ShardedEstimationOutput,
     ShardedEstimator,
@@ -47,7 +47,6 @@ __all__ = [
     "GridPartitioner",
     "Shard",
     "ShardResult",
-    "ShardedCompleter",
     "ShardedCompletionResult",
     "ShardedEstimationOutput",
     "ShardedEstimator",

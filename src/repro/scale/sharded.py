@@ -1,4 +1,4 @@
-"""Sharded Algorithm-1 completion with multilevel warm starts.
+"""The one batch estimator: sharded Algorithm 1 with multilevel warm starts.
 
 The scaling obstacle is that one monolithic Algorithm 1 run over a
 metropolitan TCM (5,812 columns for inner Shanghai) pays the full sweep
@@ -6,12 +6,13 @@ budget over every column jointly.  The decomposition here exploits the
 paper's own observation (Section 3.2) that the *temporal* structure —
 the left factor's eigenflow columns (morning rush, evening rush,
 baseline) — is shared city-wide, while the *spatial* right factor is
-local.  So:
+local.  So :class:`ShardedEstimator` runs, in its **multilevel**
+regime:
 
 1. **Seed solve** — a few cheap ALS sweeps (``seed_iterations``, default
-   5) over the full matrix produce a city-wide left factor ``L0`` (and,
-   when some shard has no observations, the seed's full estimate as its
-   fallback).
+   5) over the full matrix, centred on its observed mean, produce a
+   city-wide left factor ``L0`` (and, when some shard has no
+   observations, the seed's full estimate as its fallback).
 2. **Per-shard refinement** — every shard runs ``warm_iterations``
    (default 8) ALS sweeps over its own columns only, warm-started from
    ``L0`` via :func:`repro.core.streaming._warm_complete`.  No random
@@ -22,6 +23,8 @@ local.  So:
    matrix; columns estimated by several shards (halo overlap) are
    reconciled by observation-count-weighted averaging, accumulated in
    ``shard_id`` order so the result is independent of completion order.
+   The observed mean is added back and the estimate clipped to
+   ``[0, MAX_SPEED_KMH]``.
 
 Total sweep cost is ``seed + warm`` instead of the monolithic budget
 (e.g. 13 effective sweeps vs 60 at the benchmark settings), which is
@@ -30,14 +33,14 @@ against monolithic on the metro benchmark stays well under 1e-2 NMAE.
 
 A partition with one shard runs the **exact** regime, and so does
 ``seed_iterations=0`` for any partition: every shard is solved cold
-with the full ``iterations`` budget and the completer's own seed, which
-makes each shard bit-for-bit identical to a monolithic completion of
-that shard's sub-TCM (and the whole output bit-identical to monolithic
-when ``shards=1`` or ``halo=0`` partitions are used).  A seed solve over
-one shard would already be the whole problem, so a one-shard
-:class:`ShardedEstimator` *is* the monolithic Algorithm 1 estimate.
-This regime is what the determinism harness and the property tests pin
-down.
+with the full ``iterations`` budget and the completer's own seed,
+centred and clipped on its own, which makes each shard bit-for-bit
+identical to a monolithic completion of that shard's sub-TCM (and the
+whole output bit-identical to monolithic when ``shards=1`` or
+``halo=0`` partitions are used).  A seed solve over one shard would
+already be the whole problem, so a one-shard :class:`ShardedEstimator`
+*is* the monolithic Algorithm 1 estimate.  This regime is what the
+determinism harness and the property tests pin down.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from repro.core.streaming import _warm_complete
 from repro.core.tcm import TimeGrid, TrafficConditionMatrix
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.probes.aggregation import AggregationConfig, aggregate_reports
+from repro.probes.aggregation import MAX_SPEED_KMH, aggregate_reports
 from repro.probes.report import ReportBatch
 from repro.scale.partition import (
     Columns,
@@ -77,7 +80,6 @@ from repro.utils.rng import SeedLike
 
 __all__ = [
     "ShardResult",
-    "ShardedCompleter",
     "ShardedCompletionResult",
     "ShardedEstimationOutput",
     "ShardedEstimator",
@@ -112,8 +114,9 @@ class ShardedCompletionResult:
     seed_objective:
         Final objective of the city-wide seed solve (multilevel only).
     offset:
-        Observed-mean offset removed before solving (0 when centering
-        is off or handled by the per-shard completers).
+        Observed-mean offset removed before solving in the multilevel
+        regime (0 in the exact regime, whose shards centre on their
+        own).
     stitch_s:
         Wall-clock seconds spent reconciling shard estimates.
     """
@@ -173,291 +176,6 @@ class _ShardIndex:
             pos[keep],
             cells.values[keep],
         )
-
-
-class ShardedCompleter:
-    """Complete a TCM shard-by-shard and stitch the results.
-
-    Parameters
-    ----------
-    rank, lam:
-        Algorithm 1 parameters (paper defaults r=2, lambda=100).
-    iterations:
-        Full sweep budget — used per shard in the exact regime (one
-        shard, or ``seed_iterations=0``), matching what a monolithic
-        completer would spend.
-    seed_iterations:
-        Sweeps of the city-wide seed solve.  ``0`` selects the exact
-        regime for any partition; the default 5 is the benchmarked
-        multilevel setting.  A one-shard partition always runs exact.
-    warm_iterations:
-        Per-shard refinement sweeps in the multilevel regime.
-    dtype:
-        Working dtype, forwarded to every
-        :class:`CompressiveSensingCompleter` built here.
-    clip_min, clip_max:
-        Final estimate clamp (applied once, after stitching, in the
-        multilevel regime; forwarded to the per-shard completers in the
-        exact regime so shard outputs match monolithic bit-for-bit).
-    center:
-        Solve around the observed mean.  In the multilevel regime the
-        offset is removed once, globally, so the seed factor and every
-        shard refinement share one residual space; in the exact regime
-        each shard centres on its own mean, as a monolithic completer.
-    max_workers:
-        Worker pool for the per-shard solves (threads; per-shard solves
-        release the GIL inside BLAS).  ``None``/``0``/``1`` run serially
-        — bit-identical to the pool path because shard solves draw no
-        randomness after dispatch and stitching is ``shard_id``-ordered.
-    seed:
-        Seeds the seed solve's random init (multilevel) or every
-        per-shard cold init (exact).
-    """
-
-    def __init__(
-        self,
-        rank: int = PAPER_RANK,
-        lam: float = PAPER_LAMBDA,
-        iterations: int = PAPER_ITERATIONS,
-        seed_iterations: int = 5,
-        warm_iterations: int = 8,
-        dtype: DTypeLike = None,
-        clip_min: Optional[float] = None,
-        clip_max: Optional[float] = None,
-        center: bool = False,
-        max_workers: Optional[int] = None,
-        seed: SeedLike = None,
-    ) -> None:
-        if seed_iterations < 0:
-            raise ValueError(
-                f"seed_iterations must be >= 0, got {seed_iterations}"
-            )
-        if warm_iterations < 1:
-            raise ValueError(
-                f"warm_iterations must be >= 1, got {warm_iterations}"
-            )
-        self.rank = rank
-        self.lam = lam
-        self.iterations = iterations
-        self.seed_iterations = seed_iterations
-        self.warm_iterations = warm_iterations
-        self.dtype = dtype
-        self.clip_min = clip_min
-        self.clip_max = clip_max
-        self.center = center
-        self.max_workers = max_workers
-        self._seed = seed
-        # Validate the completer configuration eagerly (same checks the
-        # completer applies) so bad settings fail before any solve.
-        self._make_completer(iterations=1, clip=False)
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def _make_completer(
-        self, iterations: int, clip: bool, center: bool = False
-    ) -> CompressiveSensingCompleter:
-        return CompressiveSensingCompleter(
-            rank=self.rank,
-            lam=self.lam,
-            iterations=iterations,
-            dtype=self.dtype,
-            clip_min=self.clip_min if clip else None,
-            clip_max=self.clip_max if clip else None,
-            center=center,
-            seed=self._seed,
-        )
-
-    @shapes(TrafficConditionMatrix)
-    def complete(
-        self,
-        measurements: TrafficConditionMatrix,
-        shards: Sequence[Shard],
-    ) -> ShardedCompletionResult:
-        """Run per-shard completion over ``shards`` and stitch.
-
-        ``shards`` must come from a partitioner over the same segment
-        set as ``measurements`` (cores partition the columns exactly).
-        A measurement with nothing observed raises ``ValueError``, and
-        so does a shard with nothing observed in the exact regime; the
-        multilevel regime answers such a shard with the seed estimate.
-        """
-        return self._complete(
-            measurements, _ShardIndex.build(shards, measurements.segment_ids)
-        )
-
-    def _complete(
-        self, measurements: TrafficConditionMatrix, index: _ShardIndex
-    ) -> ShardedCompletionResult:
-        """:meth:`complete` over shards already checked and indexed.
-
-        Both regimes work from the measurement's observed cells
-        (:attr:`TrafficConditionMatrix.observed_cells`): the offset, the
-        column counts, the seed and the shard blocks all cost
-        O(observed), and only a dense-layout solve scatters its cells
-        into an array.
-        """
-        m, n = measurements.shape
-        flat, cell_values = measurements.observed_cells
-        rows, cols = np.divmod(flat, n)
-        col_obs = np.bincount(cols, minlength=n)
-        # A seed solve over one shard would be the whole problem cut
-        # short: one shard is solved cold, as a monolithic completion.
-        exact = self.seed_iterations == 0 or len(index.ordered) == 1
-        mode = "exact" if exact else "multilevel"
-        offset = 0.0
-        if not exact and self.center and flat.size:
-            # Exact-regime shards centre on their own observed mean.
-            offset = float(cell_values.mean())
-        cells = ObservedCells((m, n), rows, cols, cell_values - offset)
-        seed_left: Optional[np.ndarray] = None
-        seed_objective: Optional[float] = None
-        fallback: Optional[np.ndarray] = None
-        if not exact:
-            seed_left, seed_objective, fallback = self._solve_seed(
-                cells, col_obs, index.cols
-            )
-        sub_results = self._solve_shards(cells, index, seed_left, fallback)
-
-        started = time.perf_counter()
-        with obs_trace.span("scale.stitch", shards=len(index.ordered)):
-            estimate = _stitch(
-                (m, n),
-                col_obs,
-                index.ordered,
-                index.cols,
-                [res.estimate for res in sub_results],
-            )
-        stitch_s = time.perf_counter() - started
-        if obs_trace.enabled():
-            obs_metrics.observe("scale.stitch_s", stitch_s)
-
-        if not exact:
-            # _stitch returned a fresh buffer; finish it in place.
-            estimate += offset
-            if self.clip_min is not None or self.clip_max is not None:
-                np.clip(estimate, self.clip_min, self.clip_max, out=estimate)
-
-        shard_summaries = [
-            ShardResult(
-                shard_id=shard.shard_id,
-                num_core=len(shard.core_ids),
-                num_halo=len(shard.halo_ids),
-                observed_cells=int(col_obs[shard_cols].sum()),
-                objective=float(res.objective),
-                iterations_run=int(res.iterations_run),
-            )
-            for shard, shard_cols, res in zip(index.ordered, index.cols, sub_results)
-        ]
-        return ShardedCompletionResult(
-            estimate=estimate,
-            shards=shard_summaries,
-            mode=mode,
-            seed_objective=seed_objective,
-            offset=offset,
-            stitch_s=stitch_s,
-        )
-
-    # ------------------------------------------------------------------
-    @shapes(None, "n")
-    def _solve_seed(
-        self,
-        cells: ObservedCells,
-        col_obs: np.ndarray,
-        cols_per_shard: Sequence[np.ndarray],
-    ) -> Tuple[np.ndarray, float, Optional[np.ndarray]]:
-        """City-wide low-budget solve producing the shared left factor.
-
-        Returns ``(L0, objective, fallback)``.  The fallback, the seed's
-        full ``L R^T`` estimate, answers for the tiles with nothing
-        observed; it is formed only when such a tile exists (``None``
-        otherwise), which saves an (m, n) product on every estimate of a
-        network whose tiles all see traffic.
-        """
-        completer = self._make_completer(
-            iterations=self.seed_iterations, clip=False
-        )
-        with obs_trace.span("scale.seed_solve", sweeps=self.seed_iterations):
-            fit = completer._fit(cells)
-        fallback = None
-        if not all(col_obs[cols].any() for cols in cols_per_shard):
-            fallback = completer._estimate(fit.left, fit.right, fit.offset)
-        return fit.left, fit.objective, fallback
-
-    @shapes(None, None, "m r", "m n")
-    def _solve_shards(
-        self,
-        cells: ObservedCells,
-        index: _ShardIndex,
-        seed_left: Optional[np.ndarray],
-        fallback: Optional[np.ndarray],
-    ) -> List[CompletionResult]:
-        """Per-shard solves, each on its own cells (:meth:`_ShardIndex.cut`).
-
-        With ``seed_left`` ``None`` every shard is solved cold with the
-        full budget, centred and clipped on its own: the exact regime,
-        each shard a monolithic completion of its block.  Otherwise each
-        shard refines warm from the city-wide left factor, and
-        ``fallback``, the seed estimate, is given exactly when some tile
-        has nothing observed.
-        """
-
-        def solve(i: int) -> CompletionResult:
-            with self._track_inflight():
-                sub = index.cut(i, cells)
-                if seed_left is None:
-                    completer = self._make_completer(
-                        iterations=self.iterations, clip=True, center=self.center
-                    )
-                    return completer.complete(sub)
-                if fallback is not None and not sub.values.size:
-                    # Nothing observed in this tile: the seed estimate is
-                    # the best available answer for its columns.
-                    cols = index.cols[i]
-                    return CompletionResult(
-                        estimate=fallback[:, cols],
-                        left=seed_left,
-                        right=np.zeros((cols.size, seed_left.shape[1])),
-                        objective=float("nan"),
-                        objective_history=[],
-                        iterations_run=0,
-                    )
-                completer = self._make_completer(
-                    iterations=self.warm_iterations, clip=False
-                )
-                return _warm_complete(completer, sub, None, seed_left)
-
-        return parallel_map(
-            solve,
-            range(len(index.ordered)),
-            max_workers=self.max_workers,
-            backend="thread",
-            span_name="scale.shard_solve",
-        )
-
-    def _track_inflight(self):
-        """Context manager maintaining the shards-in-flight gauge."""
-        completer = self
-
-        class _Tracker:
-            def __enter__(self) -> None:
-                if obs_trace.enabled():
-                    with completer._inflight_lock:
-                        completer._inflight += 1
-                        obs_metrics.set_gauge(
-                            "scale.shards_inflight", completer._inflight
-                        )
-
-            def __exit__(self, *exc) -> None:
-                if obs_trace.enabled():
-                    with completer._inflight_lock:
-                        completer._inflight -= 1
-                        obs_metrics.set_gauge(
-                            "scale.shards_inflight", completer._inflight
-                        )
-                    obs_metrics.inc("scale.shard_solves")
-
-        return _Tracker()
 
 
 #: Rows the halo stitch gathers at a time: small enough that one band
@@ -583,12 +301,15 @@ class ShardedEstimator:
 
     The one batch estimator, from paper scale to a metropolis: it
     partitions the columns once at construction, then every
-    :meth:`estimate` call runs the sharded completion and returns a
-    complete TCM that ``apps/`` services consume unchanged.
+    :meth:`estimate` call completes the measurement shard by shard,
+    stitches the shards and returns a complete TCM that ``apps/``
+    services consume unchanged.  Its policy is fixed: the estimate is
+    centred on the observed mean (the regularizer then shrinks toward
+    the mean speed, not toward 0) and clipped to ``[0, MAX_SPEED_KMH]``.
     ``partitioner="single"`` is the monolithic solve: one shard runs
     the exact regime, bit-identical to
     ``CompressiveSensingCompleter(center=True, clip_min=0,
-    clip_max=aggregation.max_speed_kmh)``.  Tune ``(rank, lam)`` with
+    clip_max=MAX_SPEED_KMH)``.  Tune ``(rank, lam)`` with
     :class:`repro.core.tuning.GeneticTuner` first; the paper runs
     Algorithm 2 "only once for a given set of road segments".
 
@@ -605,17 +326,31 @@ class ShardedEstimator:
         Overlap depth in segment-adjacency hops (grid partitioner only).
     partitioner:
         Registered partitioner name (``"grid"``/``"single"``/
-        ``"contiguous"``) or a ready partitioner instance.
-    rank, lam, iterations, seed_iterations, warm_iterations:
-        Completion budgets, as in :class:`ShardedCompleter`.
-    aggregation:
-        Report-to-matrix aggregation settings; estimates are clamped
-        into ``[0, aggregation.max_speed_kmh]`` km/h.
-    center:
-        Solve around the observed mean (the production default: the
-        regularizer then shrinks toward the mean speed, not toward 0).
-    dtype, max_workers, seed:
-        Forwarded to the underlying :class:`ShardedCompleter`.
+        ``"contiguous"``) or a ready instance: any object whose
+        ``partition(network)`` returns the shards.
+    rank, lam:
+        Algorithm 1 parameters (paper defaults r=2, lambda=100).
+    iterations:
+        Full sweep budget, spent per shard in the exact regime (one
+        shard, or ``seed_iterations=0``), as a monolithic completer
+        would spend it.
+    seed_iterations:
+        Sweeps of the city-wide seed solve.  ``0`` selects the exact
+        regime for any partition; the default 5 is the benchmarked
+        multilevel setting.  A one-shard partition always runs exact.
+    warm_iterations:
+        Per-shard refinement sweeps in the multilevel regime.
+    dtype:
+        Working dtype of every :class:`CompressiveSensingCompleter`
+        built here.
+    max_workers:
+        Worker pool for the per-shard solves (threads; per-shard solves
+        release the GIL inside BLAS).  ``None``/``0``/``1`` run serially
+        — bit-identical to the pool path because shard solves draw no
+        randomness after dispatch and stitching is ``shard_id``-ordered.
+    seed:
+        Seeds the seed solve's random init (multilevel) or every
+        per-shard cold init (exact).
     """
 
     def __init__(
@@ -629,12 +364,32 @@ class ShardedEstimator:
         iterations: int = PAPER_ITERATIONS,
         seed_iterations: int = 5,
         warm_iterations: int = 8,
-        aggregation: Optional[AggregationConfig] = None,
-        center: bool = True,
         dtype: DTypeLike = None,
         max_workers: Optional[int] = None,
         seed: SeedLike = None,
     ) -> None:
+        if seed_iterations < 0:
+            raise ValueError(
+                f"seed_iterations must be >= 0, got {seed_iterations}"
+            )
+        if warm_iterations < 1:
+            raise ValueError(
+                f"warm_iterations must be >= 1, got {warm_iterations}"
+            )
+        self.rank = rank
+        self.lam = lam
+        self.iterations = iterations
+        self.seed_iterations = seed_iterations
+        self.warm_iterations = warm_iterations
+        self.dtype = dtype
+        self.max_workers = max_workers
+        self._seed = seed
+        # Validate the completer configuration eagerly (same checks the
+        # completer applies) so bad settings fail before any solve.
+        self._make_completer(iterations=1)
+        self._inflight = 0
+        self._inflight_lock = threading.Lock()
+
         self.segment_ids = [int(s) for s in _segment_ids(network)]
         if isinstance(partitioner, str):
             partitioner = make_partitioner(partitioner, shards, halo=halo)
@@ -643,20 +398,6 @@ class ShardedEstimator:
             self.shards = partitioner.partition(network)
         # Checked and indexed once; every estimate reuses the index.
         self._index = _ShardIndex.build(self.shards, self.segment_ids)
-        self.aggregation = aggregation or AggregationConfig()
-        self.completer = ShardedCompleter(
-            rank=rank,
-            lam=lam,
-            iterations=iterations,
-            seed_iterations=seed_iterations,
-            warm_iterations=warm_iterations,
-            dtype=dtype,
-            clip_min=0.0,
-            clip_max=self.aggregation.max_speed_kmh,
-            center=center,
-            max_workers=max_workers,
-            seed=seed,
-        )
 
     @property
     def num_shards(self) -> int:
@@ -669,7 +410,7 @@ class ShardedEstimator:
         self, reports: ReportBatch, grid: TimeGrid
     ) -> TrafficConditionMatrix:
         """Turn probe reports into the measurement TCM over every column."""
-        return aggregate_reports(reports, grid, self.segment_ids, self.aggregation)
+        return aggregate_reports(reports, grid, self.segment_ids)
 
     @shapes(ReportBatch, TimeGrid)
     def estimate_from_reports(
@@ -686,14 +427,19 @@ class ShardedEstimator:
     def estimate(
         self, measurements: TrafficConditionMatrix
     ) -> ShardedEstimationOutput:
-        """Complete a measurement TCM via the sharded pipeline."""
+        """Complete a measurement TCM via the sharded pipeline.
+
+        A measurement with nothing observed raises ``ValueError``, and
+        so does a shard with nothing observed in the exact regime; the
+        multilevel regime answers such a shard with the seed estimate.
+        """
         if list(measurements.segment_ids) != self.segment_ids:
             raise ValueError(
                 "measurement TCM columns do not match the partitioned "
                 "segment ids"
             )
         with obs_trace.span("scale.estimate", shards=len(self.shards)):
-            result = self.completer._complete(measurements, self._index)
+            result = self._complete(measurements)
         # The stitched estimate is a fresh buffer nothing else writes
         # to: the TCM keeps it (read-only) instead of a copy.
         estimate_tcm = TrafficConditionMatrix._full_of(
@@ -706,3 +452,188 @@ class ShardedEstimator:
             measurements=measurements,
             completion=result,
         )
+
+    # ------------------------------------------------------------------
+    def _make_completer(
+        self, iterations: int, exact: bool = False
+    ) -> CompressiveSensingCompleter:
+        """A completer at this estimator's rank, lam, dtype and seed.
+
+        An exact-regime shard is centred and clipped on its own, as a
+        monolithic completion; the seed and warm solves work on cells
+        already centred on the global offset, and the clip follows the
+        stitch.
+        """
+        return CompressiveSensingCompleter(
+            rank=self.rank,
+            lam=self.lam,
+            iterations=iterations,
+            dtype=self.dtype,
+            clip_min=0.0 if exact else None,
+            clip_max=MAX_SPEED_KMH if exact else None,
+            center=exact,
+            seed=self._seed,
+        )
+
+    def _complete(
+        self, measurements: TrafficConditionMatrix
+    ) -> ShardedCompletionResult:
+        """Per-shard completion over the indexed shards, then the stitch.
+
+        Both regimes work from the measurement's observed cells
+        (:attr:`TrafficConditionMatrix.observed_cells`): the offset, the
+        column counts, the seed and the shard blocks all cost
+        O(observed), and only a dense-layout solve scatters its cells
+        into an array.
+        """
+        index = self._index
+        m, n = measurements.shape
+        flat, cell_values = measurements.observed_cells
+        rows, cols = np.divmod(flat, n)
+        col_obs = np.bincount(cols, minlength=n)
+        # A seed solve over one shard would be the whole problem cut
+        # short: one shard is solved cold, as a monolithic completion.
+        exact = self.seed_iterations == 0 or len(index.ordered) == 1
+        mode = "exact" if exact else "multilevel"
+        offset = 0.0
+        if not exact and flat.size:
+            # The multilevel regime removes the offset once, globally, so
+            # the seed factor and every shard refinement share one
+            # residual space; exact-regime shards centre on their own.
+            offset = float(cell_values.mean())
+        cells = ObservedCells((m, n), rows, cols, cell_values - offset)
+        seed_left: Optional[np.ndarray] = None
+        seed_objective: Optional[float] = None
+        fallback: Optional[np.ndarray] = None
+        if not exact:
+            seed_left, seed_objective, fallback = self._solve_seed(cells, col_obs)
+        sub_results = self._solve_shards(cells, seed_left, fallback)
+
+        started = time.perf_counter()
+        with obs_trace.span("scale.stitch", shards=len(index.ordered)):
+            estimate = _stitch(
+                (m, n),
+                col_obs,
+                index.ordered,
+                index.cols,
+                [res.estimate for res in sub_results],
+            )
+        stitch_s = time.perf_counter() - started
+        if obs_trace.enabled():
+            obs_metrics.observe("scale.stitch_s", stitch_s)
+
+        if not exact:
+            # _stitch returned a fresh buffer; finish it in place.
+            estimate += offset
+            np.clip(estimate, 0.0, MAX_SPEED_KMH, out=estimate)
+
+        shard_summaries = [
+            ShardResult(
+                shard_id=shard.shard_id,
+                num_core=len(shard.core_ids),
+                num_halo=len(shard.halo_ids),
+                observed_cells=int(col_obs[shard_cols].sum()),
+                objective=float(res.objective),
+                iterations_run=int(res.iterations_run),
+            )
+            for shard, shard_cols, res in zip(index.ordered, index.cols, sub_results)
+        ]
+        return ShardedCompletionResult(
+            estimate=estimate,
+            shards=shard_summaries,
+            mode=mode,
+            seed_objective=seed_objective,
+            offset=offset,
+            stitch_s=stitch_s,
+        )
+
+    # ------------------------------------------------------------------
+    @shapes(None, "n")
+    def _solve_seed(
+        self, cells: ObservedCells, col_obs: np.ndarray
+    ) -> Tuple[np.ndarray, float, Optional[np.ndarray]]:
+        """City-wide low-budget solve producing the shared left factor.
+
+        Returns ``(L0, objective, fallback)``.  The fallback, the seed's
+        full ``L R^T`` estimate, answers for the tiles with nothing
+        observed; it is formed only when such a tile exists (``None``
+        otherwise), which saves an (m, n) product on every estimate of a
+        network whose tiles all see traffic.
+        """
+        completer = self._make_completer(iterations=self.seed_iterations)
+        with obs_trace.span("scale.seed_solve", sweeps=self.seed_iterations):
+            fit = completer._fit(cells)
+        fallback = None
+        if not all(col_obs[cols].any() for cols in self._index.cols):
+            fallback = completer._estimate(fit.left, fit.right, fit.offset)
+        return fit.left, fit.objective, fallback
+
+    @shapes(None, "m r", "m n")
+    def _solve_shards(
+        self,
+        cells: ObservedCells,
+        seed_left: Optional[np.ndarray],
+        fallback: Optional[np.ndarray],
+    ) -> List[CompletionResult]:
+        """Per-shard solves, each on its own cells (:meth:`_ShardIndex.cut`).
+
+        With ``seed_left`` ``None`` every shard is solved cold with the
+        full budget, centred and clipped on its own: the exact regime,
+        each shard a monolithic completion of its block.  Otherwise each
+        shard refines warm from the city-wide left factor, and
+        ``fallback``, the seed estimate, is given exactly when some tile
+        has nothing observed.
+        """
+        index = self._index
+
+        def solve(i: int) -> CompletionResult:
+            with self._track_inflight():
+                sub = index.cut(i, cells)
+                if seed_left is None:
+                    completer = self._make_completer(self.iterations, exact=True)
+                    return completer.complete(sub)
+                if fallback is not None and not sub.values.size:
+                    # Nothing observed in this tile: the seed estimate is
+                    # the best available answer for its columns.
+                    cols = index.cols[i]
+                    return CompletionResult(
+                        estimate=fallback[:, cols],
+                        left=seed_left,
+                        right=np.zeros((cols.size, seed_left.shape[1])),
+                        objective=float("nan"),
+                        objective_history=[],
+                        iterations_run=0,
+                    )
+                completer = self._make_completer(iterations=self.warm_iterations)
+                return _warm_complete(completer, sub, None, seed_left)
+
+        return parallel_map(
+            solve,
+            range(len(index.ordered)),
+            max_workers=self.max_workers,
+            span_name="scale.shard_solve",
+        )
+
+    def _track_inflight(self):
+        """Context manager maintaining the shards-in-flight gauge."""
+        estimator = self
+
+        class _Tracker:
+            def __enter__(self) -> None:
+                if obs_trace.enabled():
+                    with estimator._inflight_lock:
+                        estimator._inflight += 1
+                        obs_metrics.set_gauge(
+                            "scale.shards_inflight", estimator._inflight
+                        )
+
+            def __exit__(self, *exc) -> None:
+                if obs_trace.enabled():
+                    with estimator._inflight_lock:
+                        estimator._inflight -= 1
+                        obs_metrics.set_gauge(
+                            "scale.shards_inflight", estimator._inflight
+                        )
+                    obs_metrics.inc("scale.shard_solves")
+
+        return _Tracker()

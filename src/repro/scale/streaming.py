@@ -20,7 +20,7 @@ batch with vectorized searchsorted/bincount passes; :meth:`ingest` (one
 report) and :meth:`ingest_many` (loose reports) feed the same path.
 Which reports count is the batch rule,
 :func:`repro.probes.aggregation.admit_reports`: a matched, known segment
-and a speed in ``[min_speed_kmh, MAX_SPEED_KMH]``.  Reports for an
+and a speed in ``[MIN_SPEED_KMH, MAX_SPEED_KMH]``.  Reports for an
 already-closed slot are dropped and counted once, as
 ``stream.rejected_late``, whatever their speed; of the rest, a NaN/±inf
 time or speed counts as ``stream.rejected_nonfinite`` (a time with no
@@ -58,7 +58,7 @@ from repro.scale.partition import Shard, make_partitioner
 from repro.scale.sharded import _ShardIndex, _stitch
 from repro.utils.contracts import shapes
 from repro.utils.rng import SeedLike, spawn_rngs
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite_time, check_positive
 
 __all__ = ["ShardedStreamingEstimator"]
 
@@ -77,12 +77,11 @@ class ShardedStreamingEstimator:
         ``partitioner="single"`` runs one window over the whole network.
     slot_s, window_slots, start_s:
         Slot length (seconds), rows of each sliding window, and the
-        stream clock origin (start of slot 0).
+        stream clock origin (start of slot 0); both times must be
+        finite.
     rank, lam, warm_iterations, cold_iterations:
         Per-shard completion settings and sweep caps, as in
         :class:`WindowCompleter`.
-    min_speed_kmh:
-        Idle-report floor of the admission rule.
     dtype:
         Working dtype for every shard's completer.
     seed:
@@ -104,10 +103,13 @@ class ShardedStreamingEstimator:
         lam: float = PAPER_LAMBDA,
         warm_iterations: int = 8,
         cold_iterations: int = 60,
-        min_speed_kmh: float = MIN_SPEED_KMH,
         dtype: DTypeLike = None,
         seed: SeedLike = None,
     ) -> None:
+        # A NaN or infinite clock has no usable slots: every report
+        # would be dropped as late or land in slot 0.
+        check_finite_time(start_s, "start_s")
+        check_finite_time(slot_s, "slot_s")
         check_positive(slot_s, "slot_s")
         self.network = network
         self.segment_ids = [int(s) for s in network.segment_ids]
@@ -123,7 +125,6 @@ class ShardedStreamingEstimator:
         self.slot_s = slot_s
         self.window_slots = window_slots
         self.start_s = start_s
-        self.min_speed_kmh = min_speed_kmh
 
         n = len(self.segment_ids)
         self._has_halo = any(shard.halo_ids for shard in self.shards)
@@ -154,6 +155,15 @@ class ShardedStreamingEstimator:
     @property
     def num_shards(self) -> int:
         return len(self.shards)
+
+    @property
+    def min_speed_kmh(self) -> float:
+        """Idle-report floor of the admission rule, :data:`MIN_SPEED_KMH`.
+
+        Read-only: the rule has no settings.  ``benchmarks/e2e`` reads it
+        to mask the observed cells it scores.
+        """
+        return MIN_SPEED_KMH
 
     # ------------------------------------------------------------------
     @shapes(ProbeReport)
@@ -202,9 +212,7 @@ class ShardedStreamingEstimator:
             return []
         # Time order makes slots non-decreasing, late reports a prefix.
         slots = ((times - self.start_s) // self.slot_s).astype(np.int64)
-        cols, keep = admit_reports(
-            segs, speeds, self._sorted_ids, self._sorter, self.min_speed_kmh
-        )
+        cols, keep = admit_reports(segs, speeds, self._sorted_ids, self._sorter)
         late = 0
         if slots[0] < self._current_slot:
             late = int(slots.searchsorted(self._current_slot))

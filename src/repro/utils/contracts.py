@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 import os
 from typing import (
     Any,
@@ -317,6 +318,12 @@ def check_positive(value: float, name: str) -> float:
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     return value
+
+
+def check_finite_time(value: float, name: str) -> None:
+    """Reject a NaN or infinite time or duration (it has no slot)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def check_fraction(value: float, name: str) -> float:

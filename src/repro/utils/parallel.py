@@ -1,32 +1,25 @@
 """Deterministic fan-out of independent numerical jobs.
 
-ALS restarts and GA fitness evaluations are embarrassingly parallel:
-each job is a pure function of arguments prepared *up front* (including
-any random state, see :func:`repro.utils.rng.spawn_rngs`).  This module
-provides the one primitive those call sites need — an order-preserving
-``map`` over a worker pool — so the parallel path is *bit-identical* to
-the serial path: the caller fixes every input before dispatch, and the
-results come back in submission order regardless of completion order.
+ALS restarts, GA fitness evaluations, per-shard solves and experiment
+jobs are embarrassingly parallel: each job is a pure function of
+arguments prepared *up front* (including any random state, see
+:func:`repro.utils.rng.spawn_rngs`).  This module provides the one
+primitive those call sites need — an order-preserving ``map`` over a
+thread pool — so the parallel path is *bit-identical* to the serial
+path: the caller fixes every input before dispatch, and the results
+come back in submission order regardless of completion order.
 
-Backends:
-
-* ``"serial"`` — a plain loop; the reference behavior.
-* ``"thread"`` — :class:`~concurrent.futures.ThreadPoolExecutor`.  The
-  default for the library's own call sites: the hot work is NumPy/LAPACK
-  which releases the GIL, and threads avoid pickling matrices.
-* ``"process"`` — :class:`~concurrent.futures.ProcessPoolExecutor` for
-  pure-Python-bound work.  Requires ``fn`` and every item/result to be
-  picklable (module-level functions, not closures).
-
-``max_workers`` of ``None``, ``0`` or ``1`` short-circuits to the serial
-loop — so plumbing ``max_workers=None`` through a constructor costs
-nothing until a caller opts in.
+The pool is a :class:`~concurrent.futures.ThreadPoolExecutor`: the hot
+work is NumPy/LAPACK, which releases the GIL, and threads avoid
+pickling matrices.  ``max_workers`` of ``None``, ``0`` or ``1``
+short-circuits to a plain loop — so plumbing ``max_workers=None``
+through a constructor costs nothing until a caller opts in.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.obs import metrics as _obs_metrics
@@ -35,9 +28,7 @@ from repro.obs import trace as _obs_trace
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
-BACKENDS = ("serial", "thread", "process")
-
-__all__ = ["BACKENDS", "available_workers", "parallel_map", "resolve_workers"]
+__all__ = ["available_workers", "parallel_map", "resolve_workers"]
 
 
 def available_workers() -> int:
@@ -62,58 +53,42 @@ def parallel_map(
     fn: Callable[[ItemT], ResultT],
     items: Sequence[ItemT],
     max_workers: Optional[int] = None,
-    backend: str = "thread",
     span_name: str = "parallel.task",
 ) -> List[ResultT]:
-    """``[fn(item) for item in items]``, optionally on a worker pool.
+    """``[fn(item) for item in items]``, optionally on a thread pool.
 
     Results are returned in the order of ``items`` (never completion
     order), so a deterministic ``fn`` makes the output independent of
-    ``max_workers`` and ``backend``.  The first exception raised by any
-    job propagates to the caller, as in the serial loop.
+    ``max_workers``.  The first exception raised by any job propagates
+    to the caller, as in the serial loop.
 
     Parameters
     ----------
     fn:
-        The job.  Must be picklable (a module-level function) for the
-        ``"process"`` backend; any callable works for the others.
+        The job.
     items:
         Job inputs, fully prepared up front.
     max_workers:
         Pool size; ``None``/``0``/``1`` run serially.
-    backend:
-        ``"serial"``, ``"thread"``, or ``"process"``.
     span_name:
         Span name for per-job tracing when observability is enabled
         (:mod:`repro.obs`); ignored — at zero cost — while it is off.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r} (choose from {BACKENDS})")
     jobs = list(items)
     workers = resolve_workers(max_workers, len(jobs))
-    if backend == "serial" or workers <= 1:
+    if workers <= 1:
         if _obs_trace.enabled():
             # Serial path still records one span per job so traces are
             # comparable across worker counts.
-            task = _obs_trace.pool_task(fn, span_name)
-            return [_obs_trace.absorb_remote(task(item)) for item in jobs]
+            return list(map(_obs_trace.pool_task(fn, span_name), jobs))
         return [fn(item) for item in jobs]
-    executor: Executor
-    if backend == "thread":
-        executor = ThreadPoolExecutor(max_workers=workers)
-    else:
-        executor = ProcessPoolExecutor(max_workers=workers)
     if _obs_trace.enabled():
         _obs_metrics.set_gauge("pool.workers", workers)
         _obs_metrics.inc("pool.jobs", len(jobs))
-        # Wrapping captures the driver's active span at dispatch time so
-        # worker spans re-parent into the driver trace (process-backend
-        # spans travel back in an envelope unwrapped by absorb_remote).
-        task = _obs_trace.pool_task(fn, span_name)
-        with executor:
-            wrapped = list(executor.map(task, jobs))
-        return [_obs_trace.absorb_remote(r) for r in wrapped]
-    with executor:
+        # Wrapping captures the caller's active span at dispatch time so
+        # worker spans re-parent into the caller's trace.
+        fn = _obs_trace.pool_task(fn, span_name)
+    with ThreadPoolExecutor(max_workers=workers) as executor:
         # Executor.map preserves submission order and re-raises the
         # first failing job's exception on iteration.
         return list(executor.map(fn, jobs))

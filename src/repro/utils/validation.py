@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.utils.contracts import (
     check_finite,
+    check_finite_time,
     check_fraction,
     check_matrix_pair,
     check_positive,
@@ -21,6 +22,7 @@ from repro.utils.contracts import (
 
 __all__ = [
     "check_finite",
+    "check_finite_time",
     "check_fraction",
     "check_matrix_pair",
     "check_positive",

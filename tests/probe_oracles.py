@@ -6,12 +6,12 @@ at a time in arrival order, which is slow but easy to read, so they
 serve as test oracles only.
 """
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.tcm import TimeGrid, TrafficConditionMatrix
-from repro.probes.aggregation import AggregationConfig
+from repro.probes.aggregation import MAX_SPEED_KMH, MIN_SPEED_KMH
 from repro.probes.mapmatch import MapMatcher
 from repro.probes.report import ProbeReport, ReportBatch
 from repro.probes.trajectory import FleetQuality, Trajectory
@@ -30,10 +30,8 @@ def aggregate_reference(
     batch: ReportBatch,
     grid: TimeGrid,
     segment_ids: Sequence[int],
-    config: Optional[AggregationConfig] = None,
 ) -> TrafficConditionMatrix:
     """``aggregate_reports`` accumulated one report at a time."""
-    config = config or AggregationConfig()
     col_of = {int(sid): j for j, sid in enumerate(segment_ids)}
     sums = np.zeros((grid.num_slots, len(col_of)))
     counts = np.zeros((grid.num_slots, len(col_of)), dtype=np.int64)
@@ -42,14 +40,13 @@ def aggregate_reference(
         j = col_of.get(int(r.segment_id))
         if slot is None or j is None or r.segment_id < 0:
             continue
-        if not config.min_speed_kmh <= r.speed_kmh <= config.max_speed_kmh:
+        if not MIN_SPEED_KMH <= r.speed_kmh <= MAX_SPEED_KMH:
             continue
         sums[slot, j] += r.speed_kmh
         counts[slot, j] += 1
-    mask = counts >= config.min_reports_per_cell
+    mask = counts >= 1
     values = np.zeros_like(sums)
-    np.divide(sums, counts, out=values, where=counts > 0)
-    values[~mask] = 0.0
+    np.divide(sums, counts, out=values, where=mask)
     return TrafficConditionMatrix(values, mask, grid=grid, segment_ids=list(segment_ids))
 
 

@@ -1,5 +1,6 @@
 """Tests for repro.probes.aggregation."""
 
+import math
 import pickle
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.tcm import TimeGrid, TrafficConditionMatrix
 from repro.probes.aggregation import (
-    AggregationConfig,
+    MAX_SPEED_KMH,
+    MIN_SPEED_KMH,
     aggregate_reports,
     reports_per_cell,
 )
@@ -24,18 +26,13 @@ def report(t, seg, speed, vid=0):
     return ProbeReport(vehicle_id=vid, time_s=t, x=0.0, y=0.0, speed_kmh=speed, segment_id=seg)
 
 
-class TestAggregationConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"min_speed_kmh": -1.0},
-            {"min_reports_per_cell": 0},
-            {"max_speed_kmh": 1.0, "min_speed_kmh": 2.0},
-        ],
-    )
-    def test_bad_params_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            AggregationConfig(**kwargs)
+#: Speeds at each admission bound and one step past it.
+BOUNDS = {
+    "below floor": (math.nextafter(MIN_SPEED_KMH, -math.inf), False),
+    "at floor": (MIN_SPEED_KMH, True),
+    "at cap": (MAX_SPEED_KMH, True),
+    "above cap": (math.nextafter(MAX_SPEED_KMH, math.inf), False),
+}
 
 
 class TestAggregateReports:
@@ -79,11 +76,19 @@ class TestAggregateReports:
         assert tcm.integrity == 0.0
 
     def test_min_reports_per_cell(self):
+        # One report observes its cell (Eq. 4); two are averaged.
         batch = ReportBatch([report(10.0, 0, 30.0), report(70.0, 0, 30.0), report(80.0, 0, 40.0)])
-        config = AggregationConfig(min_reports_per_cell=2)
-        tcm = aggregate_reports(batch, grid3(), [0], config)
-        assert not tcm.mask[0, 0]  # single report
-        assert tcm.mask[1, 0]  # two reports
+        tcm = aggregate_reports(batch, grid3(), [0])
+        assert tcm.mask[0, 0] and tcm.values[0, 0] == 30.0
+        assert tcm.mask[1, 0] and tcm.values[1, 0] == 35.0
+        assert not tcm.mask[2, 0]
+
+    @pytest.mark.parametrize("bound", sorted(BOUNDS))
+    def test_admission_bounds(self, bound):
+        speed, admitted = BOUNDS[bound]
+        tcm = aggregate_reports(ReportBatch([report(10.0, 0, speed)]), grid3(), [0])
+        assert tcm.mask[0, 0] == admitted
+        assert tcm.values[0, 0] == (speed if admitted else 0.0)
 
     def test_empty_batch(self):
         tcm = aggregate_reports(ReportBatch([]), grid3(), [0, 1])
@@ -164,16 +169,28 @@ class TestMethodEquivalence:
         )
 
     def test_bincount_matches_scalar_with_speed_filter(self):
-        batch = self._random_batch(500, 3)
+        # Every speed sits at an admission bound or one step past it.
+        rng = np.random.default_rng(3)
+        speeds = [speed for speed, _ in BOUNDS.values()]
+        batch = ReportBatch(
+            report(float(t), int(seg), float(v), vid=i % 4)
+            for i, (t, seg, v) in enumerate(
+                zip(
+                    rng.uniform(0.0, 180.0, 200),
+                    rng.choice([0, 1, 2], size=200),
+                    rng.choice(speeds, size=200),
+                )
+            )
+        )
         grid = grid3()
         ids = [0, 1, 2]
-        config = AggregationConfig(min_speed_kmh=20.0, max_speed_kmh=90.0)
-        fast = aggregate_reports(batch, grid, ids, config)
-        slow = aggregate_reference(batch, grid, ids, config)
+        fast = aggregate_reports(batch, grid, ids)
+        slow = aggregate_reference(batch, grid, ids)
         np.testing.assert_array_equal(fast.mask, slow.mask)
-        np.testing.assert_allclose(
-            fast.values[fast.mask], slow.values[slow.mask], atol=1e-12
-        )
+        np.testing.assert_array_equal(fast.values, slow.values)
+        observed = fast.values[fast.mask]
+        assert observed.size and observed.min() >= MIN_SPEED_KMH
+        assert observed.max() <= MAX_SPEED_KMH
 
     def test_empty_cells_stay_empty_in_both(self):
         # Only segment 1 / slot 0 is visited; every other cell must be
@@ -203,14 +220,16 @@ class TestMethodEquivalence:
 
 #: One report: (time, segment id, speed).  The grid spans [0, 180) s;
 #: segment -1 is unmatched and 5/99 are not columns; speeds run from
-#: idle to overspeed, NaN included.
+#: idle to overspeed, admission bounds and NaN included.
 _REPORTS = st.lists(
     st.tuples(
         st.one_of(st.floats(-60.0, 240.0), st.just(float("nan"))),
         st.sampled_from([-1, 0, 1, 2, 3, 5, 99]),
         st.one_of(
             st.floats(-5.0, 200.0),
-            st.sampled_from([0.5, 500.0, float("nan")]),
+            st.sampled_from(
+                [0.5, 500.0, float("nan")] + [speed for speed, _ in BOUNDS.values()]
+            ),
         ),
     ),
     max_size=80,
@@ -221,13 +240,9 @@ class TestOracleProperty:
     """``aggregate_reports`` against the per-report oracle, bit for bit."""
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        rows=_REPORTS,
-        ids=st.permutations([0, 1, 2, 3]),
-        min_reports=st.sampled_from([1, 2, 3]),
-    )
-    @example(rows=[], ids=[0, 1, 2, 3], min_reports=1)
-    def test_matches_reference(self, rows, ids, min_reports):
+    @given(rows=_REPORTS, ids=st.permutations([0, 1, 2, 3]))
+    @example(rows=[], ids=[0, 1, 2, 3])
+    def test_matches_reference(self, rows, ids):
         batch = ReportBatch(
             ProbeReport(
                 vehicle_id=i % 3, time_s=t, x=0.0, y=0.0, speed_kmh=v, segment_id=seg
@@ -235,9 +250,8 @@ class TestOracleProperty:
             for i, (t, seg, v) in enumerate(rows)
         )
         grid = grid3()
-        config = AggregationConfig(min_reports_per_cell=min_reports)
-        fast = aggregate_reports(batch, grid, ids, config)
-        slow = aggregate_reference(batch, grid, ids, config)
+        fast = aggregate_reports(batch, grid, ids)
+        slow = aggregate_reference(batch, grid, ids)
         np.testing.assert_array_equal(fast.mask, slow.mask)
         np.testing.assert_array_equal(fast.values, slow.values)
 

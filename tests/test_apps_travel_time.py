@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.travel_time import TravelTimeService
+from repro.apps.travel_time import MIN_LINK_SPEED_KMH, TravelTimeService
 from repro.core.tcm import TimeGrid, TrafficConditionMatrix
 
 
@@ -51,7 +51,7 @@ class TestLinkTimes:
         tcm = TrafficConditionMatrix(
             np.zeros((2, n)), segment_ids=small_network.segment_ids
         )
-        service = TravelTimeService(small_network, tcm, min_speed_kmh=3.0)
+        service = TravelTimeService(small_network, tcm)
         assert np.isfinite(service.link_time_s(0, 0.0))
 
 
@@ -88,8 +88,8 @@ class TestLinkTimeMatrix:
     def test_speed_floor_applies(self, small_network):
         n = small_network.num_segments
         tcm = TrafficConditionMatrix(np.zeros((2, n)), segment_ids=small_network.segment_ids)
-        service = TravelTimeService(small_network, tcm, min_speed_kmh=3.0)
-        assert service.speed_kmh(0, 0.0) == 3.0
+        service = TravelTimeService(small_network, tcm)
+        assert service.speed_kmh(0, 0.0) == MIN_LINK_SPEED_KMH == 3.0
         assert np.all(np.isfinite(service.link_time_matrix()))
 
 

@@ -73,8 +73,8 @@ class TestEstimate:
             seed=0,
         )
         output = estimator.estimate(masked_tcm)
-        assert estimator.completer.rank == tuning.rank
-        assert estimator.completer.lam == tuning.lam
+        assert estimator.rank == tuning.rank
+        assert estimator.lam == tuning.lam
         assert output.estimate.is_complete
 
 

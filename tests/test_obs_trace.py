@@ -19,7 +19,7 @@ def _clean_obs():
 
 
 def _square(x):
-    """Module-level so the process backend can pickle it."""
+    """A job that opens a span of its own."""
     with trace.span("work.body", x=x):
         return x * x
 
@@ -151,7 +151,7 @@ class TestPoolComposition:
     def test_serial_backend_records_job_spans(self):
         trace.enable()
         with trace.span("driver") as d:
-            out = parallel_map(_square, [1, 2, 3], backend="serial",
+            out = parallel_map(_square, [1, 2, 3], max_workers=1,
                                span_name="job.sq")
         assert out == [1, 4, 9]
         spans = trace.collector().snapshot()
@@ -163,7 +163,7 @@ class TestPoolComposition:
         trace.enable()
         with trace.span("driver") as d:
             out = parallel_map(_square, list(range(4)), max_workers=2,
-                               backend="thread", span_name="job.sq")
+                               span_name="job.sq")
         assert out == [0, 1, 4, 9]
         spans = trace.collector().snapshot()
         jobs = [s for s in spans if s.name == "job.sq"]
@@ -173,24 +173,8 @@ class TestPoolComposition:
         job_ids = {j.span_id for j in jobs}
         assert all(b.parent_id in job_ids for b in bodies)
 
-    def test_process_backend_ships_spans_home(self):
-        import os
-
-        trace.enable()
-        with trace.span("driver") as d:
-            out = parallel_map(_square, list(range(4)), max_workers=2,
-                               backend="process", span_name="job.sq")
-        assert out == [0, 1, 4, 9]
-        spans = trace.collector().snapshot()
-        jobs = [s for s in spans if s.name == "job.sq"]
-        bodies = [s for s in spans if s.name == "work.body"]
-        assert len(jobs) == len(bodies) == 4
-        assert all(j.parent_id == d.span_id for j in jobs)
-        # The job bodies really ran elsewhere yet landed in our trace.
-        assert any(s.pid != os.getpid() for s in jobs)
-
     def test_disabled_pool_records_nothing(self):
-        out = parallel_map(_square, [1, 2], max_workers=2, backend="thread")
+        out = parallel_map(_square, [1, 2], max_workers=2)
         assert out == [1, 4]
         # _square's span call hit the no-op path inside the workers too.
         assert len(trace.collector()) == 0

@@ -89,8 +89,7 @@ class TestStreamingInvariants:
         aggregation-filtered report mean, not the model output."""
         streamer = ShardedStreamingEstimator(
             NETWORK, partitioner="single", slot_s=600.0, window_slots=4,
-            cold_iterations=5, warm_iterations=2,
-            min_speed_kmh=2.0, seed=0,
+            cold_iterations=5, warm_iterations=2, seed=0,
         )
         streamer.ingest_many(to_reports(raw))
         streamer.flush()

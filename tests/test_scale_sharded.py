@@ -17,12 +17,11 @@ from repro.probes.aggregation import MAX_SPEED_KMH
 from repro.roadnet.generators import grid_city, shanghai_downtown_like
 from repro.scale import (
     GridPartitioner,
-    ShardedCompleter,
     ShardedEstimator,
     SinglePartitioner,
     contiguous_shards,
 )
-from repro.scale.sharded import _ShardIndex, _stitch
+from repro.scale.sharded import _stitch
 from repro.utils.rng import ensure_rng
 
 RANK, LAM, ITERS = 2, 10.0, 12
@@ -48,19 +47,29 @@ def measured(network):
     )
 
 
-def _exact_completer(**kw):
+class _Given:
+    """A partitioner that hands out ready-made shards, in the given order."""
+
+    def __init__(self, shards):
+        self.shards = list(shards)
+
+    def partition(self, columns):
+        return list(self.shards)
+
+
+def _exact_estimator(columns, partitioner, **kw):
     kw.setdefault("seed", 0)
-    return ShardedCompleter(
-        rank=RANK, lam=LAM, iterations=ITERS, seed_iterations=0,
-        center=True, clip_min=0.0, clip_max=150.0, **kw,
+    return ShardedEstimator(
+        columns, partitioner=partitioner, rank=RANK, lam=LAM, iterations=ITERS,
+        seed_iterations=0, **kw,
     )
 
 
-def _multilevel_completer(**kw):
+def _multilevel_estimator(columns, partitioner, **kw):
     kw.setdefault("seed", 0)
-    return ShardedCompleter(
-        rank=RANK, lam=LAM, seed_iterations=3, warm_iterations=4,
-        center=True, clip_min=0.0, clip_max=150.0, **kw,
+    return ShardedEstimator(
+        columns, partitioner=partitioner, rank=RANK, lam=LAM, seed_iterations=3,
+        warm_iterations=4, **kw,
     )
 
 
@@ -74,20 +83,20 @@ def _mono_estimate(measured):
 
 class TestExactRegime:
     def test_single_shard_equals_monolithic(self, network, measured):
-        shards = SinglePartitioner().partition(network)
-        result = _exact_completer().complete(measured, shards)
+        est = _exact_estimator(network, SinglePartitioner())
+        result = est.estimate(measured).completion
         assert result.mode == "exact"
         assert np.array_equal(result.estimate, _mono_estimate(measured))
 
     def test_halo_zero_equals_monolithic_per_shard(self, network, measured):
-        shards = GridPartitioner(4, halo=0).partition(network)
-        result = _exact_completer().complete(measured, shards)
+        est = _exact_estimator(network, GridPartitioner(4, halo=0))
+        result = est.estimate(measured).completion
         mono = CompressiveSensingCompleter(
             rank=RANK, lam=LAM, iterations=ITERS,
             center=True, clip_min=0.0, clip_max=150.0, seed=0,
         )
         col_of = {sid: j for j, sid in enumerate(measured.segment_ids)}
-        for shard in shards:
+        for shard in est.shards:
             cols = np.array([col_of[s] for s in shard.all_ids])
             sub = mono.complete(
                 np.ascontiguousarray(measured.values[:, cols]),
@@ -98,23 +107,27 @@ class TestExactRegime:
 
 class TestMultilevelRegime:
     def test_serial_equals_pool(self, network, measured):
-        shards = GridPartitioner(4, halo=1).partition(network)
-        serial = _multilevel_completer().complete(measured, shards)
-        pooled = _multilevel_completer(max_workers=3).complete(measured, shards)
+        tiles = GridPartitioner(4, halo=1)
+        serial = _multilevel_estimator(network, tiles).estimate(measured).completion
+        pooled = _multilevel_estimator(network, tiles, max_workers=3).estimate(
+            measured
+        ).completion
         assert serial.mode == "multilevel"
         assert np.array_equal(serial.estimate, pooled.estimate)
 
     def test_shard_input_order_irrelevant(self, network, measured):
-        shards = GridPartitioner(4, halo=1).partition(network)
-        forward = _multilevel_completer().complete(measured, shards)
-        backward = _multilevel_completer().complete(
-            measured, list(reversed(shards))
+        tiles = GridPartitioner(4, halo=1)
+        forward = _multilevel_estimator(network, tiles).estimate(measured)
+        backward = _multilevel_estimator(
+            network, _Given(reversed(tiles.partition(network)))
+        ).estimate(measured)
+        assert np.array_equal(
+            forward.completion.estimate, backward.completion.estimate
         )
-        assert np.array_equal(forward.estimate, backward.estimate)
 
     def test_estimate_is_complete_and_clipped(self, network, measured):
-        shards = GridPartitioner(4, halo=1).partition(network)
-        result = _multilevel_completer().complete(measured, shards)
+        est = _multilevel_estimator(network, GridPartitioner(4, halo=1))
+        result = est.estimate(measured).completion
         assert result.estimate.shape == measured.values.shape
         assert np.isfinite(result.estimate).all()
         assert result.estimate.min() >= 0.0
@@ -123,19 +136,17 @@ class TestMultilevelRegime:
         assert result.stitch_s >= 0.0
 
     def test_shard_summaries(self, network, measured):
-        shards = GridPartitioner(4, halo=1).partition(network)
-        result = _multilevel_completer().complete(measured, shards)
-        assert [s.shard_id for s in result.shards] == list(
-            range(len(shards))
-        )
+        est = _multilevel_estimator(network, GridPartitioner(4, halo=1))
+        result = est.estimate(measured).completion
+        assert [s.shard_id for s in result.shards] == list(range(est.num_shards))
         assert sum(s.num_core for s in result.shards) == network.num_segments
         assert all(s.observed_cells > 0 for s in result.shards)
 
     def test_multilevel_tracks_monolithic(self, network, measured):
         """Stitched multilevel estimate stays close to the monolithic one
         on the unobserved cells (the quantity the paper's NMAE scores)."""
-        shards = GridPartitioner(4, halo=1).partition(network)
-        result = _multilevel_completer().complete(measured, shards)
+        est = _multilevel_estimator(network, GridPartitioner(4, halo=1))
+        result = est.estimate(measured).completion
         mono = _mono_estimate(measured)
         missing = ~measured.mask
         nmae_delta = np.abs(
@@ -161,35 +172,33 @@ class TestMultilevelRegime:
             grid=TimeGrid(0.0, 900.0, 96),
             segment_ids=network.segment_ids,
         )
-        common = dict(
-            rank=2,
-            lam=10.0,
-            iterations=20,
-            center=True,
-            clip_min=0.0,
-            clip_max=150.0,
-            seed=seed,
-        )
-        mono = CompressiveSensingCompleter(**common).complete(measured, mask)
-        sharded = ShardedCompleter(
-            seed_iterations=5, warm_iterations=8, **common
-        ).complete(tcm, GridPartitioner(4, halo=1).partition(network))
+        common = dict(rank=2, lam=10.0, iterations=20, seed=seed)
+        mono = CompressiveSensingCompleter(
+            center=True, clip_min=0.0, clip_max=150.0, **common
+        ).complete(measured, mask)
+        sharded = ShardedEstimator(
+            network, shards=4, halo=1, seed_iterations=5, warm_iterations=8,
+            **common,
+        ).estimate(tcm).completion
         assert sharded.mode == "multilevel"
         mono_nmae = nmae(truth, mono.estimate, ~mask)
         sharded_nmae = nmae(truth, sharded.estimate, ~mask)
         assert abs(sharded_nmae - mono_nmae) <= 1e-2, abs(sharded_nmae - mono_nmae)
 
     def test_geometry_free_contiguous_shards(self, measured):
-        shards = contiguous_shards(measured.segment_ids, 3)
-        result = _multilevel_completer().complete(measured, shards)
+        est = _multilevel_estimator(
+            measured.segment_ids, "contiguous", shards=3
+        )
+        assert est.num_shards == 3
+        result = est.estimate(measured).completion
         assert result.estimate.shape == measured.values.shape
 
 
 class TestUnobservedTile:
     def test_takes_the_seed_estimate(self, network, measured):
-        shards = GridPartitioner(4, halo=0).partition(network)
+        est = _multilevel_estimator(network, GridPartitioner(4, halo=0))
         col_of = {sid: j for j, sid in enumerate(network.segment_ids)}
-        silent = [col_of[sid] for sid in shards[0].all_ids]
+        silent = [col_of[sid] for sid in est.shards[0].all_ids]
         mask = measured.mask
         mask[:, silent] = False
         tcm = TrafficConditionMatrix(
@@ -198,11 +207,13 @@ class TestUnobservedTile:
             grid=measured.grid,
             segment_ids=measured.segment_ids,
         )
-        result = ShardedCompleter(
-            rank=RANK, lam=LAM, seed_iterations=3, warm_iterations=4, seed=0
-        ).complete(tcm, shards)
+        result = est.estimate(tcm).completion
+        # The seed solve is the centred, clipped completer cut to the
+        # seed budget: the global offset it removes is added back after
+        # the stitch, as the completer adds back its own.
         seed = CompressiveSensingCompleter(
-            rank=RANK, lam=LAM, iterations=3, seed=0
+            rank=RANK, lam=LAM, iterations=3, center=True, clip_min=0.0,
+            clip_max=MAX_SPEED_KMH, seed=0,
         ).complete(tcm.values, tcm.mask)
         assert np.array_equal(result.estimate[:, silent], seed.estimate[:, silent])
         assert result.shards[0].iterations_run == 0
@@ -221,17 +232,17 @@ def _cells_built(tcm):
     )
 
 
-def _dense_multilevel(completer, tcm, shards):
+def _dense_multilevel(est, tcm):
     """The multilevel regime on (m, n) arrays, through the array entries.
 
     Centres with one masked pass, seeds with ``_fit(values, mask)`` and
     refines every shard on its ``np.take`` column blocks.
     """
     values, mask = tcm.values, tcm.mask
-    index = _ShardIndex.build(shards, tcm.segment_ids)
+    index = est._index
     offset = float(values[mask].mean())
     values = np.where(mask, values - offset, 0.0)
-    seed = completer._make_completer(iterations=completer.seed_iterations, clip=False)
+    seed = est._make_completer(iterations=est.seed_iterations)
     fit = seed._fit(values, mask)
     estimates = []
     for cols in index.cols:
@@ -239,11 +250,11 @@ def _dense_multilevel(completer, tcm, shards):
         if not sub_b.any():
             estimates.append(seed._estimate(fit.left, fit.right)[:, cols])
             continue
-        warm = completer._make_completer(iterations=completer.warm_iterations, clip=False)
+        warm = est._make_completer(iterations=est.warm_iterations)
         estimates.append(_warm_complete(warm, sub_m, sub_b, fit.left).estimate)
     out = _stitch(values.shape, mask.sum(axis=0), index.ordered, index.cols, estimates)
     out += offset
-    return np.clip(out, completer.clip_min, completer.clip_max, out=out)
+    return np.clip(out, 0.0, MAX_SPEED_KMH, out=out)
 
 
 class TestCellPath:
@@ -254,10 +265,9 @@ class TestCellPath:
     """
 
     @staticmethod
-    def rule(tcm, shards, seed_sparse, binds):
+    def rule(tcm, index, seed_sparse, binds):
         """The seed on the chosen layout; the least-observed shards sparse."""
         mask = tcm.mask
-        index = _ShardIndex.build(shards, tcm.segment_ids)
         counts = [mask[:, cols].sum() for cols in index.cols]
         least = min(c for c in counts if c)
 
@@ -269,20 +279,19 @@ class TestCellPath:
 
         return sparse_layout
 
-    def check(self, tcm, shards, seed_sparse, **kw):
+    def check(self, tcm, est, seed_sparse):
         binds = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
-                completion, "_sparse_layout", self.rule(tcm, shards, seed_sparse, binds)
+                completion, "_sparse_layout", self.rule(tcm, est._index, seed_sparse, binds)
             )
-            from_cells = kw.pop("completer")(**kw)
-            got = from_cells.complete(_cells_built(tcm), shards)
-            dense = from_cells.complete(tcm, shards)
+            got = est.estimate(_cells_built(tcm)).completion
+            dense = est.estimate(tcm).completion
             assert got.estimate.tobytes() == dense.estimate.tobytes()
             assert repr(got.shards) == repr(dense.shards)  # NaN objectives
             assert got.offset == dense.offset
             if got.mode == "multilevel":
-                want = _dense_multilevel(from_cells, tcm, shards)
+                want = _dense_multilevel(est, tcm)
                 assert got.estimate.tobytes() == want.tobytes()
         shard_layouts = {sparse for is_seed, sparse in binds if not is_seed}
         assert shard_layouts == {False, True}
@@ -300,15 +309,11 @@ class TestCellPath:
     def test_matches_dense(
         self, network, measured, regime, seed_sparse, dtype, halo, max_workers
     ):
-        completer = _multilevel_completer if regime == "multilevel" else _exact_completer
-        result = self.check(
-            measured,
-            GridPartitioner(4, halo=halo).partition(network),
-            seed_sparse,
-            completer=completer,
-            dtype=dtype,
-            max_workers=max_workers,
+        make = _multilevel_estimator if regime == "multilevel" else _exact_estimator
+        est = make(
+            network, GridPartitioner(4, halo=halo), dtype=dtype, max_workers=max_workers
         )
+        result = self.check(measured, est, seed_sparse)
         assert result.mode == regime
 
     def test_unsorted_segment_ids(self, network, measured):
@@ -321,25 +326,19 @@ class TestCellPath:
             grid=measured.grid,
             segment_ids=[measured.segment_ids[j] for j in perm],
         )
-        self.check(
-            tcm,
-            GridPartitioner(4, halo=1).partition(network),
-            True,
-            completer=_multilevel_completer,
-        )
+        tiles = _Given(GridPartitioner(4, halo=1).partition(network))
+        self.check(tcm, _multilevel_estimator(tcm.segment_ids, tiles), True)
 
     @pytest.mark.parametrize("seed_sparse", [False, True])
     def test_tile_with_nothing_observed(self, network, measured, seed_sparse):
-        shards = GridPartitioner(4, halo=0).partition(network)
-        silent = [measured.column_of(sid) for sid in shards[0].all_ids]
+        est = _multilevel_estimator(network, GridPartitioner(4, halo=0))
+        silent = [measured.column_of(sid) for sid in est.shards[0].all_ids]
         mask = measured.mask
         mask[:, silent] = False
         tcm = TrafficConditionMatrix(
             measured.values, mask, grid=measured.grid, segment_ids=measured.segment_ids
         )
-        result = self.check(
-            tcm, shards, seed_sparse, completer=_multilevel_completer
-        )
+        result = self.check(tcm, est, seed_sparse)
         assert result.shards[0].iterations_run == 0
 
 
@@ -474,7 +473,7 @@ class TestBatchEstimatorProperties:
         est, tcm, dtype = problem
         mask = tcm.mask
         dark = [i for i, cols in enumerate(est._index.cols) if not mask[:, cols].any()]
-        exact = est.completer.seed_iterations == 0 or est.num_shards == 1
+        exact = est.seed_iterations == 0 or est.num_shards == 1
         if not mask.any() or (exact and dark):
             # Nothing observed at all, or a dark tile in the exact regime.
             with pytest.raises(ValueError, match="no observed entries"):
@@ -494,37 +493,34 @@ class TestBatchEstimatorProperties:
             assert np.isnan(output.completion.shards[i].objective)
 
         if est.num_shards == 1:
-            completer = est.completer
             mono = CompressiveSensingCompleter(
-                rank=completer.rank, lam=completer.lam,
-                iterations=completer.iterations, dtype=dtype,
-                center=True, clip_min=0.0, clip_max=MAX_SPEED_KMH,
-                seed=completer._seed,
+                rank=est.rank, lam=est.lam, iterations=est.iterations, dtype=dtype,
+                center=True, clip_min=0.0, clip_max=MAX_SPEED_KMH, seed=est._seed,
             ).complete(tcm.values, mask).estimate
             assert values.tobytes() == mono.astype(np.float64).tobytes()
 
 
 class TestValidation:
-    def test_bad_seed_iterations(self):
+    def test_bad_seed_iterations(self, network):
         with pytest.raises(ValueError, match="seed_iterations"):
-            ShardedCompleter(seed_iterations=-1)
+            ShardedEstimator(network, seed_iterations=-1)
 
-    def test_bad_warm_iterations(self):
+    def test_bad_warm_iterations(self, network):
         with pytest.raises(ValueError, match="warm_iterations"):
-            ShardedCompleter(warm_iterations=0)
+            ShardedEstimator(network, warm_iterations=0)
 
-    def test_bad_solver_fails_eagerly(self):
+    def test_bad_solver_fails_eagerly(self, network):
         # The per-shard completer configuration is validated at
         # construction, before any shard is solved.
         with pytest.raises(ValueError, match="does not support dtype"):
-            ShardedCompleter(dtype="float16")
+            ShardedEstimator(network, dtype="float16")
         with pytest.raises(ValueError, match="rank"):
-            ShardedCompleter(rank=0)
+            ShardedEstimator(network, rank=0)
 
-    def test_mismatched_shards_rejected(self, network, measured):
+    def test_mismatched_shards_rejected(self, network):
         shards = contiguous_shards([1, 2, 3], 2)
         with pytest.raises(ValueError):
-            _exact_completer().complete(measured, shards)
+            _exact_estimator(network, _Given(shards))
 
 
 class TestShardedEstimator:
@@ -556,9 +552,6 @@ class TestShardedEstimator:
         est.estimate(measured)
         est.estimate(measured)
         assert len(calls) == 1
-        # Shards handed to the completer directly are checked per call.
-        est.completer.complete(measured, est.shards)
-        assert len(calls) == 2
 
     def test_segment_mismatch_rejected(self, network):
         est = ShardedEstimator(network, shards=2, seed=0)

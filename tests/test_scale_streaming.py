@@ -144,7 +144,7 @@ class TestIngest:
         assert est.ingest(stale) == []
 
     def test_unknown_and_idle_reports_filtered(self, network):
-        est = _make_estimator(network, min_speed_kmh=2.0)
+        est = _make_estimator(network)
         batch = ReportBatch([
             ProbeReport(0, 10.0, 0.0, 0.0, speed_kmh=40.0, segment_id=10_000),
             ProbeReport(1, 20.0, 0.0, 0.0, speed_kmh=0.5,

@@ -6,10 +6,13 @@ column.  The sharded tests in ``test_scale_streaming.py`` cover late
 and non-finite reports on every ingest path, counters included.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.streaming import WindowCompleter
+from repro.probes.aggregation import MAX_SPEED_KMH, MIN_SPEED_KMH
 from repro.probes.report import ProbeReport
 from repro.roadnet.generators import grid_city
 from repro.scale import ShardedStreamingEstimator
@@ -51,6 +54,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_estimator(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"start_s": float("nan")}, "start_s"),
+            ({"start_s": float("inf")}, "start_s"),
+            ({"start_s": -float("inf")}, "start_s"),
+            ({"slot_s": float("inf")}, "slot_s"),
+        ],
+    )
+    def test_non_finite_clock_rejected(self, kwargs, name):
+        # A NaN start would bucket every report into slot INT64_MIN.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make_estimator(**kwargs)
+
 
 class TestIngest:
     def test_no_estimate_until_slot_closes(self):
@@ -78,7 +95,7 @@ class TestIngest:
         assert est.ingest(report(10.0, 1, 99.0)) == []
 
     def test_observed_cells_published_verbatim(self):
-        est = make_estimator(min_speed_kmh=0.0)
+        est = make_estimator()
         est.ingest(report(10.0, 0, 30.0))
         est.ingest(report(20.0, 0, 50.0))
         result = est.flush()
@@ -92,10 +109,29 @@ class TestIngest:
         assert result.observed_fraction == pytest.approx(2 / 8)
 
     def test_idle_reports_filtered(self):
-        est = make_estimator(min_speed_kmh=2.0)
+        est = make_estimator()
         est.ingest(report(10.0, 0, 0.5))
         result = est.flush()
         assert result.observed_fraction == 0.0
+
+    @pytest.mark.parametrize(
+        "speed, admitted",
+        [
+            (math.nextafter(MIN_SPEED_KMH, -math.inf), False),
+            (MIN_SPEED_KMH, True),
+            (MAX_SPEED_KMH, True),
+            (math.nextafter(MAX_SPEED_KMH, math.inf), False),
+        ],
+        ids=["below floor", "at floor", "at cap", "above cap"],
+    )
+    def test_admission_bounds(self, speed, admitted):
+        est = make_estimator()
+        assert est.min_speed_kmh == MIN_SPEED_KMH
+        est.ingest(report(10.0, 0, speed))
+        result = est.flush()
+        assert result.observed_fraction == (1 / 8 if admitted else 0.0)
+        if admitted:
+            assert result.speeds_kmh[0] == speed
 
     def test_unknown_segment_skipped(self):
         est = make_estimator()

@@ -50,6 +50,20 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 60.0, 0)
 
+    @pytest.mark.parametrize(
+        "start_s, slot_s, name",
+        [
+            (float("nan"), 900.0, "start_s"),
+            (float("inf"), 900.0, "start_s"),
+            (-float("inf"), 900.0, "start_s"),
+            (0.0, float("inf"), "slot_s"),
+        ],
+    )
+    def test_rejects_non_finite_clock(self, start_s, slot_s, name):
+        # Such a grid's slot centres would be NaN or infinite.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TimeGrid(start_s, slot_s, 4)
+
     @given(st.floats(1.0, 1e5), st.integers(1, 500))
     def test_slot_of_consistent(self, slot_s, num_slots):
         grid = TimeGrid(start_s=0.0, slot_s=slot_s, num_slots=num_slots)

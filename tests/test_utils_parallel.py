@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.utils.parallel import (
-    BACKENDS,
-    available_workers,
-    parallel_map,
-    resolve_workers,
-)
+from repro.utils.parallel import available_workers, parallel_map, resolve_workers
 
 
 def _square(x):
@@ -42,33 +37,30 @@ class TestParallelMap:
     def test_serial_default_preserves_order(self):
         assert parallel_map(_square, range(6)) == [0, 1, 4, 9, 16, 25]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_agree_with_serial(self, backend):
+    @pytest.mark.parametrize("max_workers", [1, 2], ids=["serial", "thread"])
+    def test_backends_agree_with_serial(self, max_workers):
+        # One worker runs the plain loop; two run the thread pool.
         items = list(range(10))
         expected = [_square(x) for x in items]
-        got = parallel_map(_square, items, max_workers=2, backend=backend)
+        got = parallel_map(_square, items, max_workers=max_workers)
         assert got == expected
 
     def test_thread_pool_preserves_submission_order(self):
         # Reverse-sorted sleep-free workload: ordering must come from
         # submission order, not completion order.
         items = list(range(20, 0, -1))
-        got = parallel_map(_square, items, max_workers=4, backend="thread")
+        got = parallel_map(_square, items, max_workers=4)
         assert got == [_square(x) for x in items]
 
     def test_empty_input(self):
         assert parallel_map(_square, [], max_workers=4) == []
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="backend"):
-            parallel_map(_square, [1], max_workers=2, backend="gpu")
 
     def test_exception_propagates(self):
         def boom(x):
             raise RuntimeError("worker failure")
 
         with pytest.raises(RuntimeError, match="worker failure"):
-            parallel_map(boom, [1, 2], max_workers=2, backend="thread")
+            parallel_map(boom, [1, 2], max_workers=2)
 
     def test_available_workers_positive(self):
         assert available_workers() >= 1
