@@ -19,14 +19,14 @@ iterate unordered collections, and the parallel-safety rules fire
 *through* helper calls with a full provenance chain (rendered by
 ``repro lint --explain`` and SARIF ``codeFlows``).  The same effect
 tables statically verify ``@effects(...)`` purity contracts
-(:mod:`repro.utils.contracts`), and a dtype-drift rule pack
-(:mod:`repro.analysis.dtype_rules`) guards ``@hot_path`` kernels
-against silent float64 promotion.  A static shape & dtype verifier
+(:mod:`repro.utils.contracts`).  A static shape & dtype verifier
 (:mod:`repro.analysis.shapecheck`) abstract-interprets every function
 over symbolic shapes and the bool<int<float32<float64 lattice, seeds
-summaries from ``@shapes`` contracts, and proves the contracts (and
-the hot-path float32 policy, semantically) at every call site —
-bottom-up over the call-graph SCCs, without running any code.
+summaries from ``@shapes`` contracts, and proves the contracts at every
+call site — bottom-up over the call-graph SCCs, without running any
+code.  Its ``dtype-policy-violation`` is the one dtype rule: it guards
+``@hot_path`` kernels against a float64 value meeting the float32 (or
+input-tied) working dtype.
 
 See :mod:`repro.analysis.rules` for the rule catalogue,
 :mod:`repro.analysis.runner` for the driver and the
@@ -47,7 +47,6 @@ from repro.analysis.rules import REGISTRY, FileContext, Rule, all_rules, get_rul
 
 # Importing these modules registers their rules in REGISTRY.
 from repro.analysis import parallel_rules as _parallel_rules  # noqa: F401
-from repro.analysis import dtype_rules as _dtype_rules  # noqa: F401
 from repro.analysis import shapecheck as _shapecheck  # noqa: F401
 from repro.analysis.callgraph import FunctionId, Program
 from repro.analysis.effects import ProgramEffects, infer_effects

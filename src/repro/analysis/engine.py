@@ -509,16 +509,6 @@ class Worker:
 _EXECUTOR_CLASSES = {"ThreadPoolExecutor": "thread", "ProcessPoolExecutor": "process"}
 
 
-def _literal_backend(call: ast.Call) -> str:
-    """The ``backend=`` keyword of a ``parallel_map`` call, if literal."""
-    for kw in call.keywords:
-        if kw.arg == "backend":
-            if isinstance(kw.value, ast.Constant) and isinstance(kw.value.value, str):
-                return kw.value.value
-            return "unknown"
-    return "thread"  # parallel_map's default
-
-
 def _executor_backend(base: ast.expr, scope: Scope) -> str:
     """Backend of ``base.submit(...)`` / ``base.map(...)``, best effort."""
     if isinstance(base, ast.Call):
@@ -621,7 +611,7 @@ def find_workers(tree: ast.Module, table: SymbolTable) -> List[Worker]:
                         submit_node=node,
                         fn_expr=node.args[0],
                         fn_def=fn_def,
-                        backend=_literal_backend(node),
+                        backend="thread",  # parallel_map runs on threads
                         via="parallel_map",
                         trampoline=tramp,
                     )

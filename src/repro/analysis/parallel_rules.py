@@ -168,8 +168,9 @@ class WorkerSharedStateRule(_EngineRule):
 class ForkUnsafeRngRule(_EngineRule):
     """Flag RNGs created outside the task body captured by process workers.
 
-    With the ``"process"`` backend each child receives a *copy* of the
-    captured generator, so every worker draws the identical stream —
+    On a process pool (a ``ProcessPoolExecutor``; ``parallel_map`` runs
+    on threads) each child receives a *copy* of the captured generator,
+    so every worker draws the identical stream —
     "independent" restarts silently coincide — and under spawn-start the
     parallel run no longer matches the serial one bit for bit.  Draw all
     randomness before dispatch (:func:`repro.utils.rng.spawn_rngs`) or

@@ -22,10 +22,7 @@ The run has three passes:
    static shape/dtype verifier (:mod:`repro.analysis.shapecheck`) run
    over the call graph.  Program findings carry provenance chains on
    ``Finding.trace`` and are suppressed by the same inline comments,
-   keyed on the file and line they anchor to.  Where the semantic
-   ``dtype-policy-violation`` fires inside a ``@hot_path``, the
-   syntactic dtype-drift findings on the same line are superseded
-   (dropped) — the proof subsumes the heuristic.
+   keyed on the file and line they anchor to.
 3. **Suppression audit** — when the full registry ran, every
    ``# repro-lint: disable[-next-line]=...`` comment that silenced
    nothing is itself reported as ``unused-suppression`` (so stale
@@ -72,12 +69,6 @@ PROGRAM_RULE_NAMES = frozenset(
         "static-contract-violation",
         "dtype-policy-violation",
     }
-)
-
-#: Syntactic dtype-drift rules superseded (per line) by a semantic
-#: ``dtype-policy-violation`` proof from the shape verifier.
-_SYNTACTIC_DTYPE_RULES = frozenset(
-    {"dtype-upcast-in-hot-path", "implicit-float64-literal", "dtype-dropping-op"}
 )
 
 _SUPPRESS_RE = re.compile(
@@ -246,18 +237,11 @@ def lint_sources(
         except SyntaxError as exc:
             parse_errors[path] = exc
 
-    # The program pass runs first so its semantic dtype proofs can
-    # supersede the per-file syntactic dtype pack on the same lines.
     program_findings: List[Finding] = []
     if run_program:
         loaded = [(path, source) for path, source in files if path in trees]
         program = Program.load(loaded, trees=[trees[path] for path, _ in loaded])
         program_findings = _program_findings(program)
-    superseded_lines = {
-        (f.path, f.line)
-        for f in program_findings
-        if f.rule == "dtype-policy-violation"
-    }
 
     for path, source in files:
         if changed is not None and path not in changed:
@@ -273,11 +257,6 @@ def lint_sources(
         lines_by_path[path] = source_lines
         for rule in selected:
             for finding in rule.check(tree, ctx):
-                if (
-                    finding.rule in _SYNTACTIC_DTYPE_RULES
-                    and (finding.path, finding.line) in superseded_lines
-                ):
-                    continue  # the semantic proof subsumes the heuristic
                 if _is_suppressed(finding, suppressions):
                     suppressed.append(finding)
                     suppressed_by_path[path].append(finding)

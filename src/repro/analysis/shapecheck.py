@@ -37,8 +37,8 @@ Four rules come out of the pass:
   family);
 * ``dtype-policy-violation`` — inside a ``@hot_path`` function a
   provably-float64 operand meets a float32 (or parameter-tied) one, so
-  float32 cannot survive the chain.  This *semantic* rule supersedes
-  the syntactic dtype-drift pack on the lines where it fires.
+  float32 cannot survive the chain.  It is the one dtype rule of
+  ``repro lint``.
 
 Findings carry the inferred shapes as witness chains on
 ``Finding.trace`` (rendered by ``repro lint --explain`` and as SARIF
@@ -1970,12 +1970,7 @@ class StaticContractViolationRule(Rule):
 
 @register
 class DtypePolicyViolationRule(Rule):
-    """Float64 provably enters a ``@hot_path`` float32 chain.
-
-    The semantic counterpart of the syntactic dtype-drift pack: where
-    this rule fires, the per-line syntactic findings on the same line
-    are superseded (the runner drops them in favour of this one).
-    """
+    """Float64 provably enters a ``@hot_path`` float32 chain."""
 
     name = "dtype-policy-violation"
     description = "float64 provably breaks a @hot_path float32 chain"

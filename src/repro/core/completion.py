@@ -297,8 +297,8 @@ class CompressiveSensingCompleter:
     ) -> None:
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
-        if lam < 0:
-            raise ValueError(f"lam must be >= 0, got {lam}")
+        if not 0 <= lam < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"lam must be finite and >= 0, got {lam}")
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
         if tol is not None and tol <= 0:

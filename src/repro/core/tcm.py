@@ -20,6 +20,8 @@ import numpy as np
 from repro.utils.contracts import shapes
 from repro.utils.validation import check_finite_time, check_matrix_pair, check_positive
 
+_MAX_SLOTS = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -46,8 +48,11 @@ class TimeGrid:
         check_finite_time(self.start_s, "start_s")
         check_finite_time(self.slot_s, "slot_s")
         check_positive(self.slot_s, "slot_s")
-        if self.num_slots < 1:
-            raise ValueError(f"num_slots must be >= 1, got {self.num_slots}")
+        # Slot indices are cast to int64 (aggregation, the stream).
+        if not 1 <= self.num_slots <= _MAX_SLOTS:
+            raise ValueError(
+                f"num_slots must be within [1, {_MAX_SLOTS}], got {self.num_slots}"
+            )
 
     @property
     def end_s(self) -> float:
@@ -85,9 +90,15 @@ class TimeGrid:
         cls, days: float, slot_s: float, start_s: float = 0.0
     ) -> "TimeGrid":
         """Grid covering ``days`` days at ``slot_s`` granularity."""
-        check_positive(days, "days")
-        num_slots = int(round(days * 86_400.0 / slot_s))
-        return cls(start_s=start_s, slot_s=slot_s, num_slots=num_slots)
+        for value, name in ((days, "days"), (slot_s, "slot_s")):
+            check_finite_time(value, name)
+            check_positive(value, name)
+        slots = days * 86_400.0 / slot_s
+        if not slots <= _MAX_SLOTS:  # also inf, which round() rejects
+            raise ValueError(
+                f"days={days} at slot_s={slot_s} is more than {_MAX_SLOTS} slots"
+            )
+        return cls(start_s=start_s, slot_s=slot_s, num_slots=int(round(slots)))
 
 
 class TrafficConditionMatrix:

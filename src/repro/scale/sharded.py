@@ -26,10 +26,13 @@ regime:
    The observed mean is added back and the estimate clipped to
    ``[0, MAX_SPEED_KMH]``.
 
-Total sweep cost is ``seed + warm`` instead of the monolithic budget
-(e.g. 13 effective sweeps vs 60 at the benchmark settings), which is
-where the >=3x wall-clock win comes from; the measured accuracy delta
-against monolithic on the metro benchmark stays well under 1e-2 NMAE.
+Total sweep cost is ``seed + warm`` (13 sweeps by default) instead of
+the monolithic budget (``PAPER_ITERATIONS``, 100 sweeps).  The last
+measurement, the ``sharded`` record of ``BENCH_2026-08-09.json``
+(672 x 5,812 at 20% integrity, 16 shards, halo 1, one CPU), read a
+5.05x wall-clock speedup (3.77 s -> 0.75 s) at an NMAE delta of
+1.3e-4 against monolithic; it has not been re-measured since (ROADMAP
+item 2).
 
 A partition with one shard runs the **exact** regime, and so does
 ``seed_iterations=0`` for any partition: every shard is solved cold
@@ -386,7 +389,7 @@ class ShardedEstimator:
         self._seed = seed
         # Validate the completer configuration eagerly (same checks the
         # completer applies) so bad settings fail before any solve.
-        self._make_completer(iterations=1)
+        self._make_completer(iterations=iterations)
         self._inflight = 0
         self._inflight_lock = threading.Lock()
 

@@ -300,11 +300,11 @@ def effects(*declared: str, allow: Iterable[str] = ()) -> Callable[[F], F]:
 def hot_path(func: F) -> F:
     """Mark a function as a numerical hot path.
 
-    Functions carrying this marker get the dtype-drift rule pack
-    (``dtype-upcast-in-hot-path``, ``implicit-float64-literal``,
-    ``dtype-dropping-op``) applied by ``repro lint``, keeping them safe
-    to run in float32.  Runtime cost is zero — the
-    decorator only sets ``__repro_hot_path__``.
+    Inside functions carrying this marker, ``repro lint`` reports
+    ``dtype-policy-violation`` wherever a provably float64 value meets
+    a float32 or input-tied operand, keeping them safe to run in
+    float32.  Runtime cost is zero — the decorator only sets
+    ``__repro_hot_path__``.
     """
     func.__repro_hot_path__ = True  # type: ignore[attr-defined]
     return func

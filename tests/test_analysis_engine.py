@@ -171,23 +171,6 @@ class TestFindWorkers:
         assert workers[0].fn_def.name == "work"
         assert workers[0].backend == "thread"
 
-    def test_parallel_map_process_backend(self):
-        tree, table = build(
-            """
-            from repro.utils.parallel import parallel_map
-
-            def work(item):
-                return item
-
-            def run(items):
-                return parallel_map(
-                    work, items, backend="process", max_workers=4
-                )
-            """
-        )
-        (worker,) = find_workers(tree, table)
-        assert worker.backend == "process"
-
     def test_executor_submit_and_trampoline(self):
         tree, table = build(
             """

@@ -96,7 +96,8 @@ class TestWorkerSharedState:
 
 class TestForkUnsafeRng:
     POSITIVE = """
-        from repro.utils.parallel import parallel_map
+        from concurrent.futures import ProcessPoolExecutor
+
         from repro.utils.rng import ensure_rng
 
         def run(items):
@@ -105,19 +106,21 @@ class TestForkUnsafeRng:
             def work(item):
                 return rng.random() + item
 
-            return parallel_map(work, items, backend="process", max_workers=4)
+            with ProcessPoolExecutor(max_workers=4) as pool:
+                return [pool.submit(work, item) for item in items]
     """
 
     def test_fires_on_captured_rng_process_pool(self):
         assert "fork-unsafe-rng" in rules_fired(self.POSITIVE)
 
     def test_thread_pool_capture_is_fine(self):
-        src = self.POSITIVE.replace('backend="process", ', "")
+        src = self.POSITIVE.replace("ProcessPoolExecutor", "ThreadPoolExecutor")
         assert "fork-unsafe-rng" not in rules_fired(src)
 
     def test_rng_created_inside_worker_is_fine(self):
         src = """
-            from repro.utils.parallel import parallel_map
+            from concurrent.futures import ProcessPoolExecutor
+
             from repro.utils.rng import ensure_rng
 
             def run(items):
@@ -125,9 +128,8 @@ class TestForkUnsafeRng:
                     rng = ensure_rng(item)
                     return rng.random()
 
-                return parallel_map(
-                    work, items, backend="process", max_workers=4
-                )
+                with ProcessPoolExecutor(max_workers=4) as pool:
+                    return [pool.submit(work, item) for item in items]
         """
         assert "fork-unsafe-rng" not in rules_fired(src)
 

@@ -9,8 +9,8 @@ provenance chain rendered by ``repro lint --explain`` and by SARIF
 ``codeFlows``.
 
 Also covered: transitive worker-shared-state and fork-unsafe-rng,
-suppression of program findings, the ``unused-suppression`` audit, the
-dtype-drift rule pack, changed-set scoping, and CLI exit codes.
+suppression of program findings, the ``unused-suppression`` audit,
+changed-set scoping, and CLI exit codes.
 """
 
 import json
@@ -44,10 +44,6 @@ def scan(rows, col_of, congested):
         ]
     return [f.result() for f in futures]
 """
-
-
-def rules_hit(source, path="pkg/module.py"):
-    return {f.rule for f in lint_source(source, path=path).findings}
 
 
 class TestCongestionRegression:
@@ -263,99 +259,6 @@ class TestUnusedSuppression:
         report = lint_source(src)
         assert [f.rule for f in report.findings] == ["unused-suppression"]
         assert "'bare-except'" in report.findings[0].message
-
-
-class TestDtypeRules:
-    def test_upcast_allocator_in_hot_path(self):
-        src = (
-            "import numpy as np\n"
-            "from repro.utils.contracts import hot_path\n"
-            "@hot_path\n"
-            "def kernel(x):\n"
-            "    out = np.zeros(x.shape[0])\n"
-            "    return out\n"
-        )
-        assert "dtype-upcast-in-hot-path" in rules_hit(src)
-
-    def test_tied_allocator_is_clean(self):
-        src = (
-            "import numpy as np\n"
-            "from repro.utils.contracts import hot_path\n"
-            "@hot_path\n"
-            "def kernel(x):\n"
-            "    return np.zeros(x.shape[0], dtype=x.dtype)\n"
-        )
-        assert "dtype-upcast-in-hot-path" not in rules_hit(src)
-
-    def test_explicit_astype_float64_flagged(self):
-        src = (
-            "import numpy as np\n"
-            "from repro.utils.contracts import hot_path\n"
-            "@hot_path\n"
-            "def kernel(x):\n"
-            "    return x.astype(np.float64)\n"
-        )
-        assert "dtype-upcast-in-hot-path" in rules_hit(src)
-
-    def test_allocator_outside_hot_path_is_clean(self):
-        src = "import numpy as np\ndef f(n):\n    return np.zeros(n)\n"
-        assert "dtype-upcast-in-hot-path" not in rules_hit(src)
-
-    def test_implicit_float64_literal(self):
-        src = (
-            "import numpy as np\n"
-            "from repro.utils.contracts import hot_path\n"
-            "@hot_path\n"
-            "def kernel():\n"
-            "    return np.array([0.5, 1.0])\n"
-        )
-        assert "implicit-float64-literal" in rules_hit(src)
-
-    def test_int_literals_are_clean(self):
-        src = (
-            "import numpy as np\n"
-            "from repro.utils.contracts import hot_path\n"
-            "@hot_path\n"
-            "def kernel():\n"
-            "    return np.array([1, 2, 3])\n"
-        )
-        assert "implicit-float64-literal" not in rules_hit(src)
-
-    def test_dtype_dropping_op(self):
-        src = (
-            "import numpy as np\n"
-            "from repro.utils.contracts import hot_path\n"
-            "@hot_path\n"
-            "def kernel(x):\n"
-            "    tied = np.zeros(3, dtype=x.dtype)\n"
-            "    wide = np.ones(3)\n"
-            "    return tied + wide\n"
-        )
-        assert "dtype-dropping-op" in rules_hit(src)
-
-    def test_both_tied_is_clean(self):
-        src = (
-            "import numpy as np\n"
-            "from repro.utils.contracts import hot_path\n"
-            "@hot_path\n"
-            "def kernel(x):\n"
-            "    a = np.zeros(3, dtype=x.dtype)\n"
-            "    b = np.ones(3, dtype=x.dtype)\n"
-            "    return a + b\n"
-        )
-        assert "dtype-dropping-op" not in rules_hit(src)
-
-    def test_suppressed_dtype_finding(self):
-        src = (
-            "import numpy as np\n"
-            "from repro.utils.contracts import hot_path\n"
-            "@hot_path\n"
-            "def kernel(x):\n"
-            "    return np.zeros(3)  # repro-lint: disable=dtype-upcast-in-hot-path\n"
-        )
-        report = lint_source(src)
-        assert "dtype-upcast-in-hot-path" not in {f.rule for f in report.findings}
-        assert "dtype-upcast-in-hot-path" in {f.rule for f in report.suppressed}
 
 
 class TestChangedScoping:

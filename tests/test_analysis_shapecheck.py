@@ -68,6 +68,58 @@ def hot_kernel(x):
     return w + bias
 '''
 
+HOT_PATH_HEAD = '''
+import numpy as np
+from repro.utils.contracts import hot_path, shapes
+
+
+@hot_path
+@shapes("m n:float")
+def hot_kernel(x):
+    w = x.astype(np.float32)
+'''
+
+#: The float64 producers a @hot_path float32 chain must not meet: the
+#: bug, its fixed form (the value allocated or cast with the working
+#: dtype), and the producer step the --explain trace must show.
+FLOAT64_PRODUCERS = [
+    pytest.param(
+        "    bias = np.zeros(x.shape[1])\n    return w + bias\n",
+        "    bias = np.zeros(x.shape[1], dtype=w.dtype)\n    return w + bias\n",
+        "np.zeros(...) creates (n) [float64]",
+        id="allocator",
+    ),
+    pytest.param(
+        "    v = x.astype(np.float64)\n    return w + v\n",
+        "    v = x.astype(w.dtype)\n    return w + v\n",
+        ".astype casts (m, n) to float64",
+        id="astype",
+    ),
+    pytest.param(
+        "    scale = np.array([0.5, 1.0])\n    return w.sum() * scale\n",
+        "    scale = np.array([0.5, 1.0], dtype=w.dtype)\n"
+        "    return w.sum() * scale\n",
+        "np.array([...]) creates (2) [float64]",
+        id="float-literals",
+    ),
+    pytest.param(
+        "    fill = np.full(x.shape[1], 0.5)\n    return w + fill\n",
+        "    fill = np.full(x.shape[1], 0.5, dtype=w.dtype)\n    return w + fill\n",
+        "np.full(...) creates (n) [float64]",
+        id="full",
+    ),
+    pytest.param(
+        "    tied = np.zeros(x.shape[1], dtype=x.dtype)\n"
+        "    wide = np.ones(x.shape[1])\n"
+        "    return tied + wide\n",
+        "    tied = np.zeros(x.shape[1], dtype=x.dtype)\n"
+        "    wide = np.ones(x.shape[1], dtype=x.dtype)\n"
+        "    return tied + wide\n",
+        "np.ones(...) creates (n) [float64]",
+        id="tied-mix",
+    ),
+]
+
 
 class TestTransposedGram:
     def test_reports_shape_mismatch(self):
@@ -133,35 +185,49 @@ class TestHotPathFloat64Leak:
         assert finding.severity == "warning"
         assert len(finding.trace) >= 2
 
-    SAME_LINE = '''
-import numpy as np
-from repro.utils.contracts import hot_path, shapes
+    @pytest.mark.parametrize("bug, fixed, producer", FLOAT64_PRODUCERS)
+    def test_float64_producer(self, bug, fixed, producer):
+        # The whole registry runs: each bug reports once, at the
+        # operation where float32 is lost, tracing back to its producer.
+        report = lint_source(HOT_PATH_HEAD + bug, path="f.py")
+        assert [f.rule for f in report.findings] == ["dtype-policy-violation"]
+        assert producer in report.findings[0].render(explain=True)
+        assert lint_source(HOT_PATH_HEAD + fixed, path="f.py").ok
+        # Outside a @hot_path the same code is no policy violation.
+        cold = (HOT_PATH_HEAD + bug).replace("@hot_path\n", "")
+        assert lint_source(cold, path="f.py").ok
 
-
-@hot_path
-@shapes("m n:float")
-def hot_kernel(x):
-    w = x.astype(np.float32)
-    return w + np.zeros(x.shape[1])
-'''
-
-    def test_supersedes_syntactic_dtype_pack_on_same_line(self):
-        syntactic_rules = get_rules(
-            ["dtype-upcast-in-hot-path", "implicit-float64-literal", "dtype-dropping-op"]
+    def test_suppression(self):
+        src = HOT_F64_LITERAL.replace(
+            "    return w + bias",
+            "    return w + bias  # repro-lint: disable=dtype-policy-violation",
         )
-        # Alone, the syntactic heuristic flags the bare allocation.
-        heuristic = lint_source(self.SAME_LINE, path="f.py", rules=syntactic_rules)
-        assert [f.rule for f in heuristic.findings] == ["dtype-upcast-in-hot-path"]
-        # With the whole-program proof on the same line, the heuristic
-        # finding is superseded: only the semantic one survives.
-        report = lint_source(self.SAME_LINE, path="f.py")
-        rules = [f.rule for f in report.findings]
-        assert "dtype-policy-violation" in rules
-        assert "dtype-upcast-in-hot-path" not in rules
-        semantic_lines = {
-            f.line for f in report.findings if f.rule == "dtype-policy-violation"
+        report = lint_source(src, path="f.py")
+        assert report.ok
+        assert [f.rule for f in report.suppressed] == ["dtype-policy-violation"]
+
+    def test_no_syntactic_dtype_rules(self):
+        from repro.analysis import REGISTRY
+
+        syntactic = {
+            "dtype-upcast-in-hot-path",
+            "implicit-float64-literal",
+            "dtype-dropping-op",
         }
-        assert {f.line for f in heuristic.findings} <= semantic_lines
+        assert not syntactic & set(REGISTRY)
+        # A waiver naming one of them silences nothing and is audited.
+        src = HOT_PATH_HEAD + (
+            "    bias = np.zeros(x.shape[1])  "
+            "# repro-lint: disable=dtype-upcast-in-hot-path\n"
+            "    return w + bias\n"
+        )
+        findings = lint_source(src, path="f.py").findings
+        assert sorted(f.rule for f in findings) == [
+            "dtype-policy-violation",
+            "unused-suppression",
+        ]
+        (audit,) = [f for f in findings if f.rule == "unused-suppression"]
+        assert "unknown rule 'dtype-upcast-in-hot-path'" in audit.message
 
     def test_working_dtype_allocation_is_clean(self):
         fixed = HOT_F64_LITERAL.replace(

@@ -32,6 +32,8 @@ class TestValidation:
             {"iterations": 0},
             {"tol": 0.0},
             {"clip_min": 5.0, "clip_max": 1.0},
+            {"lam": float("nan")},
+            {"lam": float("inf")},
         ],
     )
     def test_bad_params_rejected(self, kwargs):

@@ -516,6 +516,8 @@ class TestValidation:
             ShardedEstimator(network, dtype="float16")
         with pytest.raises(ValueError, match="rank"):
             ShardedEstimator(network, rank=0)
+        with pytest.raises(ValueError, match="iterations"):
+            ShardedEstimator(network, iterations=0)
 
     def test_mismatched_shards_rejected(self, network):
         shards = contiguous_shards([1, 2, 3], 2)

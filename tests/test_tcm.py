@@ -44,11 +44,27 @@ class TestTimeGrid:
         grid = TimeGrid.over_days(1.0, 900.0)
         assert grid.num_slots == 96
 
+    @pytest.mark.parametrize(
+        "days, slot_s, name",
+        [
+            (float("inf"), 900.0, "days"),
+            (1.0, 0.0, "slot_s"),
+            (1.0, float("nan"), "slot_s"),
+            (1.0, 1e-300, "slot_s"),  # ~8.6e304 slots
+        ],
+    )
+    def test_over_days_rejects_hostile_sizes(self, days, slot_s, name):
+        with pytest.raises(ValueError, match=name):
+            TimeGrid.over_days(days, slot_s)
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             TimeGrid(0.0, 0.0, 10)
         with pytest.raises(ValueError):
             TimeGrid(0.0, 60.0, 0)
+        # Slot indices are cast to int64.
+        with pytest.raises(ValueError, match="num_slots"):
+            TimeGrid(0.0, 60.0, 2**63)
 
     @pytest.mark.parametrize(
         "start_s, slot_s, name",

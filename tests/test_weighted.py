@@ -29,7 +29,14 @@ class TestWeightsFromCounts:
 class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"rank": 0}, {"lam": -1.0}, {"iterations": 0}, {"clip_min": 2.0, "clip_max": 1.0}],
+        [
+            {"rank": 0},
+            {"lam": -1.0},
+            {"iterations": 0},
+            {"clip_min": 2.0, "clip_max": 1.0},
+            {"lam": float("nan")},
+            {"lam": float("inf")},
+        ],
     )
     def test_bad_params(self, kwargs):
         with pytest.raises(ValueError):
