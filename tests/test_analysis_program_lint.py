@@ -10,7 +10,8 @@ provenance chain rendered by ``repro lint --explain`` and by SARIF
 
 Also covered: transitive worker-shared-state and fork-unsafe-rng,
 suppression of program findings, the ``unused-suppression`` audit,
-changed-set scoping, and CLI exit codes.
+the one dtype rule under the full registry, changed-set scoping, and
+CLI exit codes.
 """
 
 import json
@@ -44,6 +45,10 @@ def scan(rows, col_of, congested):
         ]
     return [f.result() for f in futures]
 """
+
+
+def rules_hit(source, path="pkg/module.py"):
+    return {f.rule for f in lint_source(source, path=path).findings}
 
 
 class TestCongestionRegression:
@@ -259,6 +264,59 @@ class TestUnusedSuppression:
         report = lint_source(src)
         assert [f.rule for f in report.findings] == ["unused-suppression"]
         assert "'bare-except'" in report.findings[0].message
+
+
+class TestDtypeRules:
+    """``dtype-policy-violation``, the one dtype rule, under the full registry.
+
+    ``@shapes`` gives ``x`` a float dtype, so a value tied to it is the
+    working dtype and a float64 value meeting it is a violation.
+    """
+
+    HEAD = (
+        "import numpy as np\n"
+        "from repro.utils.contracts import hot_path, shapes\n"
+        "@hot_path\n"
+        '@shapes("m n:float")\n'
+        "def kernel(x):\n"
+    )
+
+    def test_upcast_allocator_in_hot_path(self):
+        src = self.HEAD + (
+            "    out = np.zeros(x.shape[1])\n"
+            "    return x + out\n"
+        )
+        assert rules_hit(src) == {"dtype-policy-violation"}
+
+    def test_tied_allocator_is_clean(self):
+        src = self.HEAD + (
+            "    out = np.zeros(x.shape[1], dtype=x.dtype)\n"
+            "    return x + out\n"
+        )
+        assert rules_hit(src) == set()
+
+    def test_allocator_outside_hot_path_is_clean(self):
+        src = self.HEAD.replace("hot_path, ", "").replace("@hot_path\n", "") + (
+            "    out = np.zeros(x.shape[1])\n"
+            "    return x + out\n"
+        )
+        assert rules_hit(src) == set()
+
+    def test_dtype_dropping_op(self):
+        src = self.HEAD + (
+            "    tied = np.zeros(3, dtype=x.dtype)\n"
+            "    wide = np.ones(3)\n"
+            "    return tied + wide\n"
+        )
+        assert rules_hit(src) == {"dtype-policy-violation"}
+
+    def test_both_tied_is_clean(self):
+        src = self.HEAD + (
+            "    a = np.zeros(3, dtype=x.dtype)\n"
+            "    b = np.ones(3, dtype=x.dtype)\n"
+            "    return a + b\n"
+        )
+        assert rules_hit(src) == set()
 
 
 class TestChangedScoping:
