@@ -18,7 +18,9 @@ widens the view to the whole package so the effect-inference pass
   ``cls._method`` receivers, local class constructors (edge to
   ``__init__``), ``functools.partial(f, ...)``, and one-level lambda
   trampolines — the same resolution machinery the PR-4 worker discovery
-  uses, now applied to every call site.
+  uses, now applied to every call site.  A pool submission
+  (:meth:`Program.workers`) is one more edge: the function holding the
+  submitting call calls the worker, or the lambda of a trampoline.
 * :meth:`Program.sccs` condenses the graph into strongly connected
   components (iterative Tarjan) in reverse topological order, which is
   exactly the evaluation order the bottom-up effect fixpoint needs:
@@ -279,16 +281,23 @@ class Program:
     # Call resolution
     # ------------------------------------------------------------------
     def _resolve_all_calls(self) -> None:
+        # The function each call node executes in, by AST containment.
+        caller_of: Dict[int, FunctionInfo] = {}
         for info in self.functions.values():
-            seen: Set[Tuple[FunctionId, int]] = set()
             for node in _own_scope_calls(info.scope):
+                caller_of[id(node)] = info
                 callee = self.resolve_call(node, info.scope, info.module)
-                if callee is None or callee == info.fid:
-                    continue
-                key = (callee, node.lineno)
-                if key not in seen:
-                    seen.add(key)
-                    info.calls.append(CallSite(callee=callee, line=node.lineno))
+                _add_call(info, callee, node.lineno)
+        # A pool submission runs its worker, so the submitting function
+        # calls it; through a lambda trampoline, it calls the lambda,
+        # whose own body calls the worker.
+        for minfo, worker, fid in self.workers():
+            submitter = caller_of.get(id(worker.submit_node))
+            if submitter is None:
+                continue
+            if worker.trampoline is not None:
+                fid = minfo.function_ids.get(id(worker.trampoline))
+            _add_call(submitter, fid, worker.submit_node.lineno)
 
     def resolve_call(
         self, call: ast.Call, scope: Scope, minfo: ModuleInfo
@@ -508,6 +517,15 @@ class Program:
                     parent = work[-1][0]
                     lowlink[parent] = min(lowlink[parent], lowlink[fid])
         return components
+
+
+def _add_call(info: FunctionInfo, callee: Optional[FunctionId], line: int) -> None:
+    """Record one edge of ``info``, unless unresolved, a self-call or a repeat."""
+    if callee is None or callee == info.fid:
+        return
+    site = CallSite(callee=callee, line=line)
+    if site not in info.calls:
+        info.calls.append(site)
 
 
 def _own_scope_calls(scope: Scope) -> Iterator[ast.Call]:

@@ -11,10 +11,6 @@ aggregation is submission-ordered, which makes the parallel path
 
 Checks:
 
-* ``completion`` — Algorithm 1 with restarts
-  (:class:`repro.core.completion.CompressiveSensingCompleter`): the
-  estimate matrix, winning objective, best restart index and every
-  per-restart objective history must match to the last bit.
 * ``tuning`` — Algorithm 2 GA search
   (:class:`repro.core.tuning.GeneticTuner`) with memoized fitness: the
   selected (rank, lambda), fitness, and full fitness history must match.
@@ -23,6 +19,8 @@ Checks:
   regime per shard at ``halo=0`` must reproduce monolithic completion
   bit-for-bit, and the multilevel regime must be bit-identical serial
   vs pool and when the partitioner hands out its shards in reverse.
+  It runs Algorithm 1's kernel serial vs pool in float64 and float32,
+  in both of its layouts.
 * ``run-all`` — the experiment battery
   (:func:`repro.experiments.runner.run_all`): every rendered block must
   be byte-identical, except the two studies whose *output* is measured
@@ -96,10 +94,8 @@ class DeterminismReport:
         return "\n".join(lines)
 
 
-#: A problem Algorithm 1's kernel binds in its sparse layout: the cell
-#: floor (:data:`repro.core.completion.SPARSE_MIN_CELLS`) at about 4%
-#: observed.
-SPARSE_SHAPE = (128, 1024)
+#: Observed fraction of the ``sharded`` check's sparse case, whose
+#: shards Algorithm 1's kernel binds in its sparse layout.
 SPARSE_OBSERVED = 0.03
 
 
@@ -128,90 +124,6 @@ def _diff_arrays(name: str, serial: np.ndarray, parallel: np.ndarray) -> str:
     return (
         f"{name} differs at {int(np.count_nonzero(diff))} cell(s), "
         f"max |delta| {float(diff.max()):.3e}"
-    )
-
-
-def check_completion(
-    seed: int = 0, max_workers: Optional[int] = None, smoke: bool = False
-) -> DeterminismCheck:
-    """Algorithm 1 restarts: serial vs thread-pool, bit for bit.
-
-    The kernel is double-run in float64 and float32, in both of its
-    layouts (a small dense problem and one at the sparse layout's cell
-    floor): it reuses buffers across sweeps, so this is exactly where a
-    thread-race would surface, and reduced precision must still be
-    bit-identical serial vs pool.
-    """
-    from repro.core.completion import (
-        CompletionResult,
-        CompressiveSensingCompleter,
-        _sparse_layout,
-    )
-
-    started = time.perf_counter()
-    # At least 2 so the parallel leg really runs through a pool even
-    # on 1-CPU CI boxes (threads, so oversubscription is harmless).
-    workers = max_workers or max(2, min(4, available_workers()))
-    shape = (24, 18) if smoke else (96, 60)
-    iterations = 8 if smoke else 25
-    restarts = 4 if smoke else 6
-    dtypes = ("float64", "float32")
-    cases = {
-        "dense": _toy_problem(seed, shape),
-        "sparse": _toy_problem(seed, SPARSE_SHAPE, SPARSE_OBSERVED),
-    }
-
-    def run(
-        values: np.ndarray, mask: np.ndarray, pool: Optional[int], dtype: str
-    ) -> CompletionResult:
-        completer = CompressiveSensingCompleter(
-            rank=3,
-            lam=10.0,
-            iterations=iterations,
-            restarts=restarts,
-            dtype=dtype,
-            max_workers=pool,
-            seed=seed,
-        )
-        return completer.complete(values, mask)
-
-    problems: List[str] = []
-    for layout, (values, mask) in cases.items():
-        if _sparse_layout(mask.size, np.count_nonzero(mask)) != (layout == "sparse"):
-            problems.append(f"the {layout} problem binds the other layout")
-        for dtype in dtypes:
-            tag = f"[{layout} {dtype}]"
-            serial = run(values, mask, None, dtype)
-            parallel = run(values, mask, workers, dtype)
-            detail = _diff_arrays(
-                f"{tag} estimate", serial.estimate, parallel.estimate
-            )
-            if detail:
-                problems.append(detail)
-            if serial.objective != parallel.objective:
-                problems.append(
-                    f"{tag} objective {serial.objective!r} "
-                    f"vs {parallel.objective!r}"
-                )
-            if serial.best_restart != parallel.best_restart:
-                problems.append(f"{tag} winning restart index differs")
-            if serial.restart_histories != parallel.restart_histories:
-                problems.append(f"{tag} per-restart objective histories differ")
-    ok = not problems
-    shapes_run = ", ".join(
-        f"{values.shape[0]}x{values.shape[1]} ({layout})"
-        for layout, (values, _) in cases.items()
-    )
-    return DeterminismCheck(
-        name="completion",
-        ok=ok,
-        detail=(
-            f"{restarts} restarts x {iterations} sweeps on {shapes_run}, "
-            f"1 vs {workers} workers, " + ", ".join(dtypes)
-            if ok
-            else "; ".join(problems)
-        ),
-        elapsed_s=time.perf_counter() - started,
     )
 
 
@@ -493,7 +405,6 @@ class _GivenShards:
 
 
 CHECKS: Dict[str, Callable[[int, Optional[int], bool], DeterminismCheck]] = {
-    "completion": check_completion,
     "tuning": check_tuning,
     "sharded": check_sharded,
     "run-all": check_run_all,

@@ -9,7 +9,10 @@ graph (:mod:`repro.analysis.callgraph`).  Its abstract domain is
 * **a dtype lattice** — ``bool < int < float32 < float64`` plus ⊤ and
   *tied* dtypes (``~values``: "whatever dtype the parameter ``values``
   has"), joined by NumPy's promotion rules (NEP 50: Python scalars are
-  weak and never change an array operand's dtype).
+  weak and never change an array operand's dtype).  ``int64`` marks
+  the platform int that ``np.arange`` and int-literal ``np.array``
+  return: unlike an int of unknown width, it promotes float32 to
+  float64.
 
 Function parameters are seeded from their ``@shapes`` decorators, the
 body is interpreted with transfer functions for the NumPy surface the
@@ -86,7 +89,13 @@ Shape = Optional[Tuple[Dim, ...]]
 
 #: Dtype lattice elements: ``"bool"``/``"int"``/``"float32"``/``"float64"``
 #: are provable, ``"?"`` is ⊤, and ``"~name"`` is tied to a parameter.
+#: ``"int64"`` is the platform int (an ``"int"`` of known width).
 DT_UNKNOWN = "?"
+
+#: The bool and integer lattice elements, and the ones that turn float32
+#: into float64.
+_INTEGRAL = ("bool", "int", "int64")
+_UPCASTS = ("float64", "int64")
 
 _PROV_CAP = 4
 
@@ -170,6 +179,11 @@ def _join_dtype(a: str, b: str) -> str:
     if "bool" in pair:
         # bool promotes losslessly to any other dtype.
         return (pair - {"bool"}).pop()
+    if pair == {"int64", "float32"}:
+        # float32 cannot hold every int64 exactly.
+        return "float64"
+    if pair == {"int64", "int"}:
+        return "int"
     # int ⊔ float32 depends on the int width; tied ⊔ anything unknown.
     return DT_UNKNOWN
 
@@ -179,8 +193,8 @@ def _f32_like(dtype: str) -> bool:
 
 
 def _hot_upcast(a: str, b: str) -> bool:
-    """A provable float64 meets the float32 working dtype."""
-    return (a == "float64" and _f32_like(b)) or (b == "float64" and _f32_like(a))
+    """A provable float64, or the platform int, meets the float32 working dtype."""
+    return (a in _UPCASTS and _f32_like(b)) or (b in _UPCASTS and _f32_like(a))
 
 
 def _dims_conflict(a: Dim, b: Dim) -> bool:
@@ -842,7 +856,7 @@ class _FunctionInterpreter:
             # true division) which become float64.
             dtype = array.dtype
             if isinstance(other, _ScalarVal) or true_div:
-                if dtype in ("bool", "int"):
+                if dtype in _INTEGRAL:
                     dtype = "float64"
                 elif dtype not in ("float32", "float64"):
                     dtype = DT_UNKNOWN if dtype == DT_UNKNOWN else dtype
@@ -894,7 +908,7 @@ class _FunctionInterpreter:
             else:
                 shape = out
         dtype = _join_dtype(a.dtype, b.dtype)
-        if true_div and dtype in ("bool", "int"):
+        if true_div and dtype in _INTEGRAL:
             dtype = "float64"
         if self.hot and _hot_upcast(a.dtype, b.dtype):
             self._hot_finding(node, opname, a, b)
@@ -903,7 +917,7 @@ class _FunctionInterpreter:
     def _hot_finding(
         self, node: ast.AST, opname: str, a: AbstractArray, b: AbstractArray
     ) -> None:
-        f64 = a if a.dtype == "float64" else b
+        f64 = a if a.dtype in _UPCASTS else b
         f32 = b if f64 is a else a
         f32_desc = (
             f"dtype of parameter '{f32.dtype[1:]}'"
@@ -914,8 +928,8 @@ class _FunctionInterpreter:
             node,
             "dtype-policy-violation",
             (
-                f"@hot_path {opname} mixes a provably float64 operand with a "
-                f"{f32_desc} one — float32 cannot survive this chain"
+                f"@hot_path {opname} mixes a provably {f64.dtype} operand with "
+                f"a {f32_desc} one — float32 cannot survive this chain"
             ),
             "allocate/cast with the working dtype (e.g. dtype=x.dtype)",
             self._op_trace(
@@ -1036,7 +1050,7 @@ class _FunctionInterpreter:
                 ),
             )
         dtype = _join_dtype(a.dtype, b.dtype)
-        if dtype in ("bool", "int"):
+        if dtype in _INTEGRAL:
             dtype = "float64"
         if self.hot and _hot_upcast(a.dtype, b.dtype):
             self._hot_finding(node, "solve", a, b)
@@ -1161,7 +1175,7 @@ class _FunctionInterpreter:
             return None
         n = len(value.items)
         if all(isinstance(item, _DimVal) for item in value.items):
-            return AbstractArray((n,), "int")
+            return AbstractArray((n,), "int64")
         if all(isinstance(item, (_DimVal, _ScalarVal)) for item in value.items):
             return AbstractArray((n,), "float64")
         rows = [item for item in value.items if isinstance(item, _TupleVal)]
@@ -1172,7 +1186,7 @@ class _FunctionInterpreter:
                 isinstance(item, (_DimVal, _ScalarVal)) for item in flat
             ):
                 dtype = (
-                    "int"
+                    "int64"
                     if all(isinstance(item, _DimVal) for item in flat)
                     else "float64"
                 )
@@ -1225,7 +1239,7 @@ class _FunctionInterpreter:
             elif any(isinstance(v, _ScalarVal) for v in argvals):
                 dtype = "float64"
             elif argvals and all(isinstance(v, _DimVal) for v in argvals):
-                dtype = "int"
+                dtype = "int64"
             else:
                 dtype = DT_UNKNOWN
             dim = (
@@ -1255,7 +1269,7 @@ class _FunctionInterpreter:
                 return self._ctor(node, literal.shape, dtype, f"np.{fname}([...])")
             if isinstance(base, (_DimVal, _ScalarVal)):
                 dtype = dtype_kw if dtype_kw is not None else (
-                    "int" if isinstance(base, _DimVal) else "float64"
+                    "int64" if isinstance(base, _DimVal) else "float64"
                 )
                 return self._ctor(node, (), dtype, f"np.{fname}(...)")
             return AbstractArray(None, dtype_kw if dtype_kw is not None else DT_UNKNOWN)
@@ -1324,7 +1338,7 @@ class _FunctionInterpreter:
             base = argvals[0] if argvals else None
             if isinstance(base, AbstractArray):
                 dtype = base.dtype if base.dtype in ("float32", "float64") else (
-                    "float64" if base.dtype in ("bool", "int") else DT_UNKNOWN
+                    "float64" if base.dtype in _INTEGRAL else DT_UNKNOWN
                 )
                 return AbstractArray(base.shape, dtype, base.prov)
             return None
@@ -1481,7 +1495,7 @@ class _FunctionInterpreter:
         if fname in _FLOAT_REDUCTIONS or fname == "norm":
             if base.dtype in ("float32", "float64"):
                 dtype = base.dtype
-            elif base.dtype in ("bool", "int"):
+            elif base.dtype in _INTEGRAL:
                 dtype = "float64"
             else:
                 dtype = DT_UNKNOWN
@@ -1908,7 +1922,7 @@ class _FunctionInterpreter:
                     consumed += len(value.shape)
                     continue
                 if (
-                    value.dtype in ("int",)
+                    value.dtype in ("int", "int64")
                     and value.shape is not None
                     and len(value.shape) == 1
                     and fancy == 1

@@ -829,8 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         metavar="CHECK",
-        help="subset to run: completion, tuning, sharded, run-all "
-        "(default: all)",
+        help="subset to run: tuning, sharded, run-all (default: all)",
     )
     p.add_argument(
         "--smoke",
@@ -871,7 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         dest="max_workers",
-        help="worker pool for restarts/GA fitness (default: serial)",
+        help="worker pool for GA fitness (default: serial)",
     )
     p.add_argument(
         "--output",

@@ -29,18 +29,12 @@ dtype :func:`resolve_dtype` picks.  float64 runs match the per-column
 reference solve (``tests/solver_oracles.py``) within 1e-8 on the final
 estimate; float32 runs stay within :data:`FLOAT32_RTOL` of float64,
 relative to the estimate's magnitude.
-
-``restarts > 1`` runs independent random initializations; with
-``max_workers`` set they run concurrently (thread pool — the inner work
-is LAPACK which releases the GIL).  Every restart's initialization is
-drawn from the seed stream *before* dispatch, so results are
-bit-identical whether restarts run serially or in parallel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +42,6 @@ from repro.core.tcm import TrafficConditionMatrix
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.utils.contracts import effects, hot_path, shapes
-from repro.utils.parallel import parallel_map
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_matrix_pair
 
@@ -99,14 +92,13 @@ _RunOutcome = Tuple[float, np.ndarray, np.ndarray, List[float]]
 
 
 class _Fit(NamedTuple):
-    """Algorithm 1's winning factors and run record, before ``L R^T``."""
+    """Algorithm 1's best factors and run record, before ``L R^T``."""
 
     objective: float
     left: np.ndarray
     right: np.ndarray
     offset: float
-    restart_histories: List[List[float]]
-    best_restart: int
+    history: List[float]
 
 
 @dataclass(frozen=True)
@@ -160,21 +152,10 @@ class CompletionResult:
     left, right:
         The best factors ``L`` (m x r) and ``R`` (n x r).
     objective:
-        Best value of Eq. 16 reached (across all restarts).
+        Best value of Eq. 16 reached.
     objective_history:
-        Objective after every sweep **of the winning restart only**
-        (length = that restart's sweeps).  Early-stop diagnostics should
-        read this, not :attr:`iterations_run`.
-    iterations_run:
-        Total ALS sweeps **summed over every restart** (each may stop
-        early on ``tol`` independently).  With ``restarts == 1`` this
-        equals ``len(objective_history)``.
-    restart_histories:
-        Per-restart objective histories, in restart order; the winning
-        restart's entry is :attr:`objective_history`.  Empty when the
-        result was built by a caller that does not track restarts.
-    best_restart:
-        Index into :attr:`restart_histories` of the winning restart.
+        Objective after every sweep run (the run may stop early on
+        ``tol``).
     """
 
     estimate: np.ndarray
@@ -182,18 +163,15 @@ class CompletionResult:
     right: np.ndarray
     objective: float
     objective_history: List[float]
-    iterations_run: int
-    restart_histories: List[List[float]] = field(default_factory=list)
-    best_restart: int = 0
 
     @property
     def rank_bound(self) -> int:
         return self.left.shape[1]
 
     @property
-    def num_restarts(self) -> int:
-        """Restarts tracked in this result (0 when untracked)."""
-        return len(self.restart_histories)
+    def iterations_run(self) -> int:
+        """ALS sweeps run: ``len(objective_history)``."""
+        return len(self.objective_history)
 
     @shapes("m n", "m n:bool")
     def fused(self, measurements: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -266,16 +244,6 @@ class CompressiveSensingCompleter:
         observed speed, which keeps large ``lambda`` values sane on
         small or sparse matrices.  Off by default (the paper's
         pseudocode factorizes the raw measurements).
-    restarts:
-        Number of independent random initializations; the run with the
-        lowest final objective wins.  ALS occasionally converges to a
-        local minimum from an unlucky init; a few restarts make the
-        solver robust at proportional cost.  Default 1 (the paper's
-        single random init).
-    max_workers:
-        Run restarts on a thread pool of this size (``None``/``1`` =
-        serial).  Results are bit-identical either way: every restart's
-        random init is drawn from the seed stream before dispatch.
     seed:
         Random initialization of ``L`` (pseudocode line 1).
     """
@@ -291,8 +259,6 @@ class CompressiveSensingCompleter:
         clip_min: Optional[float] = None,
         clip_max: Optional[float] = None,
         center: bool = False,
-        restarts: int = 1,
-        max_workers: Optional[int] = None,
         seed: SeedLike = None,
     ) -> None:
         if rank < 1:
@@ -305,10 +271,6 @@ class CompressiveSensingCompleter:
             raise ValueError(f"tol must be positive, got {tol}")
         if clip_min is not None and clip_max is not None and clip_min > clip_max:
             raise ValueError("clip_min must not exceed clip_max")
-        if restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {restarts}")
-        if max_workers is not None and max_workers < 0:
-            raise ValueError(f"max_workers must be >= 0 or None, got {max_workers}")
         self.rank = rank
         self.lam = lam
         self.iterations = iterations
@@ -320,8 +282,6 @@ class CompressiveSensingCompleter:
         self.clip_min = clip_min
         self.clip_max = clip_max
         self.center = center
-        self.restarts = restarts
-        self.max_workers = max_workers
         self._seed = seed
 
     # ------------------------------------------------------------------
@@ -336,59 +296,59 @@ class CompressiveSensingCompleter:
 
         Accepts a :class:`TrafficConditionMatrix`, an explicit ``(M, B)``
         array pair, or the matrix's :class:`ObservedCells` (see
-        :meth:`_fit`).
+        :meth:`_fit`).  Arrays and cells are checked here: ``B`` must
+        have ``M``'s shape, and every observed value must be finite.
         """
-        fit = self._fit(measurements, mask)
-        return CompletionResult(
-            estimate=self._estimate(fit.left, fit.right, fit.offset),
-            left=fit.left,
-            right=fit.right,
-            objective=fit.objective,
-            objective_history=fit.restart_histories[fit.best_restart],
-            iterations_run=sum(len(h) for h in fit.restart_histories),
-            restart_histories=fit.restart_histories,
-            best_restart=fit.best_restart,
-        )
+        if isinstance(measurements, ObservedCells):
+            if mask is not None:
+                raise ValueError("mask is implied by the observed cells")
+            if not np.isfinite(measurements.values).all():
+                raise ValueError("observed entries must be finite")
+        elif isinstance(measurements, TrafficConditionMatrix):
+            if mask is not None:
+                raise ValueError("mask is implied by the TrafficConditionMatrix")
+        elif mask is None:
+            raise ValueError("mask required when passing a raw array")
+        else:
+            measurements, mask = check_matrix_pair(measurements, mask, dtype=None)
+        return self._result(self._fit(measurements, mask))
 
     @effects(allow={"rng"})
     def _fit(
         self,
         measurements: Union[TrafficConditionMatrix, np.ndarray, ObservedCells],
         mask: Optional[np.ndarray] = None,
+        init: Optional[np.ndarray] = None,
     ) -> "_Fit":
         """:meth:`complete` up to, not including, forming ``L R^T``.
 
-        Also takes the matrix as :class:`ObservedCells`, whose values
-        must be finite.  A sparse-layout solve (:func:`_sparse_layout`)
-        then runs on the cells alone; any other scatters them first.
+        Takes its input as already checked: a TCM, its
+        :class:`ObservedCells`, or an ``(M, B)`` pair with a boolean
+        ``B`` (:meth:`complete` checks the last two).  A sparse-layout
+        solve (:func:`_sparse_layout`) runs on the cells alone; any
+        other scatters them first.  ``init``, an ``(m, r)`` left factor,
+        replaces the random draw of pseudocode line 1 (a warm start):
+        it is cast to the working dtype, and no seed is drawn.
         """
         cells: Optional[ObservedCells] = None
         if isinstance(measurements, ObservedCells):
-            if mask is not None:
-                raise ValueError("mask is implied by the observed cells")
             cells = measurements
-            if not np.isfinite(cells.values).all():
-                raise ValueError("observed entries must be finite")
             (m, n), count = cells.shape, cells.values.size
         else:
             if isinstance(measurements, TrafficConditionMatrix):
-                if mask is not None:
-                    raise ValueError("mask is implied by the TrafficConditionMatrix")
                 # Read-only views (nothing below writes to them), laid
                 # out C-ordered as the kernel's products expect.
                 m_arr = np.ascontiguousarray(measurements.values_view)
                 b_arr = np.ascontiguousarray(measurements.mask_view)
             else:
-                if mask is None:
-                    raise ValueError("mask required when passing a raw array")
-                m_arr, b_arr = check_matrix_pair(measurements, mask, dtype=None)
+                m_arr, b_arr = measurements, mask
             (m, n), count = m_arr.shape, int(np.count_nonzero(b_arr))
         if not count:
             raise ValueError("measurement matrix has no observed entries")
 
-        # A sparse-layout run reads the observed cells only, taken once
-        # here for every restart; a dense one reads (m, n) arrays, with
-        # the indicator cast to the working dtype once.
+        # A sparse-layout run reads the observed cells only; a dense one
+        # reads (m, n) arrays, and its kernel casts the boolean
+        # indicator to the working dtype.
         sparse = self.mask_aware and _sparse_layout(m * n, count)
         if sparse and cells is None:
             cells = ObservedCells.of(m_arr, b_arr)
@@ -399,17 +359,14 @@ class CompressiveSensingCompleter:
         # The observed values, gathered once for the centring mean and
         # the init scale.
         if cells is not None:
-            work_dtype = self.work_dtype(cells.dtype)
+            work_dtype = resolve_dtype(self.dtype, cells.dtype)
             cells = cells.astype(work_dtype)
             observed = cells.values
         else:
-            work_dtype = self.work_dtype(m_arr.dtype)
+            work_dtype = resolve_dtype(self.dtype, m_arr.dtype)
             if m_arr.dtype != work_dtype:
                 m_arr = m_arr.astype(work_dtype)
             observed = m_arr[b_arr]
-
-        rng = ensure_rng(self._seed)
-        r = min(self.rank, m, n)
 
         # Zero the unobserved cells once.  The dense kernel's right-hand
         # side F^T M relies on it, the literal solver's documented
@@ -436,59 +393,45 @@ class CompressiveSensingCompleter:
         if cells is not None:
             matrix, ind = cells, None
         else:
-            matrix, ind = m_arr, b_arr.astype(work_dtype)
+            matrix, ind = m_arr, b_arr
 
-        # Line 1 of the pseudocode, once per restart: random init of L,
-        # scaled to the data's magnitude so the first R-solve starts in
-        # the right ballpark.  All inits are drawn from the seed stream
-        # up front so the restart runs are order-independent — serial
-        # and parallel execution produce bit-identical results.  Draws
-        # happen in the generator's native float64 and are cast once,
-        # so the working dtype cannot perturb the random stream.
-        observed_scale = float(np.abs(observed).mean())
-        init_scale = np.sqrt(max(observed_scale, 1e-6) / r)
-        inits = [
-            (rng.standard_normal((m, r)) * init_scale).astype(
-                work_dtype, copy=False
-            )
-            for _ in range(self.restarts)
-        ]
+        if init is None:
+            # Line 1 of the pseudocode: random init of L, scaled to the
+            # data's magnitude so the first R-solve starts in the right
+            # ballpark.  The draw happens in the generator's native
+            # float64 and is cast once, so the working dtype cannot
+            # perturb the random stream.
+            r = min(self.rank, m, n)
+            observed_scale = float(np.abs(observed).mean())
+            init_scale = np.sqrt(max(observed_scale, 1e-6) / r)
+            init = ensure_rng(self._seed).standard_normal((m, r)) * init_scale
+        init = init.astype(work_dtype, copy=False)
 
-        with obs_trace.span(
-            "als.complete",
-            rows=m,
-            cols=n,
-            rank=r,
-            dtype=work_dtype.name,
-            restarts=self.restarts,
-            layout="sparse" if sparse else "dense",
-        ):
-            runs: List[_RunOutcome] = parallel_map(
-                lambda init: self._run_als(matrix, ind, init),
-                inits,
-                max_workers=self.max_workers,
-                span_name="als.restart",
-            )
-
-        best_idx = min(range(len(runs)), key=lambda i: runs[i][0])
-        best_obj, best_left, best_right, _ = runs[best_idx]
-        restart_histories = [history for _, _, _, history in runs]
+        with obs_trace.span("als.complete") as span:
+            if obs_trace.enabled():
+                span.set(
+                    rows=m,
+                    cols=n,
+                    rank=init.shape[1],
+                    dtype=work_dtype.name,
+                    layout="sparse" if sparse else "dense",
+                )
+            objective, left, right, history = self._run_als(matrix, ind, init)
         if obs_trace.enabled():
             obs_metrics.inc("als.completions")
-            obs_metrics.inc("als.restarts", self.restarts)
-            for history in restart_histories:
-                obs_metrics.observe("als.iterations_to_convergence", len(history))
-            obs_metrics.observe("als.objective", best_obj)
-        return _Fit(best_obj, best_left, best_right, offset, restart_histories, best_idx)
+            obs_metrics.observe("als.iterations_to_convergence", len(history))
+            obs_metrics.observe("als.objective", objective)
+        return _Fit(objective, left, right, offset, history)
 
-    def work_dtype(self, input_dtype: np.dtype) -> np.dtype:
-        """Resolve the dtype the ALS sweep will run in.
-
-        Explicit ``dtype=`` wins; otherwise a float32 input is honored
-        and everything else runs in float64.  Exposed so streaming
-        callers can cast warm-start factors consistently.
-        """
-        return resolve_dtype(self.dtype, input_dtype)
+    def _result(self, fit: "_Fit") -> CompletionResult:
+        """A fit as a :class:`CompletionResult`, with its estimate formed."""
+        return CompletionResult(
+            estimate=self._estimate(fit.left, fit.right, fit.offset),
+            left=fit.left,
+            right=fit.right,
+            objective=fit.objective,
+            objective_history=fit.history,
+        )
 
     # ------------------------------------------------------------------
     @shapes("m n", "m n", "m r")
@@ -507,9 +450,8 @@ class CompressiveSensingCompleter:
         in the working dtype and ``ind`` is ``None`` (see
         :class:`_WorkspaceKernel`).
         Returns ``(best objective, L, R, per-iteration objectives)``.
-        Reads only; safe to run concurrently across restarts.  Each run
-        binds its own kernel, which reuses its buffers across sweeps, so
-        a kernel is never shared between concurrently-running restarts.
+        Reads its inputs only.  Each run binds its own kernel, which
+        reuses its buffers across sweeps.
 
         Each sweep's objective is read off the kernel's normal equations
         (:meth:`_WorkspaceKernel.objective`) at O((m + n) r) cost.
@@ -619,6 +561,29 @@ def _sparse_layout(cells: int, observed: int) -> bool:
     return cells >= SPARSE_MIN_CELLS and bool(observed <= SPARSE_MAX_OBSERVED * cells)
 
 
+def _bind_sparse(cells: ObservedCells) -> Tuple[Any, Any, Any, Any, float]:
+    """``(M, M^T, B, B^T, ||M||_F^2)``, the four as CSR matrices.
+
+    ``M`` holds the observed cells and ``B`` the indicator, with ones on
+    the same pattern; the transposes are structural, so an observed cell
+    whose value is 0 stays in both.
+    """
+    from scipy.sparse import csr_matrix
+
+    m, n = cells.shape
+    # The cells run row by row, columns ascending: CSR order.
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cells.rows, minlength=m), out=indptr[1:])
+    data = cells.values
+    m_csr = csr_matrix((data, cells.cols, indptr), shape=(m, n))
+    m_t = m_csr.T.tocsr()
+    ones = np.ones(data.size, dtype=data.dtype)
+    ind = csr_matrix((ones, m_csr.indices, m_csr.indptr), shape=(m, n))
+    ind_t = csr_matrix((ones, m_t.indices, m_t.indptr), shape=(n, m))
+    flat = data.astype(np.float64, copy=False)
+    return m_csr, m_t, ind, ind_t, float(np.dot(flat, flat))
+
+
 class _WorkspaceKernel:
     """Algorithm 1's masked ridge solve, bound to one ALS run.
 
@@ -698,7 +663,7 @@ class _WorkspaceKernel:
             cells = None
             self.sparse = _sparse_layout(m * n, int(np.count_nonzero(ind)))
         if self.sparse:
-            self._bind_sparse(
+            self._m, self._m_t, self._ind, self._ind_t, self._m_sq = _bind_sparse(
                 cells if cells is not None else ObservedCells.of(m_arr, ind)
             )
         else:
@@ -735,26 +700,6 @@ class _WorkspaceKernel:
         self._rhs_m = np.empty((m, rank), dtype=dtype)
         self._out_n = np.empty((n, rank), dtype=dtype)
         self._out_m = np.empty((m, rank), dtype=dtype)
-
-    def _bind_sparse(self, cells: ObservedCells) -> None:
-        """Bind the observed cells of ``M`` and the indicator as CSR matrices."""
-        from scipy.sparse import csr_matrix
-
-        m, n = cells.shape
-        # The cells run row by row, columns ascending: CSR order.
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cells.rows, minlength=m), out=indptr[1:])
-        data = cells.values
-        self._m = csr_matrix((data, cells.cols, indptr), shape=(m, n))
-        # A structural transpose: explicit zeros are kept.
-        self._m_t = self._m.T.tocsr()
-        ones = np.ones(data.size, dtype=data.dtype)
-        self._ind = csr_matrix((ones, self._m.indices, self._m.indptr), shape=(m, n))
-        self._ind_t = csr_matrix(
-            (ones, self._m_t.indices, self._m_t.indptr), shape=(n, m)
-        )
-        flat = data.astype(np.float64, copy=False)
-        self._m_sq = float(np.dot(flat, flat))
 
     def solve_right(self, left: np.ndarray) -> np.ndarray:
         """R <- argmin of Eq. 16 with L fixed."""

@@ -34,7 +34,7 @@ class ConvergenceDiagnostics:
         Overall objective reduction ``1 - best/first`` (0 when the
         first iterate was already optimal).
     iterations_run:
-        Total ALS sweeps (including restarts).
+        ALS sweeps run.
     """
 
     converged: bool

@@ -19,7 +19,10 @@ sweeps instead of the cold-start 100.
 
 This module holds the window state, :class:`WindowCompleter` — one
 sliding window of measurements, its warm-start factor, and the (warm or
-cold) re-completion step.  The one streaming estimator,
+cold) re-completion step.  Both paths are one centred
+:meth:`~repro.core.completion.CompressiveSensingCompleter._fit`; a warm
+one passes the carried factor as ``init``, in place of the random draw
+of pseudocode line 1.  The one streaming estimator,
 :class:`repro.scale.streaming.ShardedStreamingEstimator`, keeps one
 window per spatial tile (``partitioner="single"`` is the whole-network
 stream).  The window buffers are preallocated 2-D arrays and the
@@ -41,22 +44,19 @@ row is clipped to ``[0, MAX_SPEED_KMH]``, the cap batch estimates use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.core.completion import (
-    CompletionResult,
     CompressiveSensingCompleter,
     DTypeLike,
-    ObservedCells,
     PAPER_LAMBDA,
     PAPER_RANK,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.probes.aggregation import MAX_SPEED_KMH
-from repro.utils.contracts import shapes
 from repro.utils.rng import SeedLike, ensure_rng
 
 #: Relative per-sweep objective improvement below which a stream
@@ -108,8 +108,9 @@ class WindowCompleter:
         each stops earlier once it converges to :data:`STREAM_TOL`.
     dtype:
         Working dtype, forwarded to
-        :class:`CompressiveSensingCompleter`.  Warm-start factors are
-        kept in the working dtype across windows, so a float32 stream
+        :class:`CompressiveSensingCompleter`.  The window is cast to it
+        before it is centred, as a batch completion is, and warm-start
+        factors are kept in it across windows, so a float32 stream
         never silently re-promotes to float64.
     rng:
         Seed source for the per-recompletion completer seeds.  Each
@@ -182,7 +183,9 @@ class WindowCompleter:
         ``recomplete=False`` the slot still enters the window (and the
         warm factor row-shifts with it), but no solve runs — the
         previous estimate row is republished.  This is the cheap path
-        for tiles whose columns received no new reports.
+        for tiles whose columns received no new reports.  A row whose
+        observed values are not all finite raises ``ValueError`` and
+        leaves the window as it was.
         """
         values = np.asarray(values, dtype=np.float64)
         mask = np.asarray(mask, dtype=bool)
@@ -191,6 +194,8 @@ class WindowCompleter:
                 f"slot row must have shape ({self.num_columns},), got "
                 f"{values.shape} / {mask.shape}"
             )
+        if not np.isfinite(values[mask]).all():
+            raise ValueError("observed values of a slot row must be finite")
         if self._filled == self.window_slots:
             self._obs_counts -= self._masks[0]
             self._values[:-1] = self._values[1:]
@@ -220,14 +225,6 @@ class WindowCompleter:
         """Run (warm-started) completion over the window; return last row."""
         if not self._obs_counts.any():
             return np.zeros(self.num_columns)
-        window_m = self._values[: self._filled]
-        window_b = self._masks[: self._filled]
-
-        # Centering is handled here (not via the completer option) so the
-        # warm-started factors always refer to the same residual space.
-        offset = float(window_m[window_b].mean())
-        window_m = np.where(window_b, window_m - offset, 0.0)
-
         # A factor from a window too short for the full rank (a cold
         # solve on one row is rank 1) would pin every warm solve after
         # it to that rank: re-solve cold once the window allows more.
@@ -235,80 +232,34 @@ class WindowCompleter:
         cold = (
             not self.warm_start
             or self._warm_left is None
-            or self._warm_left.shape[0] != window_m.shape[0]
+            or self._warm_left.shape[0] != self._filled
             or self._warm_left.shape[1] < rank
         )
-        iterations = self.cold_iterations if cold else self.warm_iterations
+        # Centred, so the warm-started factors always refer to the same
+        # residual space.  One seed is drawn per re-completion, warm or
+        # cold, so the window's draw order does not depend on the path.
         completer = CompressiveSensingCompleter(
             rank=self.rank,
             lam=self.lam,
-            iterations=iterations,
+            iterations=self.cold_iterations if cold else self.warm_iterations,
             dtype=self.dtype,
             tol=STREAM_TOL,
+            center=True,
             seed=int(self._rng.integers(0, 2**63 - 1)),
         )
-        if cold:
-            result = completer.complete(window_m, window_b)
-            left, right, sweeps = result.left, result.right, result.iterations_run
-        else:
-            _, left, right, history = _warm_run(
-                completer, window_m, window_b, self._warm_left
-            )
-            sweeps = len(history)
+        fit = completer._fit(
+            self._values[: self._filled],
+            self._masks[: self._filled],
+            init=None if cold else self._warm_left,
+        )
         if obs_trace.enabled():
             obs_metrics.inc("stream.recompletions")
             obs_metrics.inc(
                 "stream.cold_starts" if cold else "stream.warm_starts"
             )
-            obs_metrics.observe("stream.sweeps", sweeps)
-        self._warm_left = left
+            obs_metrics.observe("stream.sweeps", len(fit.history))
+        self._warm_left = fit.left
         # Only the newest row is published: form it alone, not L R^T.
-        return np.clip(left[-1] @ right.T + offset, 0.0, MAX_SPEED_KMH)
-
-
-@shapes(None, "m n", "m n:bool", "m r")
-def _warm_run(
-    completer: CompressiveSensingCompleter,
-    m_arr: Union[np.ndarray, ObservedCells],
-    b_arr: Optional[np.ndarray],
-    warm_left: np.ndarray,
-) -> Tuple[float, np.ndarray, np.ndarray, List[float]]:
-    """Run the completer's ALS sweeps starting from a provided left factor.
-
-    :meth:`CompressiveSensingCompleter.complete` with the random
-    initialization (pseudocode line 1) replaced by ``warm_left``; returns
-    ``(best objective, L, R, per-sweep objectives)``.  ``m_arr`` must
-    already be zero on unobserved cells, or be the matrix's
-    :class:`~repro.core.completion.ObservedCells` with ``b_arr`` ``None``.
-    The sweep runs in the completer's working dtype: measurements and
-    the warm factor are cast on entry (the kernel casts the indicator
-    only if its layout reads it), and the returned factors stay in that
-    dtype so the next window warm-starts without re-promotion.
-    """
-    work_dtype = completer.work_dtype(m_arr.dtype)
-    if isinstance(m_arr, ObservedCells):
-        m_arr = m_arr.astype(work_dtype)
-    else:
-        m_arr = np.ascontiguousarray(m_arr, dtype=work_dtype)
-    return completer._run_als(
-        m_arr, b_arr, warm_left.astype(work_dtype, copy=False)
-    )
-
-
-@shapes(None, "m n", "m n:bool", "m r")
-def _warm_complete(
-    completer: CompressiveSensingCompleter,
-    m_arr: Union[np.ndarray, ObservedCells],
-    b_arr: Optional[np.ndarray],
-    warm_left: np.ndarray,
-) -> CompletionResult:
-    """:func:`_warm_run` packaged as a :class:`CompletionResult`."""
-    objective, left, right, history = _warm_run(completer, m_arr, b_arr, warm_left)
-    return CompletionResult(
-        estimate=completer._estimate(left, right),
-        left=left,
-        right=right,
-        objective=objective,
-        objective_history=history,
-        iterations_run=len(history),
-    )
+        return np.clip(
+            fit.left[-1] @ fit.right.T + fit.offset, 0.0, MAX_SPEED_KMH
+        )

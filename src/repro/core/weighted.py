@@ -138,7 +138,6 @@ class ConfidenceWeightedCompleter:
             right=best_right,
             objective=best_obj,
             objective_history=history,
-            iterations_run=len(history),
         )
 
 

@@ -56,7 +56,7 @@ def make_completer(seed: int = 0, **overrides) -> CompressiveSensingCompleter:
     """The experiments' CS configuration with optional overrides.
 
     ``overrides`` reach :class:`CompressiveSensingCompleter` verbatim
-    (e.g. ``dtype`` or ``max_workers``).
+    (e.g. ``dtype`` or ``iterations``).
     """
     params = dict(
         rank=TUNED_RANK,

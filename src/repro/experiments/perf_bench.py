@@ -242,7 +242,6 @@ def _run_completion_suite(
     mask: np.ndarray,
     sweeps: int,
     n_repeats: int,
-    max_workers: Optional[int],
     seed: int,
     strict: bool,
 ) -> None:
@@ -263,7 +262,6 @@ def _run_completion_suite(
             lam=10.0,
             iterations=sweeps,
             dtype=dtype,
-            max_workers=max_workers,
             seed=seed,
         )
         wall, result = _time_best(
@@ -324,7 +322,8 @@ def run_perf_bench(
         Also time a small Algorithm 2 run and the baselines (naive KNN,
         correlation-KNN and MSSA).
     max_workers:
-        Forwarded to the completer/tuner (restart + fitness pools).
+        Forwarded to the GA tuner's fitness pool; the completions run
+        serially.
     strict:
         Raise ``RuntimeError`` when the float32 estimate departs from
         float64 beyond :data:`FLOAT32_RTOL` (relative).
@@ -368,7 +367,6 @@ def run_perf_bench(
             mask,
             sweeps=sweeps,
             n_repeats=n_repeats,
-            max_workers=max_workers,
             seed=seed,
             strict=strict,
         )

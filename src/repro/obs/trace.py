@@ -1,7 +1,7 @@
 """Hierarchical tracing spans with a zero-cost disabled fast path.
 
 A *span* is one named, timed region of the pipeline — an Algorithm 1
-restart, a GA generation, a map-matching pass, one experiment-battery
+solve, a GA generation, a map-matching pass, one experiment-battery
 job.  Spans nest: the span opened while another is active becomes its
 child, so a finished trace is a forest whose roots are the top-level
 pipeline phases and whose leaves are the innermost instrumented
@@ -273,7 +273,7 @@ class _LiveSpan:
 
 
 def span(name: str, **attrs: AttrValue) -> Union[_NoopSpan, _LiveSpan]:
-    """Open a traced region: ``with obs.span("als.restart", i=3): ...``.
+    """Open a traced region: ``with obs.span("als.complete", rows=96): ...``.
 
     Returns a shared no-op object when observability is off, so the
     disabled cost is one boolean check plus one call.

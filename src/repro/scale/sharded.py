@@ -15,10 +15,10 @@ regime:
    observations, the seed's full estimate as its fallback).
 2. **Per-shard refinement** — every shard runs ``warm_iterations``
    (default 8) ALS sweeps over its own columns only, warm-started from
-   ``L0`` via :func:`repro.core.streaming._warm_complete`.  No random
-   init, so the per-shard work is deterministic and embarrassingly
-   parallel over :func:`repro.utils.parallel.parallel_map` in either
-   working dtype.
+   ``L0`` (the completer's ``_fit`` with ``L0`` as its ``init``).  No
+   random init, so the per-shard work is deterministic and
+   embarrassingly parallel over
+   :func:`repro.utils.parallel.parallel_map` in either working dtype.
 3. **Stitch** — shard estimates are merged into the full-network
    matrix; columns estimated by several shards (halo overlap) are
    reconciled by observation-count-weighted averaging, accumulated in
@@ -48,7 +48,6 @@ determinism harness and the property tests pin down.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -64,7 +63,6 @@ from repro.core.completion import (
     DTypeLike,
     ObservedCells,
 )
-from repro.core.streaming import _warm_complete
 from repro.core.tcm import TimeGrid, TrafficConditionMatrix
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -390,8 +388,6 @@ class ShardedEstimator:
         # Validate the completer configuration eagerly (same checks the
         # completer applies) so bad settings fail before any solve.
         self._make_completer(iterations=iterations)
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
 
         self.segment_ids = [int(s) for s in _segment_ids(network)]
         if isinstance(partitioner, str):
@@ -590,25 +586,23 @@ class ShardedEstimator:
         index = self._index
 
         def solve(i: int) -> CompletionResult:
-            with self._track_inflight():
-                sub = index.cut(i, cells)
-                if seed_left is None:
-                    completer = self._make_completer(self.iterations, exact=True)
-                    return completer.complete(sub)
-                if fallback is not None and not sub.values.size:
-                    # Nothing observed in this tile: the seed estimate is
-                    # the best available answer for its columns.
-                    cols = index.cols[i]
-                    return CompletionResult(
-                        estimate=fallback[:, cols],
-                        left=seed_left,
-                        right=np.zeros((cols.size, seed_left.shape[1])),
-                        objective=float("nan"),
-                        objective_history=[],
-                        iterations_run=0,
-                    )
-                completer = self._make_completer(iterations=self.warm_iterations)
-                return _warm_complete(completer, sub, None, seed_left)
+            sub = index.cut(i, cells)
+            if seed_left is None:
+                completer = self._make_completer(self.iterations, exact=True)
+                return completer.complete(sub)
+            if fallback is not None and not sub.values.size:
+                # Nothing observed in this tile: the seed estimate is
+                # the best available answer for its columns.
+                cols = index.cols[i]
+                return CompletionResult(
+                    estimate=fallback[:, cols],
+                    left=seed_left,
+                    right=np.zeros((cols.size, seed_left.shape[1])),
+                    objective=float("nan"),
+                    objective_history=[],
+                )
+            completer = self._make_completer(iterations=self.warm_iterations)
+            return completer._result(completer._fit(sub, init=seed_left))
 
         return parallel_map(
             solve,
@@ -616,27 +610,3 @@ class ShardedEstimator:
             max_workers=self.max_workers,
             span_name="scale.shard_solve",
         )
-
-    def _track_inflight(self):
-        """Context manager maintaining the shards-in-flight gauge."""
-        estimator = self
-
-        class _Tracker:
-            def __enter__(self) -> None:
-                if obs_trace.enabled():
-                    with estimator._inflight_lock:
-                        estimator._inflight += 1
-                        obs_metrics.set_gauge(
-                            "scale.shards_inflight", estimator._inflight
-                        )
-
-            def __exit__(self, *exc) -> None:
-                if obs_trace.enabled():
-                    with estimator._inflight_lock:
-                        estimator._inflight -= 1
-                        obs_metrics.set_gauge(
-                            "scale.shards_inflight", estimator._inflight
-                        )
-                    obs_metrics.inc("scale.shard_solves")
-
-        return _Tracker()

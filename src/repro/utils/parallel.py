@@ -1,7 +1,7 @@
 """Deterministic fan-out of independent numerical jobs.
 
-ALS restarts, GA fitness evaluations, per-shard solves and experiment
-jobs are embarrassingly parallel: each job is a pure function of
+GA fitness evaluations, per-shard solves and experiment jobs are
+embarrassingly parallel: each job is a pure function of
 arguments prepared *up front* (including any random state, see
 :func:`repro.utils.rng.spawn_rngs`).  This module provides the one
 primitive those call sites need — an order-preserving ``map`` over a

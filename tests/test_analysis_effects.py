@@ -355,6 +355,35 @@ class TestContracts:
         }
         assert len(findings) == 2
 
+    @pytest.mark.parametrize(
+        "submit",
+        [
+            "[_worker(x) for x in items]",
+            "parallel_map(_worker, items)",
+            "parallel_map(lambda x: _worker(x), items)",
+        ],
+        ids=["loop", "pool", "pool-trampoline"],
+    )
+    def test_pool_worker_effects_reach_submitter(self, submit):
+        # A worker handed to a pool runs on the submitter's behalf, so
+        # its effects count against the submitter's contract.
+        src = (
+            "from repro.utils.contracts import effects\n"
+            "from repro.utils.parallel import parallel_map\n"
+            "SEEN = []\n"
+            "def _worker(x):\n"
+            "    SEEN.append(x)\n"
+            "    return x\n"
+            "@effects('pure')\n"
+            "def run(items):\n"
+            f"    return {submit}\n"
+        )
+        program = program_of(src)
+        findings = contract_findings(program, infer_effects(program))
+        assert [f.rule for f in findings] == ["effect-contract"]
+        assert "reaches effect 'mutates-global'" in findings[0].message
+        assert findings[0].trace[-1].function == "_worker"
+
 
 class TestRuntimeDecorator:
     def test_effects_decorator_is_zero_cost_marker(self):

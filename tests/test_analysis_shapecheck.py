@@ -121,6 +121,29 @@ FLOAT64_PRODUCERS = [
 ]
 
 
+#: Int operands of a @hot_path float32 chain: the platform int that
+#: np.arange and int literals give (a bug, with the producer step the
+#: --explain trace must show) and two that keep float32 (None).
+PLATFORM_INT_OPERANDS = [
+    pytest.param(
+        "    return w.sum() * np.array([1, 2, 3])\n",
+        "np.array([...]) creates (3) [int64]",
+        id="int-literals",
+    ),
+    pytest.param(
+        "    return w * np.arange(x.shape[1])\n",
+        "np.arange(...) creates (n) [int64]",
+        id="arange",
+    ),
+    pytest.param("    return w * 2\n", None, id="weak-scalar"),
+    pytest.param(
+        "    return w * np.arange(x.shape[1], dtype=np.int16)\n",
+        None,
+        id="int16-arange",
+    ),
+]
+
+
 class TestTransposedGram:
     def test_reports_shape_mismatch(self):
         report = shape_lint(TRANSPOSED_GRAM)
@@ -196,6 +219,18 @@ class TestHotPathFloat64Leak:
         # Outside a @hot_path the same code is no policy violation.
         cold = (HOT_PATH_HEAD + bug).replace("@hot_path\n", "")
         assert lint_source(cold, path="f.py").ok
+
+    @pytest.mark.parametrize("body, producer", PLATFORM_INT_OPERANDS)
+    def test_platform_int_operand(self, body, producer):
+        # int64 needs float64 to hold it, so meeting float32 it leaks
+        # float64 as a float64 producer does; a weak scalar or a narrow
+        # int keeps float32.
+        report = lint_source(HOT_PATH_HEAD + body, path="f.py")
+        if producer is None:
+            assert report.ok
+        else:
+            assert [f.rule for f in report.findings] == ["dtype-policy-violation"]
+            assert producer in report.findings[0].render(explain=True)
 
     def test_suppression(self):
         src = HOT_F64_LITERAL.replace(

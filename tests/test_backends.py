@@ -138,8 +138,8 @@ class TestWorkspaceEquivalence:
     def test_repeat_runs_bit_identical(self):
         # Workspace buffers are reused across sweeps; two fresh runs
         # must still agree to the last bit.
-        a = complete_with(restarts=2).estimate
-        b = complete_with(restarts=2).estimate
+        a = complete_with().estimate
+        b = complete_with().estimate
         assert a.tobytes() == b.tobytes()
 
 

@@ -390,14 +390,14 @@ class TestObservabilityCommands:
 
         out = tmp_path / "verify.json"
         rc = main([
-            "verify-determinism", "--smoke", "--checks", "completion",
+            "verify-determinism", "--smoke", "--checks", "sharded",
             "--max-workers", "2", "--manifest", str(out),
         ])
         assert rc == 0
         payload = manifest.load_manifest(out)
         schema.validate_manifest(payload)
         assert payload["kind"] == "verify-determinism"
-        assert [j["name"] for j in payload["jobs"]] == ["completion"]
+        assert [j["name"] for j in payload["jobs"]] == ["sharded"]
         assert payload["jobs"][0]["status"] == "ok"
         assert payload["spans"]  # observability was on for the run
         # And the stored manifest renders.
@@ -409,9 +409,9 @@ class TestVerifyDeterminismCommand:
     def test_parser_accepts(self):
         parser = build_parser()
         args = parser.parse_args(
-            ["verify-determinism", "--smoke", "--checks", "completion", "tuning"]
+            ["verify-determinism", "--smoke", "--checks", "tuning", "sharded"]
         )
-        assert args.smoke and args.checks == ["completion", "tuning"]
+        assert args.smoke and args.checks == ["tuning", "sharded"]
 
     def test_unknown_check_is_usage_error(self, capsys):
         assert main(["verify-determinism", "--smoke", "--checks", "nope"]) == 2
@@ -423,7 +423,7 @@ class TestVerifyDeterminismCommand:
                 "verify-determinism",
                 "--smoke",
                 "--checks",
-                "completion",
+                "sharded",
                 "--max-workers",
                 "2",
             ]

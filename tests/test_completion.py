@@ -188,41 +188,6 @@ class TestOptions:
         )
 
 
-class TestRestarts:
-    def test_restarts_validated(self):
-        with pytest.raises(ValueError):
-            CompressiveSensingCompleter(restarts=0)
-
-    def test_restarts_never_worse(self, low_rank_matrix):
-        mask = random_integrity_mask(low_rank_matrix.shape, 0.5, seed=11)
-        measured = np.where(mask, low_rank_matrix, 0.0)
-        single = CompressiveSensingCompleter(
-            rank=2, lam=1e-4, iterations=60, restarts=1, seed=0
-        ).complete(measured, mask)
-        multi = CompressiveSensingCompleter(
-            rank=2, lam=1e-4, iterations=60, restarts=4, seed=0
-        ).complete(measured, mask)
-        assert multi.objective <= single.objective + 1e-9
-
-    def test_restarts_counted_in_iterations_run(self, low_rank_matrix):
-        mask = random_integrity_mask(low_rank_matrix.shape, 0.5, seed=12)
-        measured = np.where(mask, low_rank_matrix, 0.0)
-        result = CompressiveSensingCompleter(
-            rank=2, lam=0.1, iterations=10, restarts=3, seed=0
-        ).complete(measured, mask)
-        assert result.iterations_run == 30
-
-    def test_escapes_local_minimum(self):
-        """The seed-0 instance where a single ALS run gets stuck."""
-        x = make_low_rank(20, 15, 2, seed=0)
-        mask = random_integrity_mask(x.shape, 0.6, seed=1)
-        measured = np.where(mask, x, 0.0)
-        multi = CompressiveSensingCompleter(
-            rank=2, lam=1e-4, iterations=120, restarts=3, seed=0
-        ).complete(measured, mask)
-        assert nmae(x, multi.estimate, ~mask) < 0.05
-
-
 class TestEdgeCases:
     def test_single_observation(self):
         values = np.zeros((4, 4))
@@ -566,7 +531,7 @@ class TestLayoutSelection:
         # the input's sparsity.
         mask = np.random.default_rng(1).random((672, 450)) < 0.03
         completer = CompressiveSensingCompleter(
-            iterations=2, restarts=2, mask_aware=mask_aware, seed=0
+            iterations=2, mask_aware=mask_aware, seed=0
         )
         counters, layouts = self._traced(
             lambda: completer.complete(np.where(mask, 30.0, 0.0), mask)
@@ -574,7 +539,7 @@ class TestLayoutSelection:
         assert layouts == [layout]
         assert counters == {
             **{k: v for k, v in counters.items() if not k.startswith("als.binds")},
-            f"als.binds_{layout}": 2.0,
+            f"als.binds_{layout}": 1.0,
         }
 
     def test_no_counters_when_off(self):
@@ -684,42 +649,3 @@ class TestLamZero:
         completer = CompressiveSensingCompleter(rank=2, lam=0.0, iterations=5, seed=0)
         with pytest.raises(ValueError, match="lam=0"):
             completer.complete(np.where(mask, x, 0.0), mask)
-
-
-class TestParallelRestarts:
-    """Worker pools must not change numbers: parallel == serial, bitwise."""
-
-    def _completer(self, max_workers):
-        return CompressiveSensingCompleter(
-            rank=2, lam=0.2, iterations=15, restarts=4, max_workers=max_workers, seed=0
-        )
-
-    def test_parallel_bit_identical_to_serial(self, low_rank_matrix):
-        mask = random_integrity_mask(low_rank_matrix.shape, 0.5, seed=21)
-        measured = np.where(mask, low_rank_matrix, 0.0)
-        serial = self._completer(None).complete(measured, mask)
-        parallel = self._completer(4).complete(measured, mask)
-        assert np.array_equal(serial.estimate, parallel.estimate)
-        assert serial.objective == parallel.objective
-        assert serial.objective_history == parallel.objective_history
-        assert serial.restart_histories == parallel.restart_histories
-        assert serial.best_restart == parallel.best_restart
-
-    def test_restart_histories_structure(self, low_rank_matrix):
-        mask = random_integrity_mask(low_rank_matrix.shape, 0.5, seed=22)
-        measured = np.where(mask, low_rank_matrix, 0.0)
-        result = self._completer(None).complete(measured, mask)
-        assert result.num_restarts == 4
-        assert 0 <= result.best_restart < 4
-        assert result.objective_history == result.restart_histories[result.best_restart]
-        assert result.iterations_run == sum(
-            len(h) for h in result.restart_histories
-        )
-        # The winner is the restart with the lowest final objective.
-        finals = [h[-1] for h in result.restart_histories]
-        assert result.objective == pytest.approx(min(finals))
-        assert result.best_restart == finals.index(min(finals))
-
-    def test_max_workers_validated(self):
-        with pytest.raises(ValueError):
-            CompressiveSensingCompleter(max_workers=-2)

@@ -7,7 +7,6 @@ from repro.analysis.determinism import (
     DeterminismCheck,
     DeterminismReport,
     WALL_CLOCK_JOBS,
-    check_completion,
     check_sharded,
     check_tuning,
     run_determinism_suite,
@@ -30,17 +29,11 @@ class TestReportShape:
             run_determinism_suite(checks=["nope"], smoke=True)
 
     def test_check_names(self):
-        assert set(CHECKS) == {"completion", "tuning", "sharded", "run-all"}
+        assert set(CHECKS) == {"tuning", "sharded", "run-all"}
         assert set(WALL_CLOCK_JOBS) == {"runtimes", "streaming"}
 
 
 class TestSmokeChecks:
-    def test_completion_bit_identical(self):
-        check = check_completion(seed=0, max_workers=2, smoke=True)
-        assert check.ok, check.detail
-        assert "1 vs 2 workers" in check.detail
-        assert "(dense)" in check.detail and "(sparse)" in check.detail
-
     def test_tuning_bit_identical(self):
         check = check_tuning(seed=0, max_workers=2, smoke=True)
         assert check.ok, check.detail
@@ -53,10 +46,10 @@ class TestSmokeChecks:
 
     def test_suite_subset(self):
         report = run_determinism_suite(
-            checks=["completion", "tuning"], smoke=True, max_workers=2
+            checks=["tuning", "sharded"], smoke=True, max_workers=2
         )
         assert report.ok
-        assert [c.name for c in report.checks] == ["completion", "tuning"]
+        assert [c.name for c in report.checks] == ["tuning", "sharded"]
 
 
 @pytest.mark.slow

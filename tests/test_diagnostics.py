@@ -34,7 +34,6 @@ class TestConvergence:
             right=np.zeros((2, 1)),
             objective=1.0,
             objective_history=[5.0, 1.0, 4.0],  # bounced after the best
-            iterations_run=3,
         )
         assert not convergence_diagnostics(result).converged
 
@@ -45,7 +44,6 @@ class TestConvergence:
             right=np.zeros((2, 1)),
             objective=np.inf,
             objective_history=[],
-            iterations_run=0,
         )
         with pytest.raises(ValueError):
             convergence_diagnostics(result)

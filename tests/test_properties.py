@@ -111,11 +111,17 @@ class TestCompletionMetricsContract:
         ):
             return
         measured = np.where(mask, x, 0.0)
-        # Multi-restart guards against ALS local minima on these tiny
-        # randomized instances.
-        good = CompressiveSensingCompleter(
-            rank=true_rank, lam=1e-4, iterations=120, restarts=5, seed=0
-        ).complete(measured, mask)
+        # The best of five random inits (lowest objective) guards against
+        # ALS local minima on these tiny randomized instances.
+        good = min(
+            (
+                CompressiveSensingCompleter(
+                    rank=true_rank, lam=1e-4, iterations=120, seed=init_seed
+                ).complete(measured, mask)
+                for init_seed in range(5)
+            ),
+            key=lambda result: result.objective,
+        )
         assert nmae(x, good.estimate, ~mask) < 0.05
 
     @slow_settings

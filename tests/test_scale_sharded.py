@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import completion
 from repro.core.completion import CompressiveSensingCompleter
-from repro.core.streaming import _warm_complete
 from repro.core.tcm import TimeGrid, TrafficConditionMatrix
 from repro.datasets.masks import random_integrity_mask
 from repro.experiments.perf_bench import _make_truth
@@ -236,7 +235,8 @@ def _dense_multilevel(est, tcm):
     """The multilevel regime on (m, n) arrays, through the array entries.
 
     Centres with one masked pass, seeds with ``_fit(values, mask)`` and
-    refines every shard on its ``np.take`` column blocks.
+    refines every shard on its ``np.take`` column blocks with
+    ``_fit(block, mask_block, init=seed_left)``.
     """
     values, mask = tcm.values, tcm.mask
     index = est._index
@@ -251,7 +251,8 @@ def _dense_multilevel(est, tcm):
             estimates.append(seed._estimate(fit.left, fit.right)[:, cols])
             continue
         warm = est._make_completer(iterations=est.warm_iterations)
-        estimates.append(_warm_complete(warm, sub_m, sub_b, fit.left).estimate)
+        refined = warm._fit(sub_m, sub_b, init=fit.left)
+        estimates.append(warm._result(refined).estimate)
     out = _stitch(values.shape, mask.sum(axis=0), index.ordered, index.cols, estimates)
     out += offset
     return np.clip(out, 0.0, MAX_SPEED_KMH, out=out)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import streaming
+from repro.core.completion import CompressiveSensingCompleter
 from repro.core.tcm import TimeGrid
 from repro.metrics.errors import nmae
 from repro.mobility.fleet import FleetConfig, FleetSimulator
@@ -328,14 +329,15 @@ class TestAdaptiveSweeps:
 
     def test_warm_sweeps_bounded(self, simulated_day, obs_on, monkeypatch):
         warm_sweeps = []
-        run = streaming._warm_run
+        fit = CompressiveSensingCompleter._fit
 
-        def spy(*args):
-            outcome = run(*args)
-            warm_sweeps.append(len(outcome[3]))
+        def spy(completer, *args, init=None):
+            outcome = fit(completer, *args, init=init)
+            if init is not None:
+                warm_sweeps.append(len(outcome.history))
             return outcome
 
-        monkeypatch.setattr(streaming, "_warm_run", spy)
+        monkeypatch.setattr(CompressiveSensingCompleter, "_fit", spy)
         self._nmae(simulated_day)
         assert warm_sweeps
         assert all(2 <= s <= self.WARM for s in warm_sweeps)

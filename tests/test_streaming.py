@@ -69,6 +69,58 @@ class TestValidation:
             make_estimator(**kwargs)
 
 
+class TestPushValidation:
+    """``WindowCompleter.push`` checks a row before the window changes."""
+
+    @staticmethod
+    def _window(clean_rows):
+        window = WindowCompleter(6, 8, rank=2, lam=1.0, rng=0)
+        for k in range(clean_rows):
+            window.push(np.linspace(30.0, 45.0, 6) + k, np.ones(6, dtype=bool))
+        return window
+
+    @staticmethod
+    def _state(window):
+        warm = window._warm_left
+        return (
+            window.filled,
+            window._values.copy(),
+            window._masks.copy(),
+            window.observation_counts(),
+            None if warm is None else warm.copy(),
+        )
+
+    @pytest.mark.parametrize(
+        "clean_rows, bad",
+        [(4, math.nan), (0, math.nan), (4, math.inf)],
+        ids=["warm-nan", "cold-nan", "inf"],
+    )
+    def test_non_finite_observation_rejected(self, clean_rows, bad):
+        window = self._window(clean_rows)
+        before = self._state(window)
+        values = np.full(6, 40.0)
+        values[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            window.push(values, np.ones(6, dtype=bool))
+        after = self._state(window)
+        assert before[0] == after[0]
+        for old, new in zip(before[1:], after[1:]):
+            assert (old is None and new is None) or np.array_equal(old, new)
+        # The next clean row is solved and published as usual.
+        row = window.push(np.full(6, 40.0), np.ones(6, dtype=bool))
+        assert np.isfinite(row).all()
+        assert row.max() <= MAX_SPEED_KMH
+
+    def test_non_finite_unobserved_cell_accepted(self):
+        window = self._window(4)
+        values = np.full(6, 40.0)
+        values[2] = math.nan
+        mask = np.ones(6, dtype=bool)
+        mask[2] = False
+        row = window.push(values, mask)
+        assert np.isfinite(row).all()
+
+
 class TestIngest:
     def test_no_estimate_until_slot_closes(self):
         est = make_estimator()
